@@ -26,13 +26,15 @@ import numpy as np
 from .data import TNSR_MAGIC, tensor_from_bytes, tensor_to_bytes
 from .errors import ConfigurationError, DimensionError, FormatError
 from .tensor import Tensor, concat, conv2d
-from .weighting import (
+# ifw_apply and cfw_apply stay importable from here because the
+# perfbench span tracer patches them on this module as well; the model
+# reaches them through aggregate
+from .weighting import (  # noqa: F401
     AdwmConfig,
-    adwm_forward,
+    aggregate,
     cfw_apply,
     ifw_apply,
     make_adwm_modules,
-    mean_aggregate,
 )
 
 VARIANTS = ("baseline", "ifw", "cfw", "adwm")
@@ -194,45 +196,14 @@ class PansharpenModel:
         for p in self.params():
             p.zero_grad()
 
-    def _aggregate(self, features, mode, force_identity, return_weights):
-        alphas, beta = None, None
-        if mode == "baseline":
-            fused = features[-1]
-        elif mode == "mean":
-            fused = mean_aggregate(features)
-        elif mode == "ifw":
-            gated = []
-            alphas = []
-            for gen, f in zip(self.ifw, features):
-                g, a = ifw_apply(gen, f)
-                gated.append(g)
-                alphas.append(a)
-            fused = mean_aggregate(gated)
-        elif mode == "cfw":
-            fused, beta = cfw_apply(self.cfw, features, features)
-        elif mode == "adwm":
-            modules = {"ifw": self.ifw, "cfw": self.cfw}
-            res = adwm_forward(
-                self.config.weighting_config(), modules, features,
-                force_identity=force_identity, return_weights=return_weights,
-            )
-            if return_weights:
-                fused, alphas, beta = res
-            else:
-                fused = res
-        else:
-            raise ConfigurationError(f"unknown aggregation mode {mode!r}")
-        return fused, alphas, beta
-
-    def forward(self, pan, lrms, force_identity=False, return_weights=False,
-                aggregate_override=None):
+    def forward(self, pan, lrms, return_weights=False):
         """pan (H,W) or (B,H,W); lrms (h,w,c) or (B,h,w,c), channel-last.
 
         Returns the fused image in the same channel-last layout; with
-        return_weights also a {"alpha": [...] , "beta": ...} dict of raw
-        weighting outputs (entries None where the variant has none).
-        `aggregate_override` swaps the aggregation rule for diagnostics
-        without touching the trained parameters.
+        return_weights also a dict of the raw weighting outputs, "alpha"
+        (per-block channel gates) and "beta" (pre-softmax layer scores),
+        None where the variant has none, plus "features", the detached
+        per-block feature maps.
         """
         pan = pan if isinstance(pan, Tensor) else Tensor(pan)
         lrms = lrms if isinstance(lrms, Tensor) else Tensor(lrms)
@@ -272,14 +243,15 @@ class PansharpenModel:
             f = f + y
             features.append(f)
 
-        mode = aggregate_override or self.config.variant
-        fused, alphas, beta = self._aggregate(
-            features, mode, force_identity, return_weights
-        )
+        if self.config.variant == "baseline":
+            fused, alphas, beta = features[-1], None, None
+        else:
+            fused, alphas, beta = aggregate(features, self.ifw, self.cfw)
         out = up + conv2d(fused, self.dec_w) + self.dec_b.reshape((-1, 1, 1))
         hhat = out.transpose(0, 2, 3, 1) if batched else out.transpose(1, 2, 0)
         if return_weights:
-            return hhat, {"alpha": alphas, "beta": beta}
+            return hhat, {"alpha": alphas, "beta": beta,
+                          "features": [f.detach() for f in features]}
         return hhat
 
 
@@ -308,15 +280,21 @@ def save_checkpoint(path, model):
         f.write(bytes(buf))
 
 
+def _read_u32(buf, off, field):
+    if len(buf) < off + 4:
+        raise FormatError(f"truncated {field}", offset=off)
+    return struct.unpack_from("<I", buf, off)[0]
+
+
 def load_checkpoint(path):
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:4] != CKPT_MAGIC:
         raise FormatError("bad checkpoint magic", offset=0)
-    (version,) = struct.unpack_from("<I", buf, 4)
+    version = _read_u32(buf, 4, "version field")
     if version != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    (blob_len,) = struct.unpack_from("<I", buf, 8)
+    blob_len = _read_u32(buf, 8, "config length field")
     off = 12
     if len(buf) < off + blob_len:
         raise FormatError("truncated config block", offset=off)
@@ -332,7 +310,7 @@ def load_checkpoint(path):
         raise FormatError(f"config block does not match the schema: {e}", offset=12)
     model = PansharpenModel(config, seed=seed)
     params = model.params()
-    (count,) = struct.unpack_from("<I", buf, off)
+    count = _read_u32(buf, off, "tensor count field")
     off += 4
     if count != len(params):
         raise FormatError(

@@ -60,17 +60,15 @@ def normalize_covariance(C, eps=1e-8):
     return C / denom
 
 
-class CacwModule:
-    """Learned map from correlation rows to feature weights.
+class _MlpHead:
+    """Learned perceptron n_in -> d -> n_out, leaky_relu hidden, shared by
+    every weight generator.
 
-    One shared two-layer perceptron (n -> d -> 1, leaky_relu hidden) is
-    applied to every row of the correlation matrix, which makes the
-    output equivariant to feature permutations. `output_activation` is
-    "sigmoid" for bounded gates or "identity" when a softmax is applied
-    downstream.
+    The head starts at zero, so weights start neutral (0.5 gates or a
+    uniform softmax). `output_activation` is "sigmoid" for bounded gates
+    or "identity" when a softmax is applied downstream. Subclasses set
+    the head's input and output widths and map observations to rows.
     """
-
-    method = "cacw"
 
     def __init__(self, n, d=None, d_fraction=0.8, output_activation="sigmoid", seed=0):
         if d is None:
@@ -82,27 +80,45 @@ class CacwModule:
         self.n = n
         self.d = d
         self.output_activation = output_activation
+        n_in, n_out = self._head_widths()
         rng = np.random.default_rng(seed)
-        self.W1 = Tensor(rng.standard_normal((d, n)) / np.sqrt(n), requires_grad=True)
+        self.W1 = Tensor(rng.standard_normal((d, n_in)) / np.sqrt(n_in), requires_grad=True)
         self.b1 = Tensor(np.zeros(d), requires_grad=True)
-        # zero head: weights start neutral (0.5 gates / uniform softmax)
-        self.W2 = Tensor(np.zeros((1, d)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(1), requires_grad=True)
+        self.W2 = Tensor(np.zeros((n_out, d)), requires_grad=True)
+        self.b2 = Tensor(np.zeros(n_out), requires_grad=True)
+
+    def _head_widths(self):
+        """(n_in, n_out): one scalar per n-wide row by default."""
+        return self.n, 1
 
     def params(self):
         return [self.W1, self.b1, self.W2, self.b2]
 
     def param_count(self):
-        return self.d * self.n + 2 * self.d + 1
+        return sum(p.size for p in self.params())
+
+    def _mlp(self, x):
+        """The head over the last axis: (..., n_in) -> (..., n_out)."""
+        h = (x @ self.W1.T + self.b1).leaky_relu()
+        return h @ self.W2.T + self.b2
+
+    def _activate(self, out):
+        return out.sigmoid() if self.output_activation == "sigmoid" else out
 
     def _mlp_rows(self, rows):
-        """Shared MLP over the last axis of (..., r, features)."""
-        h = (rows @ self.W1.T + self.b1).leaky_relu()
-        out = h @ self.W2.T + self.b2
-        out = out.reshape(out.shape[:-1])
-        if self.output_activation == "sigmoid":
-            out = out.sigmoid()
-        return out
+        """One weight per row of (..., r, n_in): shape (..., r)."""
+        out = self._mlp(rows)
+        return self._activate(out.reshape(out.shape[:-1]))
+
+
+class CacwModule(_MlpHead):
+    """Learned map from correlation rows to feature weights.
+
+    The head is applied to every row of the correlation matrix, which
+    makes the output equivariant to feature permutations.
+    """
+
+    method = "cacw"
 
     def forward(self, X):
         return cacw_forward(self, X)
@@ -142,66 +158,23 @@ class PcaResult:
         return self.eigenvectors[:, :k]
 
 
-def pca_eigendecompose(C, max_sweeps=100):
-    """Symmetric eigendecomposition by cyclic Jacobi rotations.
+def pca_eigendecompose(C):
+    """Symmetric eigendecomposition, eigenvalues sorted descending.
 
-    Sweeps rotate away each off-diagonal element in turn until the
-    off-diagonal Frobenius mass is negligible. The absolute 1e-12 target
-    is scaled by max(1, ||C||_F) so that large-magnitude covariances do
-    not chase an unreachable absolute floor at double precision.
+    Each eigenvector's largest-magnitude component is made positive, so
+    the result is deterministic up to ties.
     """
     C = C.data if isinstance(C, Tensor) else np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise DimensionError(f"eigendecomposition needs a square matrix, got {C.shape}")
-    n = C.shape[0]
-    A = (C + C.T) / 2.0
-    V = np.eye(n)
-    if n == 1:
-        return PcaResult(A.diagonal().copy(), V)
-
-    norm = max(1.0, float(np.linalg.norm(A)))
-    tol = 1e-12 * norm
-
-    def off_mass(M):
-        off = M - np.diag(M.diagonal())
-        return float(np.sqrt((off * off).sum()))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if off_mass(A) < tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < tol / (n * n):
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                A[[p, q], :] = rot.T @ A[[p, q], :]
-                A[:, [p, q]] = A[:, [p, q]] @ rot
-                V[:, [p, q]] = V[:, [p, q]] @ rot
-    else:
-        converged = off_mass(A) < tol
-    if not converged:
-        raise NumericError(
-            f"Jacobi eigendecomposition did not converge in {max_sweeps} sweeps"
-        )
-
-    lam = A.diagonal().copy()
+    if not np.all(np.isfinite(C)):
+        raise NumericError("eigendecomposition of a matrix with non-finite entries")
+    lam, V = np.linalg.eigh((C + C.T) / 2.0)
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     V = V[:, order]
-    # deterministic sign: largest-magnitude component of each vector positive
-    for i in range(n):
-        j = int(np.argmax(np.abs(V[:, i])))
-        if V[j, i] < 0:
-            V[:, i] = -V[:, i]
+    top = np.argmax(np.abs(V), axis=0)
+    V = V * np.where(V[top, np.arange(V.shape[1])] < 0, -1.0, 1.0)
     return PcaResult(lam, V)
 
 
@@ -223,65 +196,29 @@ def pca_project(X, P):
 # ----------------------------------------------------------------------
 # comparison weight generators
 
-class PoolWeights:
+class PoolWeights(_MlpHead):
     """Global-average-pooling generator: column means -> MLP n -> d -> n."""
 
     method = "pool"
 
-    def __init__(self, n, d=None, d_fraction=0.8, output_activation="sigmoid", seed=0):
-        if d is None:
-            d = math.ceil(d_fraction * n)
-        if n < 1 or d < 1:
-            raise ConfigurationError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-        self.n = n
-        self.d = d
-        self.output_activation = output_activation
-        rng = np.random.default_rng(seed)
-        self.W1 = Tensor(rng.standard_normal((d, n)) / np.sqrt(n), requires_grad=True)
-        self.b1 = Tensor(np.zeros(d), requires_grad=True)
-        self.W2 = Tensor(np.zeros((n, d)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(n), requires_grad=True)
-
-    def params(self):
-        return [self.W1, self.b1, self.W2, self.b2]
-
-    def param_count(self):
-        return 2 * self.d * self.n + self.d + self.n
+    def _head_widths(self):
+        return self.n, self.n
 
     def forward(self, X):
-        X = _as_tensor(X)
-        means = X.mean(axis=-2)
-        squeeze = means.ndim == 1
-        if squeeze:
-            means = means.reshape(1, -1)
-        h = (means @ self.W1.T + self.b1).leaky_relu()
-        out = h @ self.W2.T + self.b2
-        if self.output_activation == "sigmoid":
-            out = out.sigmoid()
-        return out.reshape(out.shape[-1:]) if squeeze else out
+        means = _as_tensor(X).mean(axis=-2)
+        out = self._activate(self._mlp(means.reshape(-1, self.n)))
+        return out.reshape(means.shape)
 
 
-class AttentionWeights:
+class AttentionWeights(_MlpHead):
     """Self-attention relevance generator.
 
     R = row-softmax(Z Z^T / sqrt(m)) with Z the centered features
-    (n x m); rows of R go through the same shared MLP shape as the
-    covariance generator.
+    (n x m); rows of R go through the same shared head as the covariance
+    generator.
     """
 
     method = "attention"
-
-    def __init__(self, n, d=None, d_fraction=0.8, output_activation="sigmoid", seed=0):
-        self._inner = CacwModule(n, d, d_fraction, output_activation, seed)
-        self.n = self._inner.n
-        self.d = self._inner.d
-        self.output_activation = output_activation
-
-    def params(self):
-        return self._inner.params()
-
-    def param_count(self):
-        return self._inner.param_count()
 
     def forward(self, X):
         X = _as_tensor(X)
@@ -290,58 +227,32 @@ class AttentionWeights:
         perm = tuple(range(X.ndim - 2)) + (X.ndim - 1, X.ndim - 2)
         Z = centered.transpose(perm)
         scores = (Z @ centered) * (1.0 / np.sqrt(m))
-        R = softmax(scores, axis=-1)
-        return self._inner._mlp_rows(R)
+        return self._mlp_rows(softmax(scores, axis=-1))
 
 
-class PcaWeights:
+class PcaWeights(_MlpHead):
     """Eigenbasis-coordinate generator.
 
     Takes the top ceil(n/2) eigenvectors of the covariance; feature i's
-    coordinate row goes through a shared MLP to a scalar weight. The
-    eigenbasis is computed outside the tape: gradients reach the MLP
+    coordinate row goes through the shared head to a scalar weight. The
+    eigenbasis is computed outside the tape: gradients reach the head
     only, the decomposition itself is treated as a constant per input.
     """
 
     method = "pca"
 
-    def __init__(self, n, d=None, d_fraction=0.8, output_activation="sigmoid", seed=0):
-        if d is None:
-            d = math.ceil(d_fraction * n)
-        if n < 1 or d < 1:
-            raise ConfigurationError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-        self.n = n
-        self.d = d
-        self.k = math.ceil(n / 2)
-        self.output_activation = output_activation
-        rng = np.random.default_rng(seed)
-        self.W1 = Tensor(rng.standard_normal((d, self.k)) / np.sqrt(self.k), requires_grad=True)
-        self.b1 = Tensor(np.zeros(d), requires_grad=True)
-        self.W2 = Tensor(np.zeros((1, d)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(1), requires_grad=True)
+    @property
+    def k(self):
+        return math.ceil(self.n / 2)
 
-    def params(self):
-        return [self.W1, self.b1, self.W2, self.b2]
-
-    def param_count(self):
-        return self.d * self.k + 2 * self.d + 1
+    def _head_widths(self):
+        return self.k, 1
 
     def forward(self, X):
-        X = _as_tensor(X)
-        cov = compute_covariance(X).data
-        if cov.ndim == 2:
-            basis = pca_eigendecompose(cov).basis(self.k)
-        else:
-            flat = cov.reshape((-1,) + cov.shape[-2:])
-            basis = np.stack([pca_eigendecompose(c).basis(self.k) for c in flat])
-            basis = basis.reshape(cov.shape[:-2] + basis.shape[-2:])
-        rows = Tensor(basis)
-        h = (rows @ self.W1.T + self.b1).leaky_relu()
-        out = h @ self.W2.T + self.b2
-        out = out.reshape(out.shape[:-1])
-        if self.output_activation == "sigmoid":
-            out = out.sigmoid()
-        return out
+        cov = compute_covariance(_as_tensor(X)).data
+        flat = cov.reshape((-1,) + cov.shape[-2:])
+        basis = np.stack([pca_eigendecompose(c).basis(self.k) for c in flat])
+        return self._mlp_rows(Tensor(basis.reshape(cov.shape[:-2] + basis.shape[-2:])))
 
 
 WEIGHT_GENERATORS = {

@@ -64,7 +64,8 @@ def layer_spectra(model, pan, lrms):
 
     Returns a list of {layer, scree, entropy} in depth order.
     """
-    _, features = _forward_with_features(model, pan, lrms)
+    _, weights = model.forward(pan, lrms, return_weights=True)
+    features = weights["features"]
     out = []
     for i, f in enumerate(features):
         cov = feature_covariance(f)
@@ -76,23 +77,6 @@ def layer_spectra(model, pan, lrms):
             "covariance": cov,
         })
     return out
-
-
-def _forward_with_features(model, pan, lrms):
-    """Run the backbone and capture the per-block feature stack."""
-    captured = []
-    original = model._aggregate
-
-    def spy(features, mode, force_identity, return_weights):
-        captured.append([f.detach() for f in features])
-        return original(features, mode, force_identity, return_weights)
-
-    model._aggregate = spy
-    try:
-        out = model.forward(pan, lrms)
-    finally:
-        del model._aggregate  # drop the instance shadow, class method returns
-    return out, captured[0]
 
 
 # ----------------------------------------------------------------------

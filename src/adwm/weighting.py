@@ -12,11 +12,11 @@ All entry points accept (C, H, W) features or (B, C, H, W) batches.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cacw import WEIGHT_GENERATORS, CacwModule
+from .cacw import WEIGHT_GENERATORS
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
 from .tensor import Tensor, softmax, spatial_mean, stack
 
@@ -114,37 +114,55 @@ def ifw_apply(generator, F_i):
     return F_i * gate, alpha
 
 
-def _combine(weights, maps):
-    """Sum_k weights[k] * maps[k] in fixed layer order.
+def weighted_sum(maps, w=None):
+    """Sum_k w[..., k] * maps[k] in fixed layer order, as one tape op.
 
-    Shared by the softmax path and the uniform fallback so that forcing
-    uniform weights reproduces plain mean aggregation bit-exactly.
+    maps: N tensors of one shape, (C, H, W) or (B, C, H, W). w: layer
+    weights of shape (N,) or (B, N), or None for the uniform 1/N, which
+    makes this the plain mean of the stack.
     """
-    out = maps[0] * weights[0]
-    for k in range(1, len(maps)):
-        out = out + maps[k] * weights[k]
+    maps = [m if isinstance(m, Tensor) else Tensor(m) for m in maps]
+    n = len(maps)
+    if n == 0:
+        raise DimensionError("weighted sum of an empty stack")
+    shape = maps[0].shape
+    for m in maps:
+        if m.shape != shape:
+            raise DimensionError(f"stack features disagree in shape: {m.shape} vs {shape}")
+    if w is None:
+        factors = [1.0 / n] * n
+        parents = tuple(maps)
+    else:
+        if len(shape) < 3 or w.shape != shape[:-3] + (n,):
+            raise DimensionError(
+                f"weights {w.shape} do not match {n} maps of shape {shape}"
+            )
+        lead = w.shape[:-1] + (1, 1, 1)
+        factors = [w.data[..., k].reshape(lead) for k in range(n)]
+        # the tape reaches w right after the first map, which fixes the
+        # order gradients accumulate into the maps during backward
+        parents = (maps[0], w) + tuple(maps[1:])
+
+    data = maps[0].data * factors[0]
+    for m, f in zip(maps[1:], factors[1:]):
+        data += m.data * f
+    out = Tensor(data, any(p.requires_grad for p in parents), parents)
+
+    def _backward():
+        g = out.grad
+        for m, f in zip(maps, factors):
+            if m.requires_grad:
+                m._accumulate(g * f)
+        if w is not None and w.requires_grad:
+            w._accumulate(np.stack(
+                [(g * m.data).sum(axis=(-3, -2, -1)) for m in maps], axis=-1
+            ))
+
+    out._backward = _backward
     return out
 
 
-def _split_weights(w, batched):
-    """Per-layer broadcastable factors from a (N,) or (B, N) weight tensor.
-
-    Slicing must stay on the tape, so each factor is extracted with a
-    one-hot mask and a sum.
-    """
-    n = w.shape[-1]
-    factors = []
-    for k in range(n):
-        mask = np.zeros(n)
-        mask[k] = 1.0
-        wk = (w * Tensor(mask)).sum(axis=-1)
-        if batched:
-            wk = wk.reshape(wk.shape[0], 1, 1, 1)
-        factors.append(wk)
-    return factors
-
-
-def cfw_apply(generator, F, F_tilde, matrix_form=False):
+def cfw_apply(generator, F, F_tilde):
     """Aggregate gated maps with softmax layer weights.
 
     Weights come from the unweighted stack F: each layer is pooled to a
@@ -152,9 +170,7 @@ def cfw_apply(generator, F, F_tilde, matrix_form=False):
     softmax turns the scores into a convex combination of F_tilde.
 
     Returns (aggregated map, beta) with beta the raw pre-softmax scores,
-    shape (N,) or (B, N). `matrix_form` computes the combination as a
-    single matrix product instead of the pointwise sum; both routes agree
-    to float64 accuracy and the pointwise route is the default.
+    shape (N,) or (B, N).
     """
     if len(F) == 0:
         raise DimensionError("cross-feature weighting needs a nonempty stack")
@@ -165,7 +181,7 @@ def cfw_apply(generator, F, F_tilde, matrix_form=False):
     F = [f if isinstance(f, Tensor) else Tensor(f) for f in F]
     F_tilde = [f if isinstance(f, Tensor) else Tensor(f) for f in F_tilde]
     shape = F[0].shape
-    for f in list(F) + list(F_tilde):
+    for f in F + F_tilde:
         if f.shape != shape:
             raise DimensionError(f"stack features disagree in shape: {f.shape} vs {shape}")
     c = shape[-3]
@@ -173,125 +189,49 @@ def cfw_apply(generator, F, F_tilde, matrix_form=False):
         raise DegenerateSampleError(
             f"layer weighting needs at least 2 channels as samples, got C={c}"
         )
-    n = len(F)
-    batched = F[0].ndim == 4
 
     profiles = stack([spatial_mean(f) for f in F], axis=-1)  # (C, N) or (B, C, N)
     beta = generator.forward(profiles)                        # (N,) or (B, N)
-    w = softmax(beta, axis=-1)
-
-    if matrix_form:
-        flat = stack([f.reshape(shape[:-3] + (-1,)) for f in F_tilde], axis=-2)
-        # (N, CHW) or (B, N, CHW); weights row times stack
-        wrow = w.reshape(w.shape[:-1] + (1, n))
-        out = (wrow @ flat).reshape(shape)
-        return out, beta
-
-    out = _combine(_split_weights(w, batched), F_tilde)
-    return out, beta
+    return weighted_sum(F_tilde, softmax(beta, axis=-1)), beta
 
 
-def mean_aggregate(features):
-    """Uniform aggregation of a stack, same accumulation order as cfw_apply."""
+def aggregate(features, ifw=None, cfw=None):
+    """Fuse a feature stack with the weighting levels that are switched on.
+
+    `ifw` is one channel-gate generator per layer and `cfw` the layer
+    score generator; passing one switches its level on. With both off
+    the result is the uniform mean of the stack, and identity weights
+    (gates of exactly 1, equal layer scores) reduce either level to it
+    bit for bit. Returns (fused, alphas, beta), None for a level that is
+    off.
+    """
     features = [f if isinstance(f, Tensor) else Tensor(f) for f in features]
-    n = len(features)
-    if n == 0:
-        raise DimensionError("mean aggregation of an empty stack")
-    uniform = [1.0 / n] * n
-    return _combine(uniform, features)
+    if len(features) == 0:
+        raise DimensionError("aggregation needs a nonempty feature stack")
+    gated, alphas = features, None
+    if ifw is not None:
+        if len(ifw) != len(features):
+            raise DimensionError(
+                f"{len(ifw)} gate generators for {len(features)} layers"
+            )
+        pairs = [ifw_apply(gen, f) for gen, f in zip(ifw, features)]
+        gated = [g for g, _ in pairs]
+        alphas = [a for _, a in pairs]
+    if cfw is None:
+        return weighted_sum(gated), alphas, None
+    fused, beta = cfw_apply(cfw, features, gated)
+    return fused, alphas, beta
 
 
-def adwm_forward(config, modules, features, force_identity=False,
-                 return_weights=False):
+def adwm_forward(config, modules, features):
     """Full dual-level weighting over a recorded feature stack.
 
     Gates every layer, then softmax-aggregates the gated stack with
-    weights generated from the ungated one. `force_identity` skips the
-    gates and uses uniform layer weights, recovering mean aggregation
-    exactly (the host network's behavior is recoverable).
+    weights generated from the ungated one.
     """
-    if len(features) == 0:
-        raise DimensionError("adwm_forward needs a nonempty feature stack")
     if len(features) != config.n_layers:
         raise DimensionError(
             f"stack has {len(features)} layers, config says {config.n_layers}"
         )
-    if force_identity:
-        # identity gates and a zero score vector through the real gating
-        # and softmax machinery: multiplying by 1.0 and softmax of zeros
-        # are exact, so this reduces to mean aggregation bit for bit
-        features = [f if isinstance(f, Tensor) else Tensor(f) for f in features]
-        batched = features[0].ndim == 4
-        c = features[0].shape[-3]
-        gate_shape = (features[0].shape[0], c, 1, 1) if batched else (c, 1, 1)
-        gate = Tensor(np.ones(gate_shape))
-        gated = [f * gate for f in features]
-        beta = Tensor(np.zeros(len(features)))
-        w = softmax(beta)
-        # scores are sample-independent here, scalar factors broadcast
-        out = _combine(_split_weights(w, False), gated)
-        if return_weights:
-            alphas = [Tensor(np.ones((features[0].shape[0], c) if batched else c))
-                      for _ in features]
-            return out, alphas, beta
-        return out
-
-    gated = []
-    alphas = []
-    for gen, f in zip(modules["ifw"], features):
-        g, a = ifw_apply(gen, f)
-        gated.append(g)
-        alphas.append(a)
-    out, beta = cfw_apply(modules["cfw"], features, gated)
-    if return_weights:
-        return out, alphas, beta
-    return out
-
-
-class WrappedSegment:
-    """A sequential run of blocks with dual-level weighting on its outputs.
-
-    Blocks are callables Tensor -> Tensor that all emit the same shape;
-    the segment records each intermediate feature and returns the
-    weighted aggregate as its output. Independent segments get
-    independent weighting modules (no parameter sharing).
-    """
-
-    def __init__(self, blocks, config, seed=0):
-        if len(blocks) != config.n_layers:
-            raise ConfigurationError(
-                f"{len(blocks)} blocks but config.n_layers={config.n_layers}"
-            )
-        self.blocks = list(blocks)
-        self.config = config
-        self.modules = make_adwm_modules(config, seed=seed)
-
-    def __call__(self, x):
-        features = []
-        cur = x
-        shape = None
-        for block in self.blocks:
-            cur = block(cur)
-            if shape is None:
-                shape = cur.shape
-            elif cur.shape != shape:
-                raise ConfigurationError(
-                    f"blocks in one segment must emit one shape, got {shape} then {cur.shape}"
-                )
-            features.append(cur)
-        return adwm_forward(self.config, self.modules, features)
-
-    def params(self):
-        unique = {id(m): m for m in self.modules["ifw"]}.values()
-        out = []
-        for m in unique:
-            out.extend(m.params())
-        out.extend(self.modules["cfw"].params())
-        return out
-
-    def param_count(self):
-        return adwm_param_count(self.config)
-
-
-def wrap_sequential(blocks, config, seed=0):
-    return WrappedSegment(blocks, config, seed=seed)
+    fused, _, _ = aggregate(features, modules["ifw"], modules["cfw"])
+    return fused

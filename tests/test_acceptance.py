@@ -29,7 +29,13 @@ from adwm.cli import _gradcheck_suite, main
 from adwm.diagnostics import count_flops
 from adwm.metrics import d_lambda, d_s, ergas, hqnr, psnr, q2n, q_index, sam
 from adwm.tensor import Tensor
-from adwm.weighting import AdwmConfig, adwm_forward, cfw_apply, make_adwm_modules
+from adwm.weighting import (
+    AdwmConfig,
+    adwm_forward,
+    aggregate,
+    cfw_apply,
+    make_adwm_modules,
+)
 
 from ablation_protocol import run_protocol
 from test_diagnostics import instrumented_weighting
@@ -111,8 +117,8 @@ def test_criterion_03_pca_residuals():
 
 
 def test_criterion_04_cfw_dual_route():
-    with criterion(4, "pointwise and matrix-product aggregation agree; "
-                      "layer weights are a unit simplex"):
+    with criterion(4, "the layer-combine op agrees with an explicit loop "
+                      "over layers; layer weights are a unit simplex"):
         rng = np.random.default_rng(404)
         for trial in range(100):
             n = int(rng.integers(1, 9))
@@ -123,12 +129,13 @@ def test_criterion_04_cfw_dual_route():
             for p in gen.params():
                 p.data[...] = 0.3 * rng.standard_normal(p.data.shape)
             F = [Tensor(rng.standard_normal((c, 5, 4))) for _ in range(n)]
-            point, beta_p = cfw_apply(gen, F, F, matrix_form=False)
-            matrix, beta_m = cfw_apply(gen, F, F, matrix_form=True)
-            assert np.max(np.abs(point.data - matrix.data)) < 1e-9
-            assert np.array_equal(beta_p.data, beta_m.data)
-            w = np.exp(beta_p.data - beta_p.data.max())
+            combined, beta = cfw_apply(gen, F, F)
+            w = np.exp(beta.data - beta.data.max())
             w = w / w.sum()
+            loop = np.zeros((c, 5, 4))
+            for k in range(n):
+                loop += w[k] * F[k].data
+            assert np.max(np.abs(combined.data - loop)) < 1e-9
             assert abs(w.sum() - 1.0) < 1e-12
 
 
@@ -146,16 +153,26 @@ def test_criterion_05_gradient_suite():
         assert elapsed < 120.0
 
 
+def identity_heads(ifw, cfw):
+    """Gate heads that emit exactly 1.0 (sigmoid(40) rounds to 1) and a
+    zero layer-score head, so both levels run with identity weights."""
+    for gen in ifw:
+        gen.W2.data[...] = 0.0
+        gen.b2.data[...] = 40.0
+    cfw.W2.data[...] = 0.0
+    cfw.b2.data[...] = 0.0
+
+
 def test_criterion_06_identity_reduction():
-    with criterion(6, "forced identity weighting reproduces mean "
-                      "aggregation bit for bit"):
+    with criterion(6, "identity weights through the real gating and "
+                      "combine code reproduce mean aggregation bit for bit"):
         rng = np.random.default_rng(606)
         cfg = AdwmConfig(n_layers=3, channels=4)
         modules = make_adwm_modules(cfg, seed=6)
+        identity_heads(modules["ifw"], modules["cfw"])
         feats = [Tensor(rng.standard_normal((4, 6, 6))) for _ in range(3)]
-        from adwm.weighting import mean_aggregate
-        forced = adwm_forward(cfg, modules, feats, force_identity=True)
-        plain = mean_aggregate(feats)
+        forced = adwm_forward(cfg, modules, feats)
+        plain, _, _ = aggregate(feats)
         assert np.array_equal(forced.data, plain.data)
 
         model = PansharpenModel(
@@ -164,10 +181,18 @@ def test_criterion_06_identity_reduction():
         mrng = np.random.default_rng(66)
         for p in model.params():
             p.data[...] = 0.1 * mrng.standard_normal(p.data.shape)
+        identity_heads(model.ifw, model.cfw)
+        # a zero-head cfw model with the same backbone aggregates by the mean
+        mean_model = PansharpenModel(
+            ModelConfig(bands=2, channels=6, blocks=2, variant="cfw"), seed=6
+        )
+        backbone = mean_model.params()[:-len(mean_model.cfw.params())]
+        for dst, src in zip(backbone, model.params()):
+            dst.data[...] = src.data
         pan = mrng.random((16, 16))
         lrms = mrng.random((4, 4, 2))
-        a = model.forward(pan, lrms, force_identity=True).data
-        b = model.forward(pan, lrms, aggregate_override="mean").data
+        a = model.forward(pan, lrms).data
+        b = mean_model.forward(pan, lrms).data
         assert np.array_equal(a, b)
 
 

@@ -179,14 +179,43 @@ def test_shape_mismatches_raise():
         model.forward(rng.random((2, 16, 16)), rng.random((4, 4, 2)))
 
 
+def sharing_weights(source, variant):
+    """A `variant` model holding copies of `source`'s backbone and of
+    whichever of its weight generators the variant uses."""
+    model = PansharpenModel(tiny_config(variant), seed=source.seed)
+    n_backbone = 4 + 4 * len(source.blocks)
+    pairs = list(zip(model.params()[:n_backbone], source.params()[:n_backbone]))
+    if model.ifw is not None:
+        for dst, src in zip(model.ifw, source.ifw):
+            pairs += zip(dst.params(), src.params())
+    if model.cfw is not None:
+        pairs += zip(model.cfw.params(), source.cfw.params())
+    for dst, src in pairs:
+        dst.data[...] = src.data
+    return model
+
+
+def identity_heads(model):
+    """Set every gate head to emit exactly 1.0 (sigmoid(40) rounds to 1)
+    and the layer-score head to zero, which is mean aggregation."""
+    for gen in model.ifw or []:
+        gen.W2.data[...] = 0.0
+        gen.b2.data[...] = 40.0
+    if model.cfw is not None:
+        model.cfw.W2.data[...] = 0.0
+        model.cfw.b2.data[...] = 0.0
+    return model
+
+
 def test_variants_differ_once_trained_weights_exist():
     rng = np.random.default_rng(9)
     pan, lrms = rng.random((16, 16)), rng.random((4, 4, 2))
-    model = randomized(PansharpenModel(tiny_config("adwm")), seed=2)
+    source = randomized(PansharpenModel(tiny_config("adwm")), seed=2)
     outs = {
-        mode: model.forward(pan, lrms, aggregate_override=mode).data
-        for mode in ("baseline", "ifw", "cfw", "adwm", "mean")
+        variant: sharing_weights(source, variant).forward(pan, lrms).data
+        for variant in ("baseline", "ifw", "cfw", "adwm")
     }
+    outs["mean"] = identity_heads(sharing_weights(source, "cfw")).forward(pan, lrms).data
     assert not np.array_equal(outs["adwm"], outs["baseline"])
     assert not np.array_equal(outs["adwm"], outs["mean"])
     assert not np.array_equal(outs["ifw"], outs["cfw"])
@@ -195,10 +224,11 @@ def test_variants_differ_once_trained_weights_exist():
 def test_forced_identity_equals_mean_aggregation_bitwise():
     rng = np.random.default_rng(10)
     pan, lrms = rng.random((16, 16)), rng.random((4, 4, 2))
-    model = randomized(PansharpenModel(tiny_config("adwm")), seed=3)
-    forced = model.forward(pan, lrms, force_identity=True).data
-    mean = model.forward(pan, lrms, aggregate_override="mean").data
-    assert np.array_equal(forced, mean)
+    source = randomized(PansharpenModel(tiny_config("adwm")), seed=3)
+    forced = identity_heads(sharing_weights(source, "adwm")).forward(pan, lrms).data
+    for variant in ("ifw", "cfw"):
+        mean = identity_heads(sharing_weights(source, variant)).forward(pan, lrms).data
+        assert np.array_equal(forced, mean)
 
 
 def test_return_weights_structure():
@@ -210,6 +240,12 @@ def test_return_weights_structure():
     assert weights["alpha"][0].shape == (4,)
     assert weights["beta"].shape == (2,)
     assert np.all(weights["alpha"][0].data > 0) and np.all(weights["alpha"][0].data < 1)
+    assert len(weights["features"]) == 2
+    assert weights["features"][0].shape == (4, 16, 16)
+    assert not weights["features"][0].requires_grad
+    _, weights = PansharpenModel(tiny_config()).forward(pan, lrms, return_weights=True)
+    assert weights["alpha"] is None and weights["beta"] is None
+    assert len(weights["features"]) == 2
 
 
 @pytest.mark.parametrize("variant", ["baseline", "ifw", "cfw", "adwm"])
@@ -271,12 +307,16 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_truncated(tmp_path):
-    model = PansharpenModel(tiny_config())
+    model = PansharpenModel(tiny_config("adwm", bands=1, channels=2, blocks=1))
     p = tmp_path / "m.ckpt"
     save_checkpoint(p, model)
-    p.write_bytes(p.read_bytes()[:-10])
-    with pytest.raises(FormatError):
-        load_checkpoint(p)
+    raw = p.read_bytes()
+    # a cut anywhere, header fields and tensor count included, is a
+    # FormatError and never a raw struct or index error
+    for end in range(len(raw)):
+        p.write_bytes(raw[:end])
+        with pytest.raises(FormatError):
+            load_checkpoint(p)
 
 
 def test_checkpoint_trailing_bytes(tmp_path):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from adwm import DegenerateSampleError, DimensionError, Tensor, gradcheck
+from adwm import (
+    ConfigurationError,
+    DegenerateSampleError,
+    DimensionError,
+    NumericError,
+    Tensor,
+    gradcheck,
+)
 from adwm.cacw import (
     AttentionWeights,
     CacwModule,
@@ -210,19 +217,19 @@ def test_generate_weights_size_mismatch():
 # ----------------------------------------------------------------------
 # PCA
 
-def test_jacobi_diagonal_input():
+def test_eigendecompose_diagonal_input():
     res = pca_eigendecompose(np.diag([2.0, 1.0]))
     assert np.allclose(res.eigenvalues, [2.0, 1.0])
     assert np.allclose(np.abs(res.eigenvectors), np.eye(2), atol=1e-12)
 
 
-def test_jacobi_closed_form_2x2():
+def test_eigendecompose_closed_form_2x2():
     res = pca_eigendecompose(np.array([[4.0, 4.0], [4.0, 4.0]]))
     assert np.allclose(res.eigenvalues, [8.0, 0.0], atol=1e-12)
     assert np.allclose(res.eigenvectors[:, 0], np.ones(2) / np.sqrt(2), atol=1e-12)
 
 
-def test_jacobi_reconstruction():
+def test_eigendecompose_reconstruction():
     rng = np.random.default_rng(10)
     for _ in range(10):
         n = int(rng.integers(2, 12))
@@ -233,8 +240,10 @@ def test_jacobi_reconstruction():
         assert np.abs(rec - C).max() < 1e-9
 
 
-def test_jacobi_against_library_oracle():
-    # np.linalg.eigh is the independent reference; our solver must agree
+def test_eigendecompose_against_library_oracle():
+    # the solver is built on np.linalg.eigh, so the eigvalsh comparison
+    # only pins the descending order; the residual and Gram checks below
+    # are the independent ones
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(2, 14))
@@ -248,6 +257,14 @@ def test_jacobi_against_library_oracle():
         assert np.linalg.norm(r, axis=0).max() < 1e-6 * max(1.0, res.eigenvalues[0])
         gram = res.eigenvectors.T @ res.eigenvectors
         assert np.abs(gram - np.eye(n)).max() < 1e-8
+
+
+def test_eigendecompose_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        C = np.eye(3)
+        C[0, 1] = C[1, 0] = bad
+        with pytest.raises(NumericError):
+            pca_eigendecompose(C)
 
 
 def test_pca_project_full_basis_preserves_variance():
@@ -308,6 +325,9 @@ def test_generator_shape_contract(cls):
     w = gen.forward(Tensor(rng.standard_normal((64, 8))))
     assert w.shape == (8,)
     assert np.all(np.isfinite(w.data))
+    for bad in (dict(n=8, output_activation="softmax"), dict(n=0), dict(n=8, d=0)):
+        with pytest.raises(ConfigurationError):
+            cls(**bad)
 
 
 @pytest.mark.parametrize("cls", [CacwModule, PoolWeights, AttentionWeights, PcaWeights])

@@ -116,6 +116,15 @@ def test_eval_band_mismatch_is_usage_error(tmp_path, run_dir, capsys):
     assert "bands" in capsys.readouterr().err
 
 
+def test_eval_truncated_checkpoint_exits_2(tmp_path, data_dir, capsys):
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes(b"ADWM\x01\x00")
+    rc = main(["eval", "--model", str(ckpt), "--data", data_dir,
+               "--report", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_diagnose_outputs_and_determinism(tmp_path, run_dir, data_dir):
     ckpt = os.path.join(run_dir, "checkpoint_final.ckpt")
     outs = []

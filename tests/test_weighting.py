@@ -12,14 +12,13 @@ from adwm import (
 from adwm.cacw import CacwModule
 from adwm.weighting import (
     AdwmConfig,
-    WrappedSegment,
     adwm_forward,
     adwm_param_count,
+    aggregate,
     cfw_apply,
     ifw_apply,
     make_adwm_modules,
-    mean_aggregate,
-    wrap_sequential,
+    weighted_sum,
 )
 
 
@@ -30,6 +29,18 @@ def randomized_modules(config, seed=0):
     for m in modules["ifw"] + [modules["cfw"]]:
         m.W2.data[:] = rng.standard_normal(m.W2.shape) * 0.5
         m.b2.data[:] = rng.standard_normal(m.b2.shape) * 0.1
+    return modules
+
+
+def identity_modules(config, seed=0):
+    """Modules whose heads emit identity weights: gates of exactly 1.0
+    (sigmoid(40) rounds to 1) and equal layer scores."""
+    modules = randomized_modules(config, seed=seed)
+    for m in modules["ifw"]:
+        m.W2.data[:] = 0.0
+        m.b2.data[:] = 40.0
+    modules["cfw"].W2.data[:] = 0.0
+    modules["cfw"].b2.data[:] = 0.7
     return modules
 
 
@@ -134,6 +145,8 @@ def test_cfw_single_layer_passthrough():
 
 
 def test_cfw_pointwise_equals_matrix_form():
+    # the pointwise tape op against the combination as one numpy matrix
+    # product: softmax row times the (N, CHW) stack of gated maps
     rng = np.random.default_rng(7)
     for trial in range(30):
         n = int(rng.integers(1, 9))
@@ -142,10 +155,10 @@ def test_cfw_pointwise_equals_matrix_form():
         cfw = randomized_modules(config, seed=trial)["cfw"]
         F = stack_of(rng, n, c=c)
         Ft = stack_of(rng, n, c=c)
-        out_p, beta_p = cfw_apply(cfw, F, Ft)
-        out_m, beta_m = cfw_apply(cfw, F, Ft, matrix_form=True)
-        assert np.array_equal(beta_p.data, beta_m.data)
-        assert np.abs(out_p.data - out_m.data).max() < 1e-9
+        out, beta = cfw_apply(cfw, F, Ft)
+        w = softmax(Tensor(beta.data)).data
+        matrix = (w @ np.stack([f.data.reshape(-1) for f in Ft])).reshape(out.shape)
+        assert np.abs(out.data - matrix).max() < 1e-9
 
 
 def test_cfw_softmax_sums_to_one():
@@ -187,14 +200,15 @@ def test_cfw_gradcheck():
     rng = np.random.default_rng(10)
     config = AdwmConfig(n_layers=3, channels=4)
     cfw = randomized_modules(config, seed=10)["cfw"]
-    F = stack_of(rng, 3, h=4, w=4)
 
     def fn(a, b, c, *params):
         out, _ = cfw_apply(cfw, [a, b, c], [a, b, c])
         return (out * out).sum()
 
-    err = gradcheck(fn, list(F) + cfw.params())
-    assert err < 1e-4
+    for batch in (None, 2):
+        F = stack_of(rng, 3, h=4, w=4, batch=batch)
+        err = gradcheck(fn, list(F) + cfw.params())
+        assert err < 1e-4
 
 
 # ----------------------------------------------------------------------
@@ -216,11 +230,36 @@ def test_adwm_identity_reduction_bit_exact():
     rng = np.random.default_rng(12)
     for n in (2, 3, 4, 5):
         config = AdwmConfig(n_layers=n, channels=4)
-        modules = randomized_modules(config, seed=n)
-        F = stack_of(rng, n)
-        forced = adwm_forward(config, modules, F, force_identity=True)
-        baseline = mean_aggregate(F)
-        assert np.array_equal(forced.data, baseline.data)
+        modules = identity_modules(config, seed=n)
+        for batch in (None, 2):
+            F = stack_of(rng, n, batch=batch)
+            forced = adwm_forward(config, modules, F)
+            baseline, _, _ = aggregate(F)
+            assert np.array_equal(forced.data, baseline.data)
+
+
+def test_aggregate_levels_off_is_uniform_mean():
+    rng = np.random.default_rng(17)
+    F = stack_of(rng, 3)
+    fused, alphas, beta = aggregate(F)
+    assert alphas is None and beta is None
+    expect = F[0].data * (1.0 / 3)
+    for f in F[1:]:
+        expect = expect + f.data * (1.0 / 3)
+    assert np.array_equal(fused.data, expect)
+
+
+def test_weighted_sum_rejects_mismatched_stacks():
+    rng = np.random.default_rng(18)
+    F = stack_of(rng, 2, batch=3)
+    with pytest.raises(DimensionError):
+        weighted_sum([])
+    with pytest.raises(DimensionError):
+        weighted_sum([F[0], Tensor(np.ones((3, 4, 5, 4)))])
+    with pytest.raises(DimensionError):
+        weighted_sum(F, Tensor(np.full(2, 0.5)))  # batched maps need (B, N)
+    with pytest.raises(DimensionError):
+        weighted_sum(F, Tensor(np.full((3, 3), 1 / 3)))
 
 
 def test_adwm_gradcheck_end_to_end():
@@ -281,44 +320,24 @@ def test_config_validation():
         AdwmConfig(n_layers=2, channels=4, generator="nope")
 
 
-# ----------------------------------------------------------------------
-# wrapping
-
-def test_wrap_single_identity_block():
+def test_aggregate_single_layer_is_gated_input():
     rng = np.random.default_rng(16)
     config = AdwmConfig(n_layers=1, channels=4)
-    seg = wrap_sequential([lambda t: t], config, seed=16)
+    modules = randomized_modules(config, seed=16)
     x = Tensor(rng.standard_normal((4, 5, 5)))
-    out = seg(x)
+    out, _, _ = aggregate([x], modules["ifw"], modules["cfw"])
     # N=1: softmax weight is 1, so the output is just the gated input
-    _, alpha = ifw_apply(seg.modules["ifw"][0], x)
+    _, alpha = ifw_apply(modules["ifw"][0], x)
     expect = x.data * alpha.data.reshape(4, 1, 1)
     assert np.allclose(out.data, expect, atol=1e-12)
 
 
-def test_wrap_heterogeneous_shapes_rejected():
-    config = AdwmConfig(n_layers=2, channels=4)
-    seg = wrap_sequential(
-        [lambda t: t, lambda t: Tensor(np.ones((4, 3, 3)))], config
-    )
-    with pytest.raises(ConfigurationError):
-        seg(Tensor(np.ones((4, 5, 5))))
-
-
-def test_independent_segments_no_sharing():
-    config = AdwmConfig(n_layers=2, channels=4)
-    a = WrappedSegment([lambda t: t, lambda t: t], config, seed=1)
-    b = WrappedSegment([lambda t: t, lambda t: t], config, seed=2)
-    ids_a = {id(p) for p in a.params()}
-    ids_b = {id(p) for p in b.params()}
-    assert not ids_a & ids_b
-
-
-def test_wrap_param_count_arithmetic():
+def test_adwm_param_count_arithmetic():
     config = AdwmConfig(n_layers=3, channels=8)
-    seg = wrap_sequential([lambda t: t] * 3, config)
+    modules = make_adwm_modules(config)
     d_ifw = config.ifw_d
     d_cfw = config.cfw_d
     expect = 3 * (d_ifw * 8 + 2 * d_ifw + 1) + (d_cfw * 3 + 2 * d_cfw + 1)
-    assert seg.param_count() == expect
-    assert sum(p.size for p in seg.params()) == expect
+    assert adwm_param_count(config) == expect
+    params = [p for m in modules["ifw"] + [modules["cfw"]] for p in m.params()]
+    assert sum(p.size for p in params) == expect
