@@ -68,6 +68,8 @@ class _MlpHead:
     uniform softmax). `output_activation` is "sigmoid" for bounded gates
     or "identity" when a softmax is applied downstream. Subclasses set
     the head's input and output widths and map observations to rows.
+    Parameters start outside the gradient tape, like the backbone's, so
+    evaluation records none; `train` switches gradients on.
     """
 
     def __init__(self, n, d=None, d_fraction=0.8, output_activation="sigmoid", seed=0):
@@ -82,10 +84,10 @@ class _MlpHead:
         self.output_activation = output_activation
         n_in, n_out = self._head_widths()
         rng = np.random.default_rng(seed)
-        self.W1 = Tensor(rng.standard_normal((d, n_in)) / np.sqrt(n_in), requires_grad=True)
-        self.b1 = Tensor(np.zeros(d), requires_grad=True)
-        self.W2 = Tensor(np.zeros((n_out, d)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(n_out), requires_grad=True)
+        self.W1 = Tensor(rng.standard_normal((d, n_in)) / np.sqrt(n_in))
+        self.b1 = Tensor(np.zeros(d))
+        self.W2 = Tensor(np.zeros((n_out, d)))
+        self.b2 = Tensor(np.zeros(n_out))
 
     def _head_widths(self):
         """(n_in, n_out): one scalar per n-wide row by default."""

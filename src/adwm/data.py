@@ -291,17 +291,22 @@ def read_manifest(data_dir):
                 {"id": parts[0], "seed": int(parts[1]), "H": int(parts[2]),
                  "W": int(parts[3]), "c": int(parts[4])}
             )
+    if not rows:
+        raise ConfigurationError(f"manifest.txt under {data_dir} lists no samples")
     return rows
 
 
 def load_sample(data_dir, sample_id):
     sdir = os.path.join(data_dir, sample_id)
-    return SamplePair(
-        id=sample_id,
-        pan=read_tensor(os.path.join(sdir, "pan.tnsr")).data,
-        lrms=read_tensor(os.path.join(sdir, "lrms.tnsr")).data,
-        gt=read_tensor(os.path.join(sdir, "gt.tnsr")).data,
-    )
+    try:
+        return SamplePair(
+            id=sample_id,
+            pan=read_tensor(os.path.join(sdir, "pan.tnsr")).data,
+            lrms=read_tensor(os.path.join(sdir, "lrms.tnsr")).data,
+            gt=read_tensor(os.path.join(sdir, "gt.tnsr")).data,
+        )
+    except FileNotFoundError as e:
+        raise ConfigurationError(f"sample {sample_id} is missing {e.filename}") from None
 
 
 def load_dataset(data_dir):

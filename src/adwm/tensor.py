@@ -7,10 +7,17 @@ irrelevant and keep finite-difference checks tight.
 
 Shapes follow numpy. Image tensors are channels-first, (C, H, W), with an
 optional leading batch axis (B, C, H, W) accepted by the image ops.
+
+`conv2d` builds no patch matrix. It pads the batch once into a flat
+(C_in, B*Hp*Wp) buffer, where every kernel tap is a constant column
+shift, and adds up one GEMM per tap over strided views of that buffer:
+the kn2row family of Anderson et al. 2017, "Low-memory GEMM-based
+convolution algorithms for deep neural networks". Both gradients are the
+same shifted GEMMs run as adjoints; the `conv2d` docstring has the index
+arithmetic.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, UsageError
 
@@ -33,7 +40,8 @@ def _unbroadcast(grad, shape):
 class Tensor:
     """A numpy array plus optional participation in the gradient tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=()):
         self.data = np.asarray(data, dtype=np.float64)
@@ -95,29 +103,35 @@ class Tensor:
         """Reverse-mode sweep from a scalar output.
 
         Populates ``grad`` on every tensor with ``requires_grad`` that
-        this output depends on. The tape is single-use: closures and
-        parent links are released as the sweep completes, so the graph's
-        intermediates free by refcount alone. Run a fresh forward pass
-        for another gradient.
+        this output depends on. The tape is single-use: the sweep drops
+        each node's closure, parent links and its own reference as it
+        passes, so an intermediate and its gradient free by refcount as
+        soon as every consumer is done with them, without waiting for the
+        cyclic collector. Run a fresh forward pass for another gradient.
         """
         if self.data.shape != ():
             raise UsageError(
                 f"backward requires a scalar output, got shape {self.data.shape}"
             )
+        # iterative post-order DFS; a self-referencing inner function
+        # would keep `topo`, and with it the whole graph, alive until the
+        # cyclic collector runs
         topo = []
-        visited = set()
-
-        def build(t):
-            if id(t) in visited:
-                return
-            visited.add(id(t))
-            for p in t._parents:
-                build(p)
-            topo.append(t)
-
-        build(self)
+        visited = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in visited:
+                    visited.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         self.grad = np.ones_like(self.data)
-        for t in reversed(topo):
+        while topo:
+            t = topo.pop()
             if t._backward_fn is not None:
                 t._backward_fn()
             t._backward_fn = None
@@ -468,25 +482,89 @@ def stack(tensors, axis=0):
 # ----------------------------------------------------------------------
 # convolution
 
-def _im2col(xp, kh, kw, out_h, out_w):
-    """Columns for the transposed-GEMM convolution.
+# output columns per block of a shifted GEMM: with 16 channels one block
+# of the result, its partial product and the source rows stay in L2
+_BLOCK = 2048
 
-    xp: padded input (B, C, Hp, Wp). Returns (C*kh*kw, B*out_h*out_w).
-    The weights-on-the-left GEMM orientation is markedly faster here than
-    patches-on-the-left for the thin channel counts this package uses.
+
+def _flat_grid(a, lead, p, hp, wp):
+    """Copy (B, C, h, w) into a flat (C, lead + B*hp*wp) buffer.
+
+    Each image lands in its own hp x wp cell at offset (p, p); the cells
+    are laid out back to back after `lead` columns. Everything outside the
+    images is zero. `np.empty` reuses heap pages where `np.zeros` would map
+    fresh ones, and writing the zeros and the images separately touches
+    each element once.
     """
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # B,C,oh,ow,kh,kw view
-    win = win[:, :, :out_h, :out_w]
-    c = xp.shape[1]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
+    b, c, h, w = a.shape
+    buf = np.empty((c, lead + b * hp * wp))
+    buf[:, :lead] = 0.0
+    grid = buf[:, lead:].reshape(c, b, hp, wp)
+    grid[:, :, :p] = 0.0
+    grid[:, :, p + h:] = 0.0
+    grid[:, :, p:p + h, :p] = 0.0
+    grid[:, :, p:p + h, p + w:] = 0.0
+    grid[:, :, p:p + h, p:p + w] = a.transpose(1, 0, 2, 3)
+    return buf
+
+
+def _shifted_gemm(taps, offsets, src, out):
+    """out[:, q] = sum_t taps[t] @ src[:, q + offsets[t]], for every q the
+    source covers; columns of `out` past that are left unwritten."""
+    n = src.shape[1] - offsets[-1]
+    tmp = np.empty((taps.shape[1], min(n, _BLOCK)))
+    for q0 in range(0, n, _BLOCK):
+        q1 = min(q0 + _BLOCK, n)
+        acc, part = out[:, q0:q1], tmp[:, :q1 - q0]
+        np.matmul(taps[0], src[:, q0 + offsets[0]:q1 + offsets[0]], out=acc)
+        for w, o in zip(taps[1:], offsets[1:]):
+            np.matmul(w, src[:, q0 + o:q1 + o], out=part)
+            acc += part
+    return out
+
+
+def _tap_products(a, src, offsets):
+    """g[t] = a @ src[:, offsets[t]:offsets[t] + n].T with n = a.shape[1]."""
+    n = a.shape[1]
+    g = np.zeros((len(offsets), a.shape[0], src.shape[0]))
+    part = np.empty(g.shape[1:])
+    for q0 in range(0, n, _BLOCK):
+        q1 = min(q0 + _BLOCK, n)
+        for gt, o in zip(g, offsets):
+            np.matmul(a[:, q0:q1], src[:, q0 + o:q1 + o].T, out=part)
+            gt += part
+    return g
 
 
 def conv2d(x, k, padding=1):
-    """2-D cross-correlation with zero padding.
+    """2-D cross-correlation with zero padding, as shifted GEMMs.
 
     x: (C_in, H, W) or (B, C_in, H, W); k: (C_out, C_in, kh, kw) with odd
     square spatial size; `padding` must preserve H and W. Gradients are
     defined for both operands.
+
+    The input is padded once into a contiguous (C_in, B, Hp, Wp) buffer and
+    read flat as X, shape (C_in, L) with L = B*Hp*Wp. Output pixel (b, r, c)
+    sits at flat position q = b*Hp*Wp + r*Wp + c, and kernel tap (i, j) reads
+    X at q + o with o = i*Wp + j. So one GEMM per tap,
+
+        Y[:, :M] += K[:, :, i, j] @ X[:, o:o+M],  M = L - (kh-1)*Wp - (kw-1),
+
+    covers the whole batch, and the output is the valid (H, W) corner of
+    each Hp x Wp cell of Y. Flat positions outside that corner, including
+    the ones whose taps straddle two images, are computed and never read.
+    The backward pass places the output gradient in the same corners with
+    zeros elsewhere, dY, and runs the adjoint of each tap:
+
+        gk[:, :, i, j] = dY[:, :M] @ X[:, o:o+M].T
+        dX[:, o:o+M]  += K[:, :, i, j].T @ dY[:, :M]
+
+    The zeros keep the unread positions out of both sums. dX is computed as
+    the forward sum with the kernel flipped, over dY preceded by L - M zero
+    columns, so every column of dX is written once. Every operand is a
+    strided view that BLAS reads in place, so no patch matrix is built; the
+    columns are walked in blocks of `_BLOCK` so each block's partial sums
+    stay in cache.
     """
     x = Tensor._coerce(x)
     k = Tensor._coerce(k)
@@ -509,29 +587,30 @@ def conv2d(x, k, padding=1):
         )
     b, _, h, w = xd.shape
     p = padding
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = _im2col(xp, kh, kw, h, w)
-    wm = k.data.reshape(cout, cin * kh * kw)
-    y = (wm @ cols).reshape(cout, b, h, w).transpose(1, 0, 2, 3)
+    hp, wp = h + 2 * p, w + 2 * p
+    n = b * hp * wp
+    offsets = [i * wp + j for i in range(kh) for j in range(kw)]
+    span = offsets[-1]  # L - M
+
+    xf = _flat_grid(xd, 0, p, hp, wp)
+    taps = k.data.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
+    yf = _shifted_gemm(taps, offsets, xf, np.empty((cout, n)))
+    y = yf.reshape(cout, b, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3)
     out = Tensor(y if batched else y[0], x.requires_grad or k.requires_grad, (x, k))
 
     if out.requires_grad:
         def _backward():
             gy = out.grad if batched else out.grad[None]
-            gy_t = gy.transpose(1, 0, 2, 3).reshape(cout, -1)
+            dyf = _flat_grid(gy, span, 0, hp, wp)
             if k.requires_grad:
-                # columns are rebuilt rather than cached: the rebuild costs
-                # ~15% of a step but keeps peak memory to one layer's patch
-                # matrix instead of all of them
-                cols_b = _im2col(xp, kh, kw, h, w)
-                k._accumulate((gy_t @ cols_b.T).reshape(k.shape))
+                gk = _tap_products(dyf[:, span:n], xf, offsets)
+                k._accumulate(gk.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
             if x.requires_grad:
-                gyp = np.pad(gy, ((0, 0), (0, 0), (p, p), (p, p)))
-                cols_g = _im2col(gyp, kh, kw, h, w)
-                wback = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
-                    cin, cout * kh * kw
-                )
-                gx = (wback @ cols_g).reshape(cin, b, h, w).transpose(1, 0, 2, 3)
+                flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0)
+                dxf = _shifted_gemm(flipped.reshape(kh * kw, cin, cout), offsets,
+                                    dyf, np.empty((cin, n)))
+                gx = dxf.reshape(cin, b, hp, wp)[:, :, p:p + h, p:p + w]
+                gx = gx.transpose(1, 0, 2, 3)
                 x._accumulate(gx if batched else gx[0])
 
         out._backward = _backward

@@ -286,6 +286,18 @@ def test_checkpoint_roundtrip(tmp_path):
     )
 
 
+def test_loaded_model_records_no_tape(tmp_path):
+    # evaluation must not build a gradient graph it never uses
+    model = randomized(PansharpenModel(tiny_config("adwm"), seed=6), seed=7)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model)
+    back = load_checkpoint(p)
+    assert not any(q.requires_grad for q in back.params())
+    rng = np.random.default_rng(14)
+    out = back.forward(rng.random((2, 16, 16)), rng.random((2, 4, 4, 2)))
+    assert not out.requires_grad
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     model = randomized(PansharpenModel(tiny_config("cfw"), seed=8), seed=9)
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

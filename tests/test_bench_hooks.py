@@ -37,3 +37,27 @@ def test_tracer_hooks_install_and_uninstall():
     names = {s.name for s in tracer.spans}
     assert {"weighting.ifw.fwd", "weighting.cfw.fwd", "cacw.cacw.fwd"} <= names
     assert weighting.ifw_apply is original
+
+
+def test_tracer_times_conv_backward_on_batched_model():
+    # the tracer reaches conv2d through the backbone module attribute and
+    # wraps the zero-argument backward closure each conv leaves on the tape
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        model = PansharpenModel(ModelConfig(bands=2, channels=4, blocks=2,
+                                            variant="adwm"))
+        for p in model.params():
+            p.requires_grad = True
+        rng = np.random.default_rng(1)
+        out = model.forward(rng.random((3, 8, 8)), rng.random((3, 2, 2, 2)))
+        (out * out).mean().backward()
+    finally:
+        tracer.uninstall()
+    names = [s.name for s in tracer.spans]
+    convs = 2 + 2 * model.config.blocks
+    assert tracer.counts["conv.calls"] == convs
+    assert names.count("tensor.conv2d.fwd") == convs
+    assert names.count("tensor.conv2d.bwd") == convs
+    assert "tensor.backward" in names
+    assert all(p.grad is not None for p in (model.enc_w, model.dec_w))

@@ -125,6 +125,26 @@ def test_eval_truncated_checkpoint_exits_2(tmp_path, data_dir, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_train_empty_manifest_exits_2(tmp_path, capsys):
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "manifest.txt").write_text("")
+    rc = main(["train", "--data", str(d), "--out", str(tmp_path / "o"), *TRAIN_FLAGS])
+    assert rc == 2
+    assert "lists no samples" in capsys.readouterr().err
+
+
+def test_train_missing_sample_file_exits_2(tmp_path, capsys):
+    d = str(tmp_path / "d")
+    assert main(["gen-data", "--out", d, "--count", "2",
+                 "--size", "16", "16", "--bands", "2", "--seed", "5"]) == 0
+    os.remove(os.path.join(d, read_manifest(d)[1]["id"], "pan.tnsr"))
+    rc = main(["train", "--data", d, "--out", str(tmp_path / "o"), *TRAIN_FLAGS])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "is missing" in err and "pan.tnsr" in err
+
+
 def test_diagnose_outputs_and_determinism(tmp_path, run_dir, data_dir):
     ckpt = os.path.join(run_dir, "checkpoint_final.ckpt")
     outs = []

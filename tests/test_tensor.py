@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,53 @@ def conv2d_loops(x, k):
                             acc += xp[c, i + a, j + b] * k[o, c, a, b]
                 y[o, i, j] = acc
     return y
+
+
+def conv2d_loops_adjoint(x, k, gy):
+    """Loop adjoint of `conv2d_loops`: (dL/dx, dL/dk) for output gradient gy."""
+    cout, cin, kh, kw = k.shape
+    _, h, w = x.shape
+    p = kh // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for o in range(cout):
+        for i in range(h):
+            for j in range(w):
+                g = gy[o, i, j]
+                for c in range(cin):
+                    for a in range(kh):
+                        for b in range(kw):
+                            gxp[c, i + a, j + b] += g * k[o, c, a, b]
+                            gk[o, c, a, b] += g * xp[c, i + a, j + b]
+    return gxp[:, p:p + h, p:p + w], gk
+
+
+# batch (None = unbatched), C_in, C_out, H, W, kernel size: batches of 1 and
+# 3, kernels 1x1, 3x3 and 5x5, single-row and single-column images, and
+# C_in != C_out; a shift error in the flat layout shows at batch boundaries.
+# The last case spans more than one column block of the shifted GEMMs.
+CONV_CASES = [
+    (None, 2, 3, 5, 4, 3),
+    (1, 3, 2, 4, 6, 3),
+    (3, 2, 3, 5, 4, 3),
+    (3, 1, 2, 1, 6, 3),
+    (3, 3, 1, 5, 1, 5),
+    (1, 2, 4, 1, 1, 5),
+    (3, 4, 2, 3, 5, 1),
+    (3, 2, 3, 6, 5, 5),
+    (1, 1, 1, 2, 7, 1),
+    (3, 2, 1, 27, 29, 3),
+]
+
+
+def _conv_case(rng, bsz, cin, cout, h, w, ks):
+    shape = (cin, h, w) if bsz is None else (bsz, cin, h, w)
+    return rng.standard_normal(shape), rng.standard_normal((cout, cin, ks, ks))
+
+
+def _per_sample(x):
+    return [x] if x.ndim == 3 else list(x)
 
 
 # ----------------------------------------------------------------------
@@ -88,6 +138,29 @@ def test_conv2d_matches_loop_oracle():
         k = rng.standard_normal((cout, cin, 3, 3))
         out = conv2d(Tensor(x), Tensor(k))
         assert np.allclose(out.data, conv2d_loops(x, k), atol=1e-12)
+    for case in CONV_CASES:
+        x, k = _conv_case(rng, *case)
+        out = conv2d(Tensor(x), Tensor(k), padding=k.shape[-1] // 2)
+        assert out.shape == x.shape[:-3] + (k.shape[0],) + x.shape[-2:]
+        want = np.stack([conv2d_loops(xi, k) for xi in _per_sample(x)])
+        assert np.allclose(out.data.reshape(want.shape), want, rtol=0, atol=1e-12), case
+
+
+def test_conv2d_gradients_match_loop_adjoint():
+    rng = np.random.default_rng(11)
+    for case in CONV_CASES:
+        x, k = _conv_case(rng, *case)
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        out = conv2d(xt, kt, padding=k.shape[-1] // 2)
+        gy = rng.standard_normal(out.shape)
+        (out * gy).sum().backward()
+        gx_want = np.zeros_like(x).reshape((-1,) + x.shape[-3:])
+        gk_want = np.zeros_like(k)
+        for n, (xi, gyi) in enumerate(zip(_per_sample(x), _per_sample(gy))):
+            gx_want[n], gk_i = conv2d_loops_adjoint(xi, k, gyi)
+            gk_want += gk_i
+        assert np.allclose(xt.grad, gx_want.reshape(x.shape), rtol=0, atol=1e-12), case
+        assert np.allclose(kt.grad, gk_want, rtol=0, atol=1e-12), case
 
 
 def test_conv2d_batched_matches_per_sample():
@@ -221,6 +294,27 @@ def test_grad_accumulates_through_reuse():
     x = Tensor(np.array([2.0]), requires_grad=True)
     (x * x + x).sum().backward()
     assert np.allclose(x.grad, [5.0])
+
+
+def test_backward_releases_tape_without_gc():
+    # with the cyclic collector off, the graph must free by refcount alone
+    # once the caller drops the loss
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
+    k = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hidden = conv2d(x, k).leaky_relu()
+        ref = weakref.ref(hidden)
+        loss = (hidden * hidden).mean()
+        loss.backward()
+        del hidden, loss
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert x.grad is not None and k.grad is not None
 
 
 # ----------------------------------------------------------------------
