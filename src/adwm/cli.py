@@ -212,7 +212,8 @@ def cmd_diagnose(args):
     probe = load_sample(args.data, args.sample or rows[0]["id"])
     os.makedirs(args.out, exist_ok=True)
 
-    entries = diagnostics.layer_spectra(model, probe.pan, probe.lrms)
+    _, weights = model.forward(probe.pan, probe.lrms, return_weights=True)
+    entries = diagnostics.layer_spectra(weights)
     scree_rows = []
     entropy_rows = []
     series = []
@@ -240,7 +241,7 @@ def cmd_diagnose(args):
     )
 
     if model.ifw is not None or model.cfw is not None:
-        trace = diagnostics.weight_trace(model, probe)
+        trace = diagnostics.weight_trace(weights)
         diagnostics.write_rows_csv(
             os.path.join(args.out, "weight_trace.csv"),
             ["epoch", "layer", "index", "weight"], trace,

@@ -16,6 +16,7 @@ File formats:
 """
 
 import hashlib
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -87,14 +88,22 @@ def tensor_from_bytes(buf, offset=0):
         raise FormatError(f"unknown dtype code {code}", offset=offset)
     offset += 1
     dt = _DTYPE_CODES[code]
-    need = int(np.prod(dims)) * dt.itemsize
+    # Python integers: np.prod wraps around in int64 for large u32 dims
+    count = math.prod(dims)
+    need = count * dt.itemsize
     if len(buf) < offset + need:
         raise FormatError(
             f"truncated payload: need {need} bytes, have {len(buf) - offset}",
             offset=offset,
         )
-    arr = np.frombuffer(buf, dtype=dt, count=int(np.prod(dims)), offset=offset)
-    return Tensor(arr.reshape(dims).astype(np.float64)), offset + need
+    arr = np.frombuffer(buf, dtype=dt, count=count, offset=offset)
+    try:
+        arr = arr.reshape(dims).astype(np.float64)
+    except ValueError as e:
+        # an empty tensor whose other dims overflow numpy's index type
+        raise FormatError(f"dims {dims} are not addressable",
+                          offset=start + 12) from e
+    return Tensor(arr), offset + need
 
 
 def write_tensor(path, t, dtype="f8"):

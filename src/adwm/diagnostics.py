@@ -59,15 +59,14 @@ def feature_covariance(F):
     return compute_covariance(Tensor(obs)).data
 
 
-def layer_spectra(model, pan, lrms):
-    """Scree curve and entropy per residual block for one input pair.
+def layer_spectra(weights):
+    """Scree curve and entropy per residual block, from the weights dict
+    of one `forward(..., return_weights=True)` call.
 
-    Returns a list of {layer, scree, entropy} in depth order.
+    Returns a list of {layer, scree, entropy, covariance} in depth order.
     """
-    _, weights = model.forward(pan, lrms, return_weights=True)
-    features = weights["features"]
     out = []
-    for i, f in enumerate(features):
+    for i, f in enumerate(weights["features"]):
         cov = feature_covariance(f)
         scree = scree_curve(Tensor(cov))
         out.append({
@@ -83,21 +82,19 @@ def layer_spectra(model, pan, lrms):
 # weight traces
 
 
-def weight_trace(model, pair, epoch=0):
-    """Rows (epoch, layer, index, weight): one row per channel gate and,
-    with index -1, one per softmax layer weight."""
-    if model.ifw is None and model.cfw is None:
-        raise ConfigurationError(
-            f"variant {model.config.variant!r} has no weights to trace"
-        )
-    _, weights = model.forward(pair.pan, pair.lrms, return_weights=True)
-    rows = []
+def weight_trace(weights, epoch=0):
+    """Rows (epoch, layer, index, weight) from the weights dict of one
+    `forward(..., return_weights=True)` call: one row per channel gate
+    and, with index -1, one per softmax layer weight."""
     alphas = weights["alpha"]
+    beta = weights["beta"]
+    if alphas is None and beta is None:
+        raise ConfigurationError("this variant has no weights to trace")
+    rows = []
     if alphas is not None:
         for layer, a in enumerate(alphas):
             for idx, w in enumerate(np.asarray(a.data).reshape(-1)):
                 rows.append((epoch, layer, idx, float(w)))
-    beta = weights["beta"]
     if beta is not None:
         probs = softmax(beta.detach()).data
         for layer, w in enumerate(probs):

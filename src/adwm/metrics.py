@@ -4,6 +4,16 @@ no-reference (spectral / spatial distortion and their product).
 Array layout is channel-last throughout: multiband images are (H, W, c),
 single-band images (H, W). All functions are pure and deterministic.
 
+The Q family works on window stacks: one reshape turns an (H, W, ...)
+image into (n_windows, window*window, ...) non-overlapping windows
+(trailing partial tiles dropped), and every window's means, variances
+and covariances come out of axis reductions, einsum or one batched
+matmul, with no loop over windows or band pairs. Q2n uses that the
+Cayley-Dickson product is bilinear: E[z1 conj(z2)] per window is the
+second-moment matrix E[z1_i conj(z2)_j] contracted with the
+structure-constant table T[i, j, :] = e_i e_j, and the variance is
+E|z|^2 - |E z|^2.
+
 The no-reference spectral distortion uses plain Q-index differences
 between band pairs rather than an MTF-matched filter bank; the report
 writer records this choice in its header comments.
@@ -80,18 +90,31 @@ def ergas(gt, pred, scale=4):
 # ----------------------------------------------------------------------
 # Q-index family
 
-def _tile_windows(img, window):
-    """Non-overlapping window views, trailing partial tiles dropped."""
+def _window_stack(img, window):
+    """(H, W, ...) -> (n_windows, window*window, ...): non-overlapping
+    windows in row-major tile order, trailing partial tiles dropped."""
     H, W = img.shape[0], img.shape[1]
     if H < window or W < window:
         raise DimensionError(
             f"image {H}x{W} is smaller than the {window}-pixel window"
         )
-    out = []
-    for i in range(0, H - window + 1, window):
-        for j in range(0, W - window + 1, window):
-            out.append(img[i:i + window, j:j + window])
-    return out
+    nh, nw = H // window, W // window
+    rest = img.shape[2:]
+    tiles = img[:nh * window, :nw * window].reshape(nh, window, nw, window, *rest)
+    return tiles.swapaxes(1, 2).reshape(nh * nw, window * window, *rest)
+
+
+def _q_map(ma, mb, va, vb, cov):
+    """Per-window Q = corr * luminance from window moments (broadcasting),
+    and the mask of windows where a factor fell back to 1 because its
+    denominator vanished."""
+    d1 = va + vb
+    d2 = ma * ma + mb * mb
+    flat1 = d1 <= _EPS
+    flat2 = d2 <= _EPS
+    corr = np.where(flat1, 1.0, 2.0 * cov / np.where(flat1, 1.0, d1))
+    lum = np.where(flat2, 1.0, 2.0 * ma * mb / np.where(flat2, 1.0, d2))
+    return corr * lum, flat1 | flat2
 
 
 def q_index(a, b, window=32, with_flags=False):
@@ -108,23 +131,17 @@ def q_index(a, b, window=32, with_flags=False):
     _check_same_shape(a, b, "q_index")
     if a.ndim != 2:
         raise DimensionError(f"q_index works on single bands, got {a.shape}")
-    vals = []
-    degenerate = 0
-    for wa, wb in zip(_tile_windows(a, window), _tile_windows(b, window)):
-        ma, mb = wa.mean(), wb.mean()
-        da, db = wa - ma, wb - mb
-        va, vb = np.mean(da * da), np.mean(db * db)
-        cov = np.mean(da * db)
-        d1 = va + vb
-        d2 = ma * ma + mb * mb
-        if d1 <= _EPS or d2 <= _EPS:
-            degenerate += 1
-        corr = 1.0 if d1 <= _EPS else 2.0 * cov / d1
-        lum = 1.0 if d2 <= _EPS else 2.0 * ma * mb / d2
-        vals.append(corr * lum)
+    wa = _window_stack(a, window)
+    wb = _window_stack(b, window)
+    ma = wa.mean(axis=1)
+    mb = wb.mean(axis=1)
+    da = wa - ma[:, None]
+    db = wb - mb[:, None]
+    vals, flat = _q_map(ma, mb, np.mean(da * da, axis=1),
+                        np.mean(db * db, axis=1), np.mean(da * db, axis=1))
     q = float(np.mean(vals))
     if with_flags:
-        return q, {"degenerate_windows": degenerate}
+        return q, {"degenerate_windows": int(np.count_nonzero(flat))}
     return q
 
 
@@ -150,6 +167,12 @@ def _cd_mul(x, y):
          _cd_mul(d, a) + _cd_mul(b, _cd_conj(c))],
         axis=-1,
     )
+
+
+def _cd_table(n):
+    """Structure constants of the 2^k-ons: T[i, j, :] = e_i * e_j."""
+    basis = np.eye(n)
+    return _cd_mul(basis[:, None, :], basis[None, :, :])
 
 
 def _next_pow2(c):
@@ -181,28 +204,27 @@ def q2n(gt, pred, window=32, with_flags=False):
         gt = np.pad(gt, pad)
         pred = np.pad(pred, pad)
 
-    vals = []
-    degenerate = 0
-    for wg, wp in zip(_tile_windows(gt, window), _tile_windows(pred, window)):
-        z1 = wg.reshape(-1, cp)
-        z2 = wp.reshape(-1, cp)
-        mu1 = z1.mean(axis=0)
-        mu2 = z2.mean(axis=0)
-        cov12 = _cd_mul(z1, _cd_conj(z2)).mean(axis=0) - _cd_mul(mu1, _cd_conj(mu2))
-        var1 = _cd_mul(z1, _cd_conj(z1)).mean(axis=0)[0] - _cd_mul(mu1, _cd_conj(mu1))[0]
-        var2 = _cd_mul(z2, _cd_conj(z2)).mean(axis=0)[0] - _cd_mul(mu2, _cd_conj(mu2))[0]
-        m1 = np.linalg.norm(mu1)
-        m2 = np.linalg.norm(mu2)
-        d1 = var1 + var2
-        d2 = m1 * m1 + m2 * m2
-        if d1 <= _EPS or d2 <= _EPS:
-            degenerate += 1
-        corr = 1.0 if d1 <= _EPS else 2.0 * np.linalg.norm(cov12) / d1
-        lum = 1.0 if d2 <= _EPS else 2.0 * m1 * m2 / d2
-        vals.append(corr * lum)
+    z1 = _window_stack(gt, window)
+    z2 = _window_stack(pred, window)
+    n_pix = z1.shape[1]
+    mu1 = z1.mean(axis=1)
+    mu2 = z2.mean(axis=1)
+    # the product is bilinear, so E[z1 conj(z2)] is the per-window second
+    # moment matrix E[z1_i conj(z2)_j] contracted with the structure table
+    second = np.matmul(z1.swapaxes(1, 2), _cd_conj(z2)) / n_pix
+    e12 = second.reshape(len(second), cp * cp) @ _cd_table(cp).reshape(cp * cp, cp)
+    cov12 = e12 - _cd_mul(mu1, _cd_conj(mu2))
+    # the real part of z conj(z) is |z|^2
+    m1sq = np.sum(mu1 * mu1, axis=1)
+    m2sq = np.sum(mu2 * mu2, axis=1)
+    var1 = np.mean(np.sum(z1 * z1, axis=2), axis=1) - m1sq
+    var2 = np.mean(np.sum(z2 * z2, axis=2), axis=1) - m2sq
+    vals, flat = _q_map(np.sqrt(m1sq), np.sqrt(m2sq), var1, var2,
+                        np.linalg.norm(cov12, axis=1))
     q = float(np.mean(vals))
     if with_flags:
-        return q, {"padded": padded, "degenerate_windows": degenerate}
+        return q, {"padded": padded,
+                   "degenerate_windows": int(np.count_nonzero(flat))}
     return q
 
 
@@ -211,6 +233,34 @@ def q2n(gt, pred, window=32, with_flags=False):
 
 def _clamped_window(img, window):
     return min(window, img.shape[0], img.shape[1])
+
+
+def _band_pair_q(img, window):
+    """(c, c) matrix of window-mean Q between every pair of bands, from
+    one per-window band covariance."""
+    x = _window_stack(img, window)
+    m = x.mean(axis=1)
+    d = x - m[:, None, :]
+    cov = np.matmul(d.swapaxes(1, 2), d) / x.shape[1]
+    v = np.diagonal(cov, axis1=1, axis2=2)
+    vals, _ = _q_map(m[:, :, None], m[:, None, :], v[:, :, None],
+                     v[:, None, :], cov)
+    return vals.mean(axis=0)
+
+
+def _band_pan_q(img, pan, window):
+    """(c,) window-mean Q of every band against the panchromatic image."""
+    x = _window_stack(img, window)
+    y = _window_stack(pan, window)
+    n_pix = x.shape[1]
+    m = x.mean(axis=1)
+    mp = y.mean(axis=1)
+    d = x - m[:, None, :]
+    dp = y - mp[:, None]
+    vals, _ = _q_map(m, mp[:, None], np.einsum("npc,npc->nc", d, d) / n_pix,
+                     np.mean(dp * dp, axis=1)[:, None],
+                     np.einsum("npc,np->nc", d, dp) / n_pix)
+    return vals.mean(axis=0)
 
 
 def d_lambda(fused, lrms, p=1, window=32):
@@ -227,14 +277,10 @@ def d_lambda(fused, lrms, p=1, window=32):
         )
     if c < 2:
         raise DimensionError("d_lambda needs at least 2 bands")
-    wf = _clamped_window(fused, window)
-    wl = _clamped_window(lrms, window)
-    diffs = []
-    for i in range(c):
-        for j in range(i + 1, c):
-            qf = q_index(fused[:, :, i], fused[:, :, j], window=wf)
-            ql = q_index(lrms[:, :, i], lrms[:, :, j], window=wl)
-            diffs.append(abs(qf - ql) ** p)
+    qf = _band_pair_q(fused, _clamped_window(fused, window))
+    ql = _band_pair_q(lrms, _clamped_window(lrms, window))
+    pairs = np.triu_indices(c, 1)
+    diffs = np.abs(qf[pairs] - ql[pairs]) ** p
     return float(np.mean(diffs) ** (1.0 / p))
 
 
@@ -258,13 +304,9 @@ def d_s(fused, lrms, pan, pan_degraded, q=1, window=32):
         )
     if fused.shape[2] != lrms.shape[2]:
         raise DimensionError("fused and low-res band counts differ")
-    wf = _clamped_window(fused, window)
-    wl = _clamped_window(lrms, window)
-    diffs = []
-    for i in range(fused.shape[2]):
-        qf = q_index(fused[:, :, i], pan, window=wf)
-        ql = q_index(lrms[:, :, i], pan_degraded, window=wl)
-        diffs.append(abs(qf - ql) ** q)
+    qf = _band_pan_q(fused, pan, _clamped_window(fused, window))
+    ql = _band_pan_q(lrms, pan_degraded, _clamped_window(lrms, window))
+    diffs = np.abs(qf - ql) ** q
     return float(np.mean(diffs) ** (1.0 / q))
 
 

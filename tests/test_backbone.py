@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adwm.backbone import (
     ModelConfig,
@@ -11,7 +13,12 @@ from adwm.backbone import (
     save_checkpoint,
     upsample_bilinear,
 )
-from adwm.errors import ConfigurationError, DimensionError, FormatError
+from adwm.errors import (
+    AdwmError,
+    ConfigurationError,
+    DimensionError,
+    FormatError,
+)
 from adwm.tensor import Tensor, gradcheck
 
 
@@ -329,6 +336,32 @@ def test_checkpoint_truncated(tmp_path):
         p.write_bytes(raw[:end])
         with pytest.raises(FormatError):
             load_checkpoint(p)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    model = PansharpenModel(tiny_config("adwm", bands=1, channels=2, blocks=1))
+    p = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(p, model)
+    return p, p.read_bytes()
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_checkpoint_mutation_loads_or_adwm_error(small_checkpoint, data):
+    p, raw = small_checkpoint
+    pos = data.draw(st.integers(0, len(raw) - 1))
+    if data.draw(st.booleans()):
+        mutated = raw[:pos]
+    else:
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+        mutated = raw[:pos] + bytes([byte]) + raw[pos + 1:]
+    out = p.with_name("mutated.ckpt")
+    out.write_bytes(mutated)
+    try:
+        load_checkpoint(out)
+    except AdwmError:
+        pass
 
 
 def test_checkpoint_trailing_bytes(tmp_path):

@@ -1,10 +1,12 @@
 """End-to-end command-line tests, all through main(argv)."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from adwm.backbone import PansharpenModel
 from adwm.cli import main
 from adwm.data import read_manifest
 from adwm.diagnostics import count_flops
@@ -145,6 +147,18 @@ def test_train_missing_sample_file_exits_2(tmp_path, capsys):
     assert "is missing" in err and "pan.tnsr" in err
 
 
+def test_train_overflowing_tnsr_dims_exits_2(tmp_path, capsys):
+    d = str(tmp_path / "d")
+    assert main(["gen-data", "--out", d, "--count", "2",
+                 "--size", "16", "16", "--bands", "2", "--seed", "5"]) == 0
+    dims = (2**21, 2**21, 2**22)  # 2**65 elements, 0 after an int64 wrap
+    with open(os.path.join(d, read_manifest(d)[0]["id"], "pan.tnsr"), "wb") as f:
+        f.write(b"TNSR" + struct.pack("<II3IB", 1, 3, *dims, 2))
+    rc = main(["train", "--data", d, "--out", str(tmp_path / "o"), *TRAIN_FLAGS])
+    assert rc == 2
+    assert "truncated payload" in capsys.readouterr().err
+
+
 def test_diagnose_outputs_and_determinism(tmp_path, run_dir, data_dir):
     ckpt = os.path.join(run_dir, "checkpoint_final.ckpt")
     outs = []
@@ -162,6 +176,24 @@ def test_diagnose_outputs_and_determinism(tmp_path, run_dir, data_dir):
     assert {p.name for p in outs[0].iterdir()} == expected
     for name in expected:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_diagnose_forwards_the_probe_once(tmp_path, run_dir, data_dir,
+                                         monkeypatch):
+    calls = []
+    forward = PansharpenModel.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("return_weights", False))
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(PansharpenModel, "forward", counted)
+    rc = main(["diagnose", "--model",
+               os.path.join(run_dir, "checkpoint_final.ckpt"),
+               "--data", data_dir, "--out", str(tmp_path / "d")])
+    assert rc == 0
+    assert calls == [True]
+    assert (tmp_path / "d" / "weight_trace.csv").is_file()
 
 
 def test_diagnose_skips_weight_trace_for_baseline(tmp_path, data_dir):

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adwm.data import (
     SamplePair,
@@ -93,6 +95,48 @@ def test_truncated_payload_offset():
         tensor_from_bytes(buf[:-5])
     # payload starts right after 4+4+4+8+1 = 21 header bytes
     assert e.value.offset == 21
+
+
+def tnsr_header(dims, code=2):
+    return (b"TNSR" + struct.pack("<II", 1, len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + bytes([code]))
+
+
+def test_dims_overflow_is_format_error():
+    # the element count wraps to 0 in int64; (0, ...) overflows numpy's
+    # index type even though the tensor is empty
+    for dims in [(2**21, 2**21, 2**22), (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)]:
+        with pytest.raises(FormatError) as e:
+            tensor_from_bytes(tnsr_header(dims))
+        assert e.value.offset in (12, 12 + 4 * len(dims) + 1)
+    t, end = tensor_from_bytes(tnsr_header((0, 3)))
+    assert t.data.shape == (0, 3) and end == 21
+
+
+PROPERTY = settings(database=None, derandomize=True, deadline=None)
+
+
+def _parses_or_format_error(buf):
+    try:
+        tensor_from_bytes(buf)
+    except FormatError:
+        pass
+
+
+@PROPERTY
+@given(st.binary(max_size=64))
+def test_any_bytes_parse_or_format_error(buf):
+    _parses_or_format_error(buf)
+    _parses_or_format_error(b"TNSR" + buf)
+    _parses_or_format_error(b"TNSR\x01\x00\x00\x00" + buf)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)),
+                min_size=1, max_size=32),
+       st.sampled_from([1, 2]), st.binary(max_size=48))
+def test_any_u32_dims_parse_or_format_error(dims, code, payload):
+    _parses_or_format_error(tnsr_header(dims, code) + payload)
 
 
 def test_trailing_garbage_rejected(tmp_path):

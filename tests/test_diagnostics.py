@@ -120,10 +120,13 @@ def test_feature_covariance_loop_oracle():
     np.testing.assert_allclose(feature_covariance(F), want, atol=1e-12)
 
 
+def probe_weights(model, pair):
+    return model.forward(pair.pan, pair.lrms, return_weights=True)[1]
+
+
 def test_layer_spectra_structure():
     model = trained_like_model()
-    pair = make_pair()
-    entries = layer_spectra(model, pair.pan, pair.lrms)
+    entries = layer_spectra(probe_weights(model, make_pair()))
     assert len(entries) == 2
     for i, e in enumerate(entries):
         assert e["layer"] == i
@@ -136,7 +139,7 @@ def test_layer_spectra_does_not_disturb_forward():
     model = trained_like_model(seed=1)
     pair = make_pair(1)
     plain = model.forward(pair.pan, pair.lrms).data
-    layer_spectra(model, pair.pan, pair.lrms)
+    layer_spectra(probe_weights(model, pair))
     again = model.forward(pair.pan, pair.lrms).data
     np.testing.assert_array_equal(plain, again)
 
@@ -147,7 +150,7 @@ def test_layer_spectra_does_not_disturb_forward():
 
 def test_weight_trace_row_count_contract():
     model = trained_like_model("adwm", C=4, N=2)
-    rows = weight_trace(model, make_pair(), epoch=7)
+    rows = weight_trace(probe_weights(model, make_pair()), epoch=7)
     alpha_rows = [r for r in rows if r[2] >= 0]
     beta_rows = [r for r in rows if r[2] == -1]
     assert len(alpha_rows) == 2 * 4
@@ -157,16 +160,16 @@ def test_weight_trace_row_count_contract():
 
 
 def test_weight_trace_single_level_variants():
-    ifw_rows = weight_trace(trained_like_model("ifw"), make_pair())
+    ifw_rows = weight_trace(probe_weights(trained_like_model("ifw"), make_pair()))
     assert all(r[2] >= 0 for r in ifw_rows)
-    cfw_rows = weight_trace(trained_like_model("cfw"), make_pair())
+    cfw_rows = weight_trace(probe_weights(trained_like_model("cfw"), make_pair()))
     assert all(r[2] == -1 for r in cfw_rows)
     assert abs(sum(r[3] for r in cfw_rows) - 1.0) < 1e-12
 
 
 def test_weight_trace_baseline_rejected():
     with pytest.raises(ConfigurationError):
-        weight_trace(trained_like_model("baseline"), make_pair())
+        weight_trace(probe_weights(trained_like_model("baseline"), make_pair()))
 
 
 def test_alpha_spread():

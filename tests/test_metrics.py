@@ -3,9 +3,13 @@ import pytest
 
 from adwm.errors import ConfigurationError, DimensionError, UsageError
 from adwm.metrics import (
+    _EPS,
     MetricsReport,
     _cd_conj,
     _cd_mul,
+    _check_same_shape,
+    _clamped_window,
+    _next_pow2,
     d_lambda,
     d_s,
     ergas,
@@ -343,6 +347,240 @@ def test_hqnr_fixed_points():
     assert hqnr(0.7, 1.0) == 0.0
     assert abs(hqnr(0.2, 0.5) - 0.4) < 1e-12
     assert hqnr(1.5, 0.2) == 0.0  # clamped, never negative
+
+
+# ----------------------------------------------------------------------
+# loop oracles: the per-window implementations the batched Q family
+# replaced, kept verbatim as references
+
+
+def _tile_windows(img, window):
+    """Non-overlapping window views, trailing partial tiles dropped."""
+    H, W = img.shape[0], img.shape[1]
+    if H < window or W < window:
+        raise DimensionError(
+            f"image {H}x{W} is smaller than the {window}-pixel window"
+        )
+    out = []
+    for i in range(0, H - window + 1, window):
+        for j in range(0, W - window + 1, window):
+            out.append(img[i:i + window, j:j + window])
+    return out
+
+
+def loop_q_index(a, b, window=32, with_flags=False):
+    """Single-band universal quality index, mean over non-overlapping
+    windows.
+
+    Each window contributes corr * luminance, where either factor falls
+    back to 1 when its denominator vanishes (identical constants differ
+    in nothing). The ideal value 1 and the anticorrelated value -1 are
+    reached exactly, not just within an epsilon.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    _check_same_shape(a, b, "q_index")
+    if a.ndim != 2:
+        raise DimensionError(f"q_index works on single bands, got {a.shape}")
+    vals = []
+    degenerate = 0
+    for wa, wb in zip(_tile_windows(a, window), _tile_windows(b, window)):
+        ma, mb = wa.mean(), wb.mean()
+        da, db = wa - ma, wb - mb
+        va, vb = np.mean(da * da), np.mean(db * db)
+        cov = np.mean(da * db)
+        d1 = va + vb
+        d2 = ma * ma + mb * mb
+        if d1 <= _EPS or d2 <= _EPS:
+            degenerate += 1
+        corr = 1.0 if d1 <= _EPS else 2.0 * cov / d1
+        lum = 1.0 if d2 <= _EPS else 2.0 * ma * mb / d2
+        vals.append(corr * lum)
+    q = float(np.mean(vals))
+    if with_flags:
+        return q, {"degenerate_windows": degenerate}
+    return q
+
+
+def loop_q2n(gt, pred, window=32, with_flags=False):
+    """Hypercomplex quality index: bands become components of one
+    2^n-ary number per pixel, correlated per window in magnitude form.
+
+    Band counts that are not a power of two are zero-padded up (flagged);
+    a single band has no hypercomplex structure, use q_index for that.
+    """
+    gt = np.asarray(gt, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
+    _check_same_shape(gt, pred, "q2n")
+    if gt.ndim != 3:
+        raise DimensionError(f"q2n needs (H, W, c), got {gt.shape}")
+    c = gt.shape[2]
+    if c == 1:
+        raise UsageError("q2n is undefined for a single band; use q_index")
+    cp = _next_pow2(c)
+    padded = cp != c
+    if padded:
+        pad = [(0, 0), (0, 0), (0, cp - c)]
+        gt = np.pad(gt, pad)
+        pred = np.pad(pred, pad)
+
+    vals = []
+    degenerate = 0
+    for wg, wp in zip(_tile_windows(gt, window), _tile_windows(pred, window)):
+        z1 = wg.reshape(-1, cp)
+        z2 = wp.reshape(-1, cp)
+        mu1 = z1.mean(axis=0)
+        mu2 = z2.mean(axis=0)
+        cov12 = _cd_mul(z1, _cd_conj(z2)).mean(axis=0) - _cd_mul(mu1, _cd_conj(mu2))
+        var1 = _cd_mul(z1, _cd_conj(z1)).mean(axis=0)[0] - _cd_mul(mu1, _cd_conj(mu1))[0]
+        var2 = _cd_mul(z2, _cd_conj(z2)).mean(axis=0)[0] - _cd_mul(mu2, _cd_conj(mu2))[0]
+        m1 = np.linalg.norm(mu1)
+        m2 = np.linalg.norm(mu2)
+        d1 = var1 + var2
+        d2 = m1 * m1 + m2 * m2
+        if d1 <= _EPS or d2 <= _EPS:
+            degenerate += 1
+        corr = 1.0 if d1 <= _EPS else 2.0 * np.linalg.norm(cov12) / d1
+        lum = 1.0 if d2 <= _EPS else 2.0 * m1 * m2 / d2
+        vals.append(corr * lum)
+    q = float(np.mean(vals))
+    if with_flags:
+        return q, {"padded": padded, "degenerate_windows": degenerate}
+    return q
+
+
+def loop_d_lambda(fused, lrms, p=1, window=32):
+    """Spectral distortion: how much the inter-band Q structure of the
+    fused image deviates from the low-resolution original."""
+    fused = np.asarray(fused, dtype=np.float64)
+    lrms = np.asarray(lrms, dtype=np.float64)
+    if fused.ndim != 3 or lrms.ndim != 3:
+        raise DimensionError("d_lambda needs (H, W, c) inputs")
+    c = fused.shape[2]
+    if c != lrms.shape[2]:
+        raise DimensionError(
+            f"band mismatch: fused has {c}, low-res has {lrms.shape[2]}"
+        )
+    if c < 2:
+        raise DimensionError("d_lambda needs at least 2 bands")
+    wf = _clamped_window(fused, window)
+    wl = _clamped_window(lrms, window)
+    diffs = []
+    for i in range(c):
+        for j in range(i + 1, c):
+            qf = loop_q_index(fused[:, :, i], fused[:, :, j], window=wf)
+            ql = loop_q_index(lrms[:, :, i], lrms[:, :, j], window=wl)
+            diffs.append(abs(qf - ql) ** p)
+    return float(np.mean(diffs) ** (1.0 / p))
+
+
+def loop_d_s(fused, lrms, pan, pan_degraded, q=1, window=32):
+    """Spatial distortion: per-band Q against the panchromatic image at
+    both resolutions (pan_degraded must live on the low-res grid)."""
+    fused = np.asarray(fused, dtype=np.float64)
+    lrms = np.asarray(lrms, dtype=np.float64)
+    pan = np.asarray(pan, dtype=np.float64)
+    pan_degraded = np.asarray(pan_degraded, dtype=np.float64)
+    if fused.ndim != 3 or lrms.ndim != 3:
+        raise DimensionError("d_s needs (H, W, c) image stacks")
+    if pan.shape != fused.shape[:2]:
+        raise DimensionError(
+            f"pan {pan.shape} does not match fused grid {fused.shape[:2]}"
+        )
+    if pan_degraded.shape != lrms.shape[:2]:
+        raise DimensionError(
+            f"degraded pan {pan_degraded.shape} does not match low-res "
+            f"grid {lrms.shape[:2]}"
+        )
+    if fused.shape[2] != lrms.shape[2]:
+        raise DimensionError("fused and low-res band counts differ")
+    wf = _clamped_window(fused, window)
+    wl = _clamped_window(lrms, window)
+    diffs = []
+    for i in range(fused.shape[2]):
+        qf = loop_q_index(fused[:, :, i], pan, window=wf)
+        ql = loop_q_index(lrms[:, :, i], pan_degraded, window=wl)
+        diffs.append(abs(qf - ql) ** q)
+    return float(np.mean(diffs) ** (1.0 / q))
+
+
+def _assert_matches_oracle(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _random_pair(rng, shape, noise=0.1):
+    gt = rng.random(shape) + 0.05
+    return gt, gt + noise * rng.standard_normal(shape)
+
+
+def _with_flat_windows(img, window):
+    """Make the first window constant and the second one all zero, so both
+    fallback factors of Q fire."""
+    img = img.copy()
+    img[:window, :window] = 0.37
+    img[:window, window:2 * window] = 0.0
+    return img
+
+
+@pytest.mark.parametrize("shape,window", [((45, 70), 16), ((100, 67), 32),
+                                          ((33, 40), 8), ((16, 40), 16)])
+def test_q_index_matches_loop_oracle(shape, window):
+    rng = np.random.default_rng(40)
+    a, b = _random_pair(rng, shape)
+    for pair in ((a, b), (_with_flat_windows(a, window),
+                          _with_flat_windows(b, window))):
+        got, got_flags = q_index(*pair, window=window, with_flags=True)
+        want, want_flags = loop_q_index(*pair, window=window, with_flags=True)
+        _assert_matches_oracle(got, want)
+        assert got_flags == want_flags
+        assert q_index(*pair, window=window) == got
+    assert want_flags["degenerate_windows"] == 2
+
+
+@pytest.mark.parametrize("c", [2, 3, 5, 6, 8])
+@pytest.mark.parametrize("shape,window", [((45, 70), 16), ((40, 72), 32)])
+def test_q2n_matches_loop_oracle(c, shape, window):
+    rng = np.random.default_rng([41, c])
+    gt, pred = _random_pair(rng, shape + (c,))
+    for pair in ((gt, pred), (_with_flat_windows(gt, window),
+                              _with_flat_windows(pred, window))):
+        got, got_flags = q2n(*pair, window=window, with_flags=True)
+        want, want_flags = loop_q2n(*pair, window=window, with_flags=True)
+        _assert_matches_oracle(got, want)
+        assert got_flags == want_flags
+    assert want_flags == {"padded": c not in (2, 8), "degenerate_windows": 2}
+
+
+@pytest.mark.parametrize("c", [2, 3, 5, 6, 8])
+@pytest.mark.parametrize("full,low,window", [(70, 18, 16), (96, 24, 32),
+                                             (64, 16, 32), (45, 11, 8)])
+def test_noreference_matches_loop_oracle(c, full, low, window):
+    # low-res grids smaller than the window clamp it; odd sizes drop tiles
+    rng = np.random.default_rng([42, c, full])
+    fused = rng.random((full, full + 3, c))
+    lrms = rng.random((low, low + 1, c))
+    pan = fused.mean(axis=2) + 0.1 * rng.standard_normal(fused.shape[:2])
+    pan_low = lrms.mean(axis=2) + 0.1 * rng.standard_normal(lrms.shape[:2])
+    for p in (1, 2):
+        _assert_matches_oracle(d_lambda(fused, lrms, p=p, window=window),
+                               loop_d_lambda(fused, lrms, p=p, window=window))
+        _assert_matches_oracle(
+            d_s(fused, lrms, pan, pan_low, q=p, window=window),
+            loop_d_s(fused, lrms, pan, pan_low, q=p, window=window))
+    flat = _with_flat_windows(fused, _clamped_window(fused, window))
+    _assert_matches_oracle(d_lambda(flat, lrms, window=window),
+                           loop_d_lambda(flat, lrms, window=window))
+    _assert_matches_oracle(d_s(flat, lrms, pan, pan_low, window=window),
+                           loop_d_s(flat, lrms, pan, pan_low, window=window))
+
+
+@pytest.mark.parametrize("c", [3, 8])
+def test_evaluate_reference_matches_loop_oracle_on_small_tiles(c):
+    # a tile smaller than the default window clamps q2n's window
+    rng = np.random.default_rng([43, c])
+    gt, pred = _random_pair(rng, (24, 20, c))
+    _assert_matches_oracle(evaluate_reference(gt, pred)["q2n"],
+                           loop_q2n(gt, pred, window=20))
 
 
 # ----------------------------------------------------------------------
