@@ -16,6 +16,7 @@ File formats:
 """
 
 import hashlib
+import io
 import math
 import os
 import struct
@@ -286,20 +287,46 @@ def build_dataset(seed, count, H, W, c, out_dir):
     return manifest
 
 
+def _plain_component(sid):
+    """True when `sid` names one entry inside a directory and nothing else."""
+    return sid not in ("", ".", "..") and not any(ch in sid for ch in "/\\\0")
+
+
 def read_manifest(data_dir):
+    """Rows of manifest.txt as dicts: id (str), seed, H, W and c (int).
+
+    Each id must be one plain path component, so a sample never resolves
+    outside `data_dir`. Bytes that are not UTF-8, a line without exactly
+    five fields, a non-integer number field or an id that is not a plain
+    component raise FormatError.
+    """
     manifest = os.path.join(data_dir, "manifest.txt")
     if not os.path.isfile(manifest):
         raise ConfigurationError(f"no manifest.txt under {data_dir}")
+    with open(manifest, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"manifest.txt is not UTF-8: {e.reason}",
+                          offset=e.start) from None
     rows = []
-    with open(manifest) as f:
-        for line in f:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 5:
-                raise FormatError(f"malformed manifest line: {line!r}")
-            rows.append(
-                {"id": parts[0], "seed": int(parts[1]), "H": int(parts[2]),
-                 "W": int(parts[3]), "c": int(parts[4])}
+    # newline=None splits lines as reading the file in text mode does
+    for no, line in enumerate(io.StringIO(text, newline=None), 1):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 5:
+            raise FormatError(f"malformed manifest line {no}: {line!r}")
+        if not _plain_component(parts[0]):
+            raise FormatError(
+                f"manifest line {no}: sample id {parts[0]!r} is not a plain file name"
             )
+        try:
+            seed, H, W, c = (int(v) for v in parts[1:])
+        except ValueError:
+            raise FormatError(
+                f"manifest line {no}: seed, H, W and c must be integers, got {parts[1:]!r}"
+            ) from None
+        rows.append({"id": parts[0], "seed": seed, "H": H, "W": W, "c": c})
     if not rows:
         raise ConfigurationError(f"manifest.txt under {data_dir} lists no samples")
     return rows

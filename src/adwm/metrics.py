@@ -61,17 +61,21 @@ def sam(gt, pred):
         raise DimensionError(f"sam needs (H, W, c) with c >= 2, got {gt.shape}")
     g = gt.reshape(-1, gt.shape[2])
     p = pred.reshape(-1, gt.shape[2])
-    gn = np.linalg.norm(g, axis=1)
-    pn = np.linalg.norm(p, axis=1)
+    gn = _row_norms(g)
+    pn = _row_norms(p)
     keep = (gn > 0) & (pn > 0)
-    if not np.any(keep):
-        return 0.0
-    u = g[keep] / gn[keep, None]
-    v = p[keep] / pn[keep, None]
-    ang = 2.0 * np.arctan2(
-        np.linalg.norm(u - v, axis=1), np.linalg.norm(u + v, axis=1)
-    )
+    if not keep.all():
+        if not keep.any():
+            return 0.0
+        g, p, gn, pn = g[keep], p[keep], gn[keep], pn[keep]
+    u = g / gn[:, None]
+    v = p / pn[:, None]
+    ang = 2.0 * np.arctan2(_row_norms(u - v), _row_norms(u + v))
     return float(np.degrees(ang).mean())
+
+
+def _row_norms(a):
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 def ergas(gt, pred, scale=4):

@@ -5,16 +5,21 @@ records its parents and a closure that knows how to push gradients back.
 Everything is float64; desk-scale problem sizes make the memory cost
 irrelevant and keep finite-difference checks tight.
 
-Shapes follow numpy. Image tensors are channels-first, (C, H, W), with an
-optional leading batch axis (B, C, H, W) accepted by the image ops.
+Shapes follow numpy. Image tensors are logically channels-first,
+(C, H, W), with an optional leading batch axis (B, C, H, W) accepted by
+the image ops. Memory order is another matter: `conv2d` returns views
+whose memory is channels-last, (B, H, W, C), and numpy's elementwise ops
+keep the memory order of their operands, so a backbone's activations
+stay channels-last from one conv to the next.
 
 `conv2d` builds no patch matrix. It pads the batch once into a flat
-(C_in, B*Hp*Wp) buffer, where every kernel tap is a constant column
-shift, and adds up one GEMM per tap over strided views of that buffer:
-the kn2row family of Anderson et al. 2017, "Low-memory GEMM-based
-convolution algorithms for deep neural networks". Both gradients are the
-same shifted GEMMs run as adjoints; the `conv2d` docstring has the index
-arithmetic.
+channels-last (B*Hp*Wp, C_in) buffer, where every kernel tap is a
+constant shift of rows, and adds up one GEMM per tap over row slices of
+that buffer: the kn2row family of Anderson et al. 2017, "Low-memory
+GEMM-based convolution algorithms for deep neural networks", over an HWC
+layout. Each tap GEMM is a tall (rows, C_in) @ (C_in, C_out) product.
+Both gradients are the same shifted GEMMs run as adjoints; the `conv2d`
+docstring has the index arithmetic.
 """
 
 import numpy as np
@@ -482,56 +487,59 @@ def stack(tensors, axis=0):
 # ----------------------------------------------------------------------
 # convolution
 
-# output columns per block of a shifted GEMM: with 16 channels one block
-# of the result, its partial product and the source rows stay in L2
+# rows per block of a shifted GEMM: with 16 channels one block of the
+# result, its partial product and the source rows stay in L2
 _BLOCK = 2048
 
 
 def _flat_grid(a, lead, p, hp, wp):
-    """Copy (B, C, h, w) into a flat (C, lead + B*hp*wp) buffer.
+    """Copy (B, C, h, w) into a flat channels-last (lead + B*hp*wp, C) buffer.
 
-    Each image lands in its own hp x wp cell at offset (p, p); the cells
-    are laid out back to back after `lead` columns. Everything outside the
-    images is zero. `np.empty` reuses heap pages where `np.zeros` would map
-    fresh ones, and writing the zeros and the images separately touches
+    Each image lands in its own hp x wp cell of rows at offset (p, p); the
+    cells are laid out back to back after `lead` rows. Everything outside
+    the images is zero. A source already in (B, h, w, C) memory order, as
+    every `conv2d` output and the elementwise ops on it are, copies as runs
+    of contiguous rows. `np.empty` reuses heap pages where `np.zeros` would
+    map fresh ones, and writing the zeros and the images separately touches
     each element once.
     """
     b, c, h, w = a.shape
-    buf = np.empty((c, lead + b * hp * wp))
-    buf[:, :lead] = 0.0
-    grid = buf[:, lead:].reshape(c, b, hp, wp)
-    grid[:, :, :p] = 0.0
-    grid[:, :, p + h:] = 0.0
-    grid[:, :, p:p + h, :p] = 0.0
-    grid[:, :, p:p + h, p + w:] = 0.0
-    grid[:, :, p:p + h, p:p + w] = a.transpose(1, 0, 2, 3)
+    buf = np.empty((lead + b * hp * wp, c))
+    buf[:lead] = 0.0
+    grid = buf[lead:].reshape(b, hp, wp, c)
+    grid[:, :p] = 0.0
+    grid[:, p + h:] = 0.0
+    grid[:, p:p + h, :p] = 0.0
+    grid[:, p:p + h, p + w:] = 0.0
+    grid[:, p:p + h, p:p + w] = a.transpose(0, 2, 3, 1)
     return buf
 
 
 def _shifted_gemm(taps, offsets, src, out):
-    """out[:, q] = sum_t taps[t] @ src[:, q + offsets[t]], for every q the
-    source covers; columns of `out` past that are left unwritten."""
-    n = src.shape[1] - offsets[-1]
-    tmp = np.empty((taps.shape[1], min(n, _BLOCK)))
+    """out[q] = sum_t src[q + offsets[t]] @ taps[t], for every row q the
+    source covers; rows of `out` past that are left unwritten."""
+    n = src.shape[0] - offsets[-1]
+    tmp = np.empty((min(n, _BLOCK), taps.shape[2]))
     for q0 in range(0, n, _BLOCK):
         q1 = min(q0 + _BLOCK, n)
-        acc, part = out[:, q0:q1], tmp[:, :q1 - q0]
-        np.matmul(taps[0], src[:, q0 + offsets[0]:q1 + offsets[0]], out=acc)
+        acc, part = out[q0:q1], tmp[:q1 - q0]
+        np.matmul(src[q0 + offsets[0]:q1 + offsets[0]], taps[0], out=acc)
         for w, o in zip(taps[1:], offsets[1:]):
-            np.matmul(w, src[:, q0 + o:q1 + o], out=part)
+            np.matmul(src[q0 + o:q1 + o], w, out=part)
             acc += part
     return out
 
 
 def _tap_products(a, src, offsets):
-    """g[t] = a @ src[:, offsets[t]:offsets[t] + n].T with n = a.shape[1]."""
-    n = a.shape[1]
-    g = np.zeros((len(offsets), a.shape[0], src.shape[0]))
+    """g[t] = a.T @ src[offsets[t]:offsets[t] + n] with n = a.shape[0]."""
+    n = a.shape[0]
+    g = np.zeros((len(offsets), a.shape[1], src.shape[1]))
     part = np.empty(g.shape[1:])
     for q0 in range(0, n, _BLOCK):
         q1 = min(q0 + _BLOCK, n)
+        at = a[q0:q1].T
         for gt, o in zip(g, offsets):
-            np.matmul(a[:, q0:q1], src[:, q0 + o:q1 + o].T, out=part)
+            np.matmul(at, src[q0 + o:q1 + o], out=part)
             gt += part
     return g
 
@@ -543,28 +551,30 @@ def conv2d(x, k, padding=1):
     square spatial size; `padding` must preserve H and W. Gradients are
     defined for both operands.
 
-    The input is padded once into a contiguous (C_in, B, Hp, Wp) buffer and
-    read flat as X, shape (C_in, L) with L = B*Hp*Wp. Output pixel (b, r, c)
-    sits at flat position q = b*Hp*Wp + r*Wp + c, and kernel tap (i, j) reads
-    X at q + o with o = i*Wp + j. So one GEMM per tap,
+    The input is padded once into a contiguous channels-last (B, Hp, Wp,
+    C_in) buffer and read flat as X, shape (L, C_in) with L = B*Hp*Wp.
+    Output pixel (b, r, c) is row q = b*Hp*Wp + r*Wp + c, and kernel tap
+    (i, j) reads X at row q + o with o = i*Wp + j. So one GEMM per tap,
 
-        Y[:, :M] += K[:, :, i, j] @ X[:, o:o+M],  M = L - (kh-1)*Wp - (kw-1),
+        Y[:M] += X[o:o+M] @ K[:, :, i, j].T,  M = L - (kh-1)*Wp - (kw-1),
 
     covers the whole batch, and the output is the valid (H, W) corner of
-    each Hp x Wp cell of Y. Flat positions outside that corner, including
-    the ones whose taps straddle two images, are computed and never read.
+    each Hp x Wp cell of Y. Rows outside that corner, including the ones
+    whose taps straddle two images, are computed and never read. The
+    result is returned as a (B, C_out, H, W) view of Y, so its memory stays
+    channels-last and the next conv's padded copy is a run of row copies.
     The backward pass places the output gradient in the same corners with
     zeros elsewhere, dY, and runs the adjoint of each tap:
 
-        gk[:, :, i, j] = dY[:, :M] @ X[:, o:o+M].T
-        dX[:, o:o+M]  += K[:, :, i, j].T @ dY[:, :M]
+        gk[:, :, i, j] = dY[:M].T @ X[o:o+M]
+        dX[o:o+M]     += dY[:M] @ K[:, :, i, j]
 
-    The zeros keep the unread positions out of both sums. dX is computed as
-    the forward sum with the kernel flipped, over dY preceded by L - M zero
-    columns, so every column of dX is written once. Every operand is a
-    strided view that BLAS reads in place, so no patch matrix is built; the
-    columns are walked in blocks of `_BLOCK` so each block's partial sums
-    stay in cache.
+    The zeros keep the unread rows out of both sums. dX is computed as the
+    forward sum with the kernel flipped, over dY preceded by L - M zero
+    rows, so every row of dX is written once. The tap matrices are copied
+    contiguous, and every other operand is a slice of rows that BLAS reads
+    in place, so no patch matrix is built; the rows are walked in blocks of
+    `_BLOCK` so each block's partial sums stay in cache.
     """
     x = Tensor._coerce(x)
     k = Tensor._coerce(k)
@@ -593,9 +603,10 @@ def conv2d(x, k, padding=1):
     span = offsets[-1]  # L - M
 
     xf = _flat_grid(xd, 0, p, hp, wp)
-    taps = k.data.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
-    yf = _shifted_gemm(taps, offsets, xf, np.empty((cout, n)))
-    y = yf.reshape(cout, b, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3)
+    taps = np.ascontiguousarray(k.data.transpose(2, 3, 1, 0))
+    taps = taps.reshape(kh * kw, cin, cout)
+    yf = _shifted_gemm(taps, offsets, xf, np.empty((n, cout)))
+    y = yf.reshape(b, hp, wp, cout)[:, :h, :w].transpose(0, 3, 1, 2)
     out = Tensor(y if batched else y[0], x.requires_grad or k.requires_grad, (x, k))
 
     if out.requires_grad:
@@ -603,14 +614,14 @@ def conv2d(x, k, padding=1):
             gy = out.grad if batched else out.grad[None]
             dyf = _flat_grid(gy, span, 0, hp, wp)
             if k.requires_grad:
-                gk = _tap_products(dyf[:, span:n], xf, offsets)
+                gk = _tap_products(dyf[span:n], xf, offsets)
                 k._accumulate(gk.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
             if x.requires_grad:
-                flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0)
-                dxf = _shifted_gemm(flipped.reshape(kh * kw, cin, cout), offsets,
-                                    dyf, np.empty((cin, n)))
-                gx = dxf.reshape(cin, b, hp, wp)[:, :, p:p + h, p:p + w]
-                gx = gx.transpose(1, 0, 2, 3)
+                flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+                flipped = np.ascontiguousarray(flipped).reshape(kh * kw, cout, cin)
+                dxf = _shifted_gemm(flipped, offsets, dyf, np.empty((n, cin)))
+                gx = dxf.reshape(b, hp, wp, cin)[:, p:p + h, p:p + w]
+                gx = gx.transpose(0, 3, 1, 2)
                 x._accumulate(gx if batched else gx[0])
 
         out._backward = _backward

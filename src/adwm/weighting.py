@@ -83,7 +83,11 @@ def adwm_param_count(config):
 
 
 def _channel_observations(F):
-    """Reshape (.., C, H, W) so spatial positions are rows: (.., H*W, C)."""
+    """Reshape (.., C, H, W) so spatial positions are rows: (.., H*W, C).
+
+    A view, with unit channel stride, when F is held in channels-last
+    memory, as `conv2d` outputs and the backbone's features are.
+    """
     if F.ndim == 3:
         c, h, w = F.shape
         return F.reshape(c, h * w).transpose(1, 0)

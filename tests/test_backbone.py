@@ -20,6 +20,7 @@ from adwm.errors import (
     FormatError,
 )
 from adwm.tensor import Tensor, gradcheck
+from adwm.weighting import _channel_observations
 
 
 def tiny_config(variant="baseline", **kw):
@@ -253,6 +254,22 @@ def test_return_weights_structure():
     _, weights = PansharpenModel(tiny_config()).forward(pan, lrms, return_weights=True)
     assert weights["alpha"] is None and weights["beta"] is None
     assert len(weights["features"]) == 2
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_features_stay_channels_last(batched):
+    # conv2d returns views of a channels-last grid and the bias, leaky ReLU
+    # and residual ops keep that order, so IFW's observation matrix is a
+    # view with unit channel stride rather than a copy
+    rng = np.random.default_rng(13)
+    lead = (3,) if batched else ()
+    pan, lrms = rng.random(lead + (16, 16)), rng.random(lead + (4, 4, 2))
+    model = randomized(PansharpenModel(tiny_config("adwm")), seed=5)
+    _, weights = model.forward(pan, lrms, return_weights=True)
+    for f in weights["features"]:
+        assert np.moveaxis(f.data, -3, -1).flags.c_contiguous
+        obs = _channel_observations(f).data
+        assert np.shares_memory(obs, f.data) and obs.strides[-1] == 8
 
 
 @pytest.mark.parametrize("variant", ["baseline", "ifw", "cfw", "adwm"])

@@ -147,6 +147,22 @@ def test_train_missing_sample_file_exits_2(tmp_path, capsys):
     assert "is missing" in err and "pan.tnsr" in err
 
 
+@pytest.mark.parametrize("line, needle", [
+    (b"sample_00000\tx\t16\t16\t2\n", "must be integers"),
+    (b"sample_\xff\t5\t16\t16\t2\n", "not UTF-8"),
+    (b"../d/sample_00000\t5\t16\t16\t2\n", "not a plain file name"),
+])
+def test_train_bad_manifest_exits_2(tmp_path, capsys, line, needle):
+    d = str(tmp_path / "d")
+    assert main(["gen-data", "--out", d, "--count", "2",
+                 "--size", "16", "16", "--bands", "2", "--seed", "5"]) == 0
+    with open(os.path.join(d, "manifest.txt"), "ab") as f:
+        f.write(line)
+    rc = main(["train", "--data", d, "--out", str(tmp_path / "o"), *TRAIN_FLAGS])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_train_overflowing_tnsr_dims_exits_2(tmp_path, capsys):
     d = str(tmp_path / "d")
     assert main(["gen-data", "--out", d, "--count", "2",

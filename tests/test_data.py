@@ -21,7 +21,7 @@ from adwm.data import (
     wald_degrade,
     write_tensor,
 )
-from adwm.errors import ConfigurationError, DimensionError, FormatError
+from adwm.errors import AdwmError, ConfigurationError, DimensionError, FormatError
 from adwm.tensor import Tensor
 
 
@@ -295,3 +295,56 @@ def test_split_bad_count():
 def test_missing_manifest(tmp_path):
     with pytest.raises(ConfigurationError):
         read_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("line, needle", [
+    ("sample_00000\tx\t16\t16\t4\n", "must be integers"),
+    ("sample_00000\t1\t16\t16.0\t4\n", "must be integers"),
+    ("sample_00000\t1\t16\t16\n", "malformed"),
+    ("../d/sample_00000\t1\t16\t16\t4\n", "plain file name"),
+    ("/abs\t1\t16\t16\t4\n", "plain file name"),
+    ("..\t1\t16\t16\t4\n", "plain file name"),
+    ("\t1\t16\t16\t4\n", "plain file name"),
+    ("a\\b\t1\t16\t16\t4\n", "plain file name"),
+])
+def test_manifest_bad_rows_are_format_errors(tmp_path, line, needle):
+    (tmp_path / "manifest.txt").write_text("sample_00001\t2\t16\t16\t4\n" + line)
+    with pytest.raises(FormatError, match=needle) as e:
+        read_manifest(tmp_path)
+    assert "line 2" in str(e.value)
+
+
+def test_manifest_non_utf8_is_format_error(tmp_path):
+    (tmp_path / "manifest.txt").write_bytes(
+        b"sample_00000\t1\t16\t16\t4\nsam\xffple\t1\t1\t1\t1\n")
+    with pytest.raises(FormatError, match="not UTF-8") as e:
+        read_manifest(tmp_path)
+    assert e.value.offset == 26
+
+
+def test_manifest_keeps_text_mode_line_endings(tmp_path):
+    (tmp_path / "manifest.txt").write_bytes(
+        b"a\t1\t16\t16\t4\r\nb\t2\t8\t8\t3\rc\t3\t4\t4\t2")
+    rows = read_manifest(tmp_path)
+    assert [r["id"] for r in rows] == ["a", "b", "c"]
+    assert rows[1] == {"id": "b", "seed": 2, "H": 8, "W": 8, "c": 3}
+
+
+@settings(PROPERTY, max_examples=400)
+@given(st.one_of(
+    st.binary(max_size=96),
+    st.lists(st.lists(st.one_of(st.text(max_size=8), st.integers(-3, 99).map(str)),
+                      min_size=4, max_size=6).map("\t".join),
+             max_size=4).map(lambda ls: "\n".join(ls).encode()),
+))
+def test_any_manifest_bytes_give_rows_or_adwm_error(tmp_path_factory, raw):
+    d = tmp_path_factory.mktemp("m")
+    (d / "manifest.txt").write_bytes(raw)
+    try:
+        rows = read_manifest(d)
+    except AdwmError:
+        return
+    for r in rows:
+        assert os.path.dirname(os.path.join(d, r["id"])) == str(d)
+        assert r["id"] not in (".", "..")
+        assert all(type(r[k]) is int for k in ("seed", "H", "W", "c"))

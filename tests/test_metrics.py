@@ -351,7 +351,7 @@ def test_hqnr_fixed_points():
 
 # ----------------------------------------------------------------------
 # loop oracles: the per-window implementations the batched Q family
-# replaced, kept verbatim as references
+# replaced, and the gathering SAM, kept verbatim as references
 
 
 def _tile_windows(img, window):
@@ -504,6 +504,34 @@ def loop_d_s(fused, lrms, pan, pan_degraded, q=1, window=32):
     return float(np.mean(diffs) ** (1.0 / q))
 
 
+def gather_sam(gt, pred):
+    """Mean spectral angle in degrees; pixels with a zero-norm spectrum
+    in either image are skipped.
+
+    The angle is evaluated as 2*atan2(|u-v|, |u+v|) on unit vectors,
+    which equals arccos of the normalized inner product but stays exact
+    at 0 and 180 degrees where arccos loses half the significand.
+    """
+    gt = np.asarray(gt, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
+    _check_same_shape(gt, pred, "sam")
+    if gt.ndim != 3 or gt.shape[2] < 2:
+        raise DimensionError(f"sam needs (H, W, c) with c >= 2, got {gt.shape}")
+    g = gt.reshape(-1, gt.shape[2])
+    p = pred.reshape(-1, gt.shape[2])
+    gn = np.linalg.norm(g, axis=1)
+    pn = np.linalg.norm(p, axis=1)
+    keep = (gn > 0) & (pn > 0)
+    if not np.any(keep):
+        return 0.0
+    u = g[keep] / gn[keep, None]
+    v = p[keep] / pn[keep, None]
+    ang = 2.0 * np.arctan2(
+        np.linalg.norm(u - v, axis=1), np.linalg.norm(u + v, axis=1)
+    )
+    return float(np.degrees(ang).mean())
+
+
 def _assert_matches_oracle(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -572,6 +600,29 @@ def test_noreference_matches_loop_oracle(c, full, low, window):
                            loop_d_lambda(flat, lrms, window=window))
     _assert_matches_oracle(d_s(flat, lrms, pan, pan_low, window=window),
                            loop_d_s(flat, lrms, pan, pan_low, window=window))
+
+
+@pytest.mark.parametrize("c", [2, 3, 8])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (64, 48)])
+def test_sam_matches_gather_oracle(c, shape):
+    rng = np.random.default_rng([44, c, shape[0]])
+    gt, pred = _random_pair(rng, shape + (c,), noise=0.3)
+    _assert_matches_oracle(sam(gt, pred), gather_sam(gt, pred))
+    # zero-norm spectra in either or both images, orthogonal and opposite
+    # pixels, and sign-mixed spectra
+    gt = rng.standard_normal(shape + (c,))
+    pred = rng.standard_normal(shape + (c,))
+    gt.reshape(-1, c)[::3] = 0.0
+    pred.reshape(-1, c)[1::4] = 0.0
+    ortho = pred.reshape(-1, c)[2::5]
+    ortho[:] = 0.0
+    ortho[:, 0] = gt.reshape(-1, c)[2::5, 1]
+    ortho[:, 1] = -gt.reshape(-1, c)[2::5, 0]
+    gt.reshape(-1, c)[2::5, 2:] = 0.0
+    opposite = pred.reshape(-1, c)[4::7]
+    opposite[:] = -2.0 * gt.reshape(-1, c)[4::7]
+    _assert_matches_oracle(sam(gt, pred), gather_sam(gt, pred))
+    assert sam(np.zeros_like(gt), pred) == gather_sam(np.zeros_like(gt), pred) == 0.0
 
 
 @pytest.mark.parametrize("c", [3, 8])

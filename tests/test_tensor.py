@@ -52,7 +52,7 @@ def conv2d_loops_adjoint(x, k, gy):
 # batch (None = unbatched), C_in, C_out, H, W, kernel size: batches of 1 and
 # 3, kernels 1x1, 3x3 and 5x5, single-row and single-column images, and
 # C_in != C_out; a shift error in the flat layout shows at batch boundaries.
-# The last case spans more than one column block of the shifted GEMMs.
+# The last case spans more than one row block of the shifted GEMMs.
 CONV_CASES = [
     (None, 2, 3, 5, 4, 3),
     (1, 3, 2, 4, 6, 3),
@@ -74,6 +74,49 @@ def _conv_case(rng, bsz, cin, cout, h, w, ks):
 
 def _per_sample(x):
     return [x] if x.ndim == 3 else list(x)
+
+
+def _channels_last(a):
+    """The same (.., C, H, W) values held in (.., H, W, C) memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -3, -1)), -1, -3)
+
+
+def _sliced_view(a):
+    """The same values as a channels-last slice of a larger NaN-filled
+    buffer, the way a conv2d output sits in its flat grid."""
+    h, w, c = a.shape[-2], a.shape[-1], a.shape[-3]
+    buf = np.full(a.shape[:-3] + (h + 2, w + 3, c), np.nan)
+    buf[..., :h, :w, :] = np.moveaxis(a, -3, -1)
+    return np.moveaxis(buf[..., :h, :w, :], -1, -3)
+
+
+def _tap_major_kernel(k):
+    return np.ascontiguousarray(k.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1)
+
+
+def _reversed_kernel(k):
+    return np.ascontiguousarray(k[::-1, :, ::-1])[::-1, :, ::-1]
+
+
+def _sliced_kernel(k):
+    cout, cin, kh, kw = k.shape
+    big = np.full((cout, cin + 1, kh + 1, kw + 2), np.nan)
+    big[:, :cin, :kh, :kw] = k
+    return big[:, :cin, :kh, :kw]
+
+
+def _same(a):
+    return a
+
+
+# (input layout, kernel layout); the input layout also holds the output
+# gradient in the adjoint test
+CONV_LAYOUTS = [
+    (_same, _same),
+    (_channels_last, _tap_major_kernel),
+    (_sliced_view, _reversed_kernel),
+    (_channels_last, _sliced_kernel),
+]
 
 
 # ----------------------------------------------------------------------
@@ -140,27 +183,70 @@ def test_conv2d_matches_loop_oracle():
         assert np.allclose(out.data, conv2d_loops(x, k), atol=1e-12)
     for case in CONV_CASES:
         x, k = _conv_case(rng, *case)
-        out = conv2d(Tensor(x), Tensor(k), padding=k.shape[-1] // 2)
-        assert out.shape == x.shape[:-3] + (k.shape[0],) + x.shape[-2:]
         want = np.stack([conv2d_loops(xi, k) for xi in _per_sample(x)])
-        assert np.allclose(out.data.reshape(want.shape), want, rtol=0, atol=1e-12), case
+        for x_layout, k_layout in CONV_LAYOUTS:
+            xv, kv = x_layout(x), k_layout(k)
+            assert np.array_equal(xv, x) and np.array_equal(kv, k)
+            out = conv2d(Tensor(xv), Tensor(kv), padding=k.shape[-1] // 2)
+            assert out.shape == x.shape[:-3] + (k.shape[0],) + x.shape[-2:]
+            msg = (case, x_layout.__name__, k_layout.__name__)
+            assert np.allclose(out.data.reshape(want.shape), want, rtol=0, atol=1e-12), msg
 
 
 def test_conv2d_gradients_match_loop_adjoint():
     rng = np.random.default_rng(11)
     for case in CONV_CASES:
         x, k = _conv_case(rng, *case)
-        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
-        out = conv2d(xt, kt, padding=k.shape[-1] // 2)
-        gy = rng.standard_normal(out.shape)
-        (out * gy).sum().backward()
+        gy = rng.standard_normal(x.shape[:-3] + (k.shape[0],) + x.shape[-2:])
         gx_want = np.zeros_like(x).reshape((-1,) + x.shape[-3:])
         gk_want = np.zeros_like(k)
         for n, (xi, gyi) in enumerate(zip(_per_sample(x), _per_sample(gy))):
             gx_want[n], gk_i = conv2d_loops_adjoint(xi, k, gyi)
             gk_want += gk_i
-        assert np.allclose(xt.grad, gx_want.reshape(x.shape), rtol=0, atol=1e-12), case
-        assert np.allclose(kt.grad, gk_want, rtol=0, atol=1e-12), case
+        for layout, k_layout in CONV_LAYOUTS:
+            xt = Tensor(layout(x), requires_grad=True)
+            kt = Tensor(k_layout(k), requires_grad=True)
+            out = conv2d(xt, kt, padding=k.shape[-1] // 2)
+            (out * Tensor(layout(gy))).sum().backward()
+            msg = (case, layout.__name__, k_layout.__name__)
+            assert np.allclose(xt.grad, gx_want.reshape(x.shape), rtol=0, atol=1e-12), msg
+            assert np.allclose(kt.grad, gk_want, rtol=0, atol=1e-12), msg
+
+
+def test_conv2d_chain_matches_loop_oracle():
+    # the backbone's pattern: conv, bias, leaky ReLU, conv, so the second
+    # conv reads the first one's strided output and the first one's
+    # backward reads a gradient in the second one's layout
+    rng = np.random.default_rng(12)
+    slope = 0.01
+    for case in CONV_CASES:
+        x, k1 = _conv_case(rng, *case)
+        cin, cout, ks = k1.shape[1], k1.shape[0], k1.shape[-1]
+        k2 = rng.standard_normal((cin, cout, ks, ks))
+        b1 = rng.standard_normal((cout, 1, 1))
+        gy = rng.standard_normal(x.shape)
+        xt, k1t, k2t, b1t = (Tensor(a, requires_grad=True) for a in (x, k1, k2, b1))
+        z = (conv2d(xt, k1t, padding=ks // 2) + b1t).leaky_relu(slope)
+        y = conv2d(z, k2t, padding=ks // 2)
+        (y * gy).sum().backward()
+
+        y_want = np.zeros((len(_per_sample(x)),) + x.shape[-3:])
+        gx_want = np.zeros_like(y_want)
+        gk1_want, gk2_want = np.zeros_like(k1), np.zeros_like(k2)
+        gb1_want = np.zeros_like(b1)
+        for n, (xi, gyi) in enumerate(zip(_per_sample(x), _per_sample(gy))):
+            pre = conv2d_loops(xi, k1) + b1
+            zi = np.where(pre > 0, pre, slope * pre)
+            y_want[n] = conv2d_loops(zi, k2)
+            gz, gk2_i = conv2d_loops_adjoint(zi, k2, gyi)
+            gpre = gz * np.where(pre > 0, 1.0, slope)
+            gx_want[n], gk1_i = conv2d_loops_adjoint(xi, k1, gpre)
+            gk1_want += gk1_i
+            gk2_want += gk2_i
+            gb1_want += gpre.sum(axis=(1, 2), keepdims=True)
+        for got, want in ((y.data, y_want), (xt.grad, gx_want), (k1t.grad, gk1_want),
+                          (k2t.grad, gk2_want), (b1t.grad, gb1_want)):
+            assert np.allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12), case
 
 
 def test_conv2d_batched_matches_per_sample():
