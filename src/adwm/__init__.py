@@ -18,8 +18,8 @@ from .errors import (
 )
 from .tensor import Tensor, concat, conv2d, gradcheck, softmax, spatial_mean, stack
 from .cacw import WEIGHT_GENERATORS, CacwModule, cacw_forward
-from .weighting import AdwmConfig, adwm_forward, make_adwm_modules
-from .backbone import ModelConfig, PansharpenModel, build_model, load_checkpoint, save_checkpoint
+from .weighting import AdwmConfig, aggregate, make_adwm_modules
+from .backbone import ModelConfig, PansharpenModel, load_checkpoint, save_checkpoint
 from .data import build_dataset, load_dataset, read_manifest, split_ids
 from .metrics import evaluate_noreference, evaluate_reference
 from .trainer import TrainConfig, train
@@ -43,11 +43,10 @@ __all__ = [
     "CacwModule",
     "cacw_forward",
     "AdwmConfig",
-    "adwm_forward",
+    "aggregate",
     "make_adwm_modules",
     "ModelConfig",
     "PansharpenModel",
-    "build_model",
     "load_checkpoint",
     "save_checkpoint",
     "build_dataset",

@@ -11,10 +11,15 @@ Aggregation is the variant knob:
   ifw       per-layer channel gating, uniform layer average
   cfw       ungated maps, learned softmax over layers
   adwm      both levels (channel gates + softmax layer weights)
+Every weighted variant runs through `weighting.aggregate`, the one entry
+point of the weighting stack: one channel-gate generator per block,
+built for n = channels, and one layer-score generator built for
+n = blocks.
 
-Checkpoint file: magic "ADWM", u32 format version, u32 config length,
-config JSON (sorted keys), u32 tensor count, then one TNSR record per
-parameter in declaration order.
+Checkpoint file, format 2: magic "ADWM", u32 format version, u32 config
+length, config JSON (sorted keys), u32 tensor count, then one TNSR
+record per parameter in declaration order. Other versions, format 1
+among them, are rejected.
 """
 
 import json
@@ -40,7 +45,7 @@ from .weighting import (  # noqa: F401
 VARIANTS = ("baseline", "ifw", "cfw", "adwm")
 
 CKPT_MAGIC = b"ADWM"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 @dataclass
@@ -53,7 +58,6 @@ class ModelConfig:
     ifw_d_fraction: float = 0.8
     cfw_d_fraction: float = 0.8
     generator: str = "cacw"
-    share_ifw: bool = False
 
     def __post_init__(self):
         if self.bands < 1:
@@ -75,7 +79,6 @@ class ModelConfig:
             channels=self.channels,
             ifw_d_fraction=self.ifw_d_fraction,
             cfw_d_fraction=self.cfw_d_fraction,
-            share_ifw=self.share_ifw,
             generator=self.generator,
         )
 
@@ -119,10 +122,8 @@ def upsample_bilinear(x, factor):
     ci0, ci1, cf = _interp_axis(w, factor)
     rows = _gather_last(x.data.swapaxes(-1, -2), ri0, ri1, rf).swapaxes(-1, -2)
     data = _gather_last(rows, ci0, ci1, cf)
-    out = Tensor(data, _parents=(x,))
+    out = Tensor(data, x.requires_grad, (x,))
     if x.requires_grad:
-        out.requires_grad = True
-
         def _backward():
             g = _scatter_last(out.grad, w, ci0, ci1, cf)
             g = _scatter_last(g.swapaxes(-1, -2), h, ri0, ri1, rf).swapaxes(-1, -2)
@@ -180,11 +181,8 @@ class PansharpenModel:
             out += [blk["w1"], blk["b1"], blk["w2"], blk["b2"]]
         out += [self.dec_w, self.dec_b]
         if self.ifw is not None:
-            seen = set()
             for gen in self.ifw:
-                if id(gen) not in seen:
-                    seen.add(id(gen))
-                    out += gen.params()
+                out += gen.params()
         if self.cfw is not None:
             out += self.cfw.params()
         return out
@@ -253,10 +251,6 @@ class PansharpenModel:
             return hhat, {"alpha": alphas, "beta": beta,
                           "features": [f.detach() for f in features]}
         return hhat
-
-
-def build_model(config, seed=0):
-    return PansharpenModel(config, seed=seed)
 
 
 # ----------------------------------------------------------------------

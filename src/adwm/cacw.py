@@ -7,6 +7,12 @@ alternative weight generators (pooling, self-attention relevance, PCA
 coordinates) share the same calling convention so they can be swapped
 into the same slots for comparison runs.
 
+Width contract: a generator built for n features takes observations of
+shape (..., m, n), m samples of exactly n features, and returns one
+weight per feature, shape (..., n); any other width is a DimensionError.
+`weighting.aggregate` is the one entry point that plugs generators into
+a feature stack, at n = C for channel gates and n = N for layer scores.
+
 All ops accept an optional leading batch axis; the documented contracts
 are the unbatched shapes.
 """
@@ -24,6 +30,25 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def reduced_width(frac, n):
+    """Hidden width of a generator head over n features: max(1, ceil(frac*n))."""
+    return max(1, math.ceil(frac * n))
+
+
+def _swap_last(ndim):
+    return tuple(range(ndim - 2)) + (ndim - 1, ndim - 2)
+
+
+def centered_gram(X):
+    """(X - mean)^T (X - mean) over the sample axis: (.., m, n) -> (.., n, n).
+
+    The one centering-plus-Gram composition; the covariance and the
+    attention scores differ only in how they scale it.
+    """
+    centered = X - X.mean(axis=-2, keepdims=True)
+    return centered.transpose(_swap_last(X.ndim)) @ centered
+
+
 def compute_covariance(X):
     """Sample covariance of the columns of X, with Bessel correction.
 
@@ -36,11 +61,9 @@ def compute_covariance(X):
     m = X.shape[-2]
     if m < 2:
         raise DegenerateSampleError(f"covariance needs at least 2 samples, got m={m}")
-    centered = X - X.mean(axis=-2, keepdims=True)
-    perm = tuple(range(X.ndim - 2)) + (X.ndim - 1, X.ndim - 2)
-    cov = centered.transpose(perm) @ centered * (1.0 / (m - 1))
+    cov = centered_gram(X) * (1.0 / (m - 1))
     # exact symmetry, not just up-to-roundoff
-    return (cov + cov.transpose(perm)) * 0.5
+    return (cov + cov.transpose(_swap_last(X.ndim))) * 0.5
 
 
 def normalize_covariance(C, eps=1e-8):
@@ -74,7 +97,7 @@ class _MlpHead:
 
     def __init__(self, n, d=None, d_fraction=0.8, output_activation="sigmoid", seed=0):
         if d is None:
-            d = math.ceil(d_fraction * n)
+            d = reduced_width(d_fraction, n)
         if n < 1 or d < 1:
             raise ConfigurationError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
         if output_activation not in ("sigmoid", "identity"):
@@ -92,6 +115,15 @@ class _MlpHead:
     def _head_widths(self):
         """(n_in, n_out): one scalar per n-wide row by default."""
         return self.n, 1
+
+    def _observations(self, X):
+        """X as a Tensor of shape (..., m, n), or a DimensionError."""
+        X = _as_tensor(X)
+        if X.ndim < 2 or X.shape[-1] != self.n:
+            raise DimensionError(
+                f"observations of shape {X.shape} do not match generator n={self.n}"
+            )
+        return X
 
     def params(self):
         return [self.W1, self.b1, self.W2, self.b2]
@@ -123,7 +155,7 @@ class CacwModule(_MlpHead):
     method = "cacw"
 
     def forward(self, X):
-        return cacw_forward(self, X)
+        return cacw_forward(self, self._observations(X))
 
 
 def generate_weights(module, corr):
@@ -180,21 +212,6 @@ def pca_eigendecompose(C):
     return PcaResult(lam, V)
 
 
-def pca_project(X, P):
-    """Project centered observations onto a basis: Y = P^T (X - mean)^T.
-
-    X: (m, n); P: (n, k) with orthonormal columns, k <= n. Returns (k, m).
-    """
-    X = X.data if isinstance(X, Tensor) else np.asarray(X, dtype=np.float64)
-    P = np.asarray(P, dtype=np.float64)
-    if P.shape[0] != X.shape[1]:
-        raise DimensionError(f"basis rows {P.shape[0]} do not match features {X.shape[1]}")
-    if P.shape[1] > P.shape[0]:
-        raise DimensionError(f"basis size {P.shape[1]} exceeds dimension {P.shape[0]}")
-    centered = X - X.mean(axis=0, keepdims=True)
-    return P.T @ centered.T
-
-
 # ----------------------------------------------------------------------
 # comparison weight generators
 
@@ -207,7 +224,7 @@ class PoolWeights(_MlpHead):
         return self.n, self.n
 
     def forward(self, X):
-        means = _as_tensor(X).mean(axis=-2)
+        means = self._observations(X).mean(axis=-2)
         out = self._activate(self._mlp(means.reshape(-1, self.n)))
         return out.reshape(means.shape)
 
@@ -223,12 +240,8 @@ class AttentionWeights(_MlpHead):
     method = "attention"
 
     def forward(self, X):
-        X = _as_tensor(X)
-        m = X.shape[-2]
-        centered = X - X.mean(axis=-2, keepdims=True)
-        perm = tuple(range(X.ndim - 2)) + (X.ndim - 1, X.ndim - 2)
-        Z = centered.transpose(perm)
-        scores = (Z @ centered) * (1.0 / np.sqrt(m))
+        X = self._observations(X)
+        scores = centered_gram(X) * (1.0 / np.sqrt(X.shape[-2]))
         return self._mlp_rows(softmax(scores, axis=-1))
 
 
@@ -251,7 +264,7 @@ class PcaWeights(_MlpHead):
         return self.k, 1
 
     def forward(self, X):
-        cov = compute_covariance(_as_tensor(X)).data
+        cov = compute_covariance(self._observations(X)).data
         flat = cov.reshape((-1,) + cov.shape[-2:])
         basis = np.stack([pca_eigendecompose(c).basis(self.k) for c in flat])
         return self._mlp_rows(Tensor(basis.reshape(cov.shape[:-2] + basis.shape[-2:])))

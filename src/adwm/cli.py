@@ -304,7 +304,7 @@ def cmd_compare(args):
 def _gradcheck_suite(seed, corrupt=False):
     """Per-op finite-difference verification; returns [(name, err)]."""
     from .cacw import CacwModule, cacw_forward, compute_covariance, normalize_covariance
-    from .weighting import AdwmConfig, adwm_forward, make_adwm_modules
+    from .weighting import AdwmConfig, aggregate, make_adwm_modules
     from .backbone import upsample_bilinear
 
     rng = np.random.default_rng(seed)
@@ -377,7 +377,7 @@ def _gradcheck_suite(seed, corrupt=False):
     results.append((
         "dual_level_weighting",
         float(gradcheck(
-            lambda *_: adwm_forward(wcfg, modules, feats).abs().sum(),
+            lambda *_: aggregate(feats, modules["ifw"], modules["cfw"])[0].abs().sum(),
             [feats[0], feats[1]] + wparams)),
     ))
 

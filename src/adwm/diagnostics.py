@@ -11,14 +11,14 @@ combination. Normalization divides, activations, and softmax
 exponentials are excluded on both sides of the instrumentation check.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cacw import compute_covariance, pca_eigendecompose
+from .cacw import compute_covariance, pca_eigendecompose, reduced_width
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
 from .tensor import Tensor, softmax
+from .weighting import _channel_observations
 
 # ----------------------------------------------------------------------
 # spectra
@@ -51,12 +51,10 @@ def spectrum_entropy(scree):
 
 def feature_covariance(F):
     """Channel covariance of one (C, H, W) feature map as plain numpy."""
-    F = F.data if isinstance(F, Tensor) else np.asarray(F)
+    F = F if isinstance(F, Tensor) else Tensor(F)
     if F.ndim != 3:
         raise DimensionError(f"need a (C, H, W) feature map, got {F.shape}")
-    c, h, w = F.shape
-    obs = F.reshape(c, h * w).T
-    return compute_covariance(Tensor(obs)).data
+    return compute_covariance(_channel_observations(F)).data
 
 
 def layer_spectra(weights):
@@ -163,9 +161,9 @@ def count_flops(H, W, C, N, d_ifw=None, d_cfw=None, d_fraction=0.8):
     if min(H, W, C, N) < 1:
         raise ConfigurationError("all dimensions must be >= 1")
     if d_ifw is None:
-        d_ifw = max(1, math.ceil(d_fraction * C))
+        d_ifw = reduced_width(d_fraction, C)
     if d_cfw is None:
-        d_cfw = max(1, math.ceil(d_fraction * N))
+        d_cfw = reduced_width(d_fraction, N)
     hw = H * W
     return FlopCount(
         ifw_cov=N * hw * C * C,

@@ -19,8 +19,6 @@ between band pairs rather than an MTF-matched filter bank; the report
 writer records this choice in its header comments.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, UsageError
@@ -338,21 +336,6 @@ def evaluate_noreference(fused, lrms, pan, pan_degraded, window=32):
 
 
 METRIC_ORDER = ("psnr", "sam", "ergas", "q2n", "d_lambda", "d_s", "hqnr")
-
-
-@dataclass
-class MetricsReport:
-    """Per-sample metric rows plus run metadata (dataset, model, variant)."""
-
-    rows: list
-    metadata: dict
-
-    def means(self):
-        cols = [m for m in METRIC_ORDER if m in self.rows[0]] if self.rows else []
-        return {m: float(np.mean([r[m] for r in self.rows])) for m in cols}
-
-    def write_csv(self, path):
-        return write_report_csv(path, self.rows, metadata=self.metadata)
 
 
 def write_report_csv(path, rows, metadata=None):

@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small define-by-run engine in the micrograd tradition: every operation
-records its parents and a closure that knows how to push gradients back.
-Everything is float64; desk-scale problem sizes make the memory cost
+whose result requires grad records its parents and a closure that knows
+how to push gradients back; other results keep neither. Everything is float64; desk-scale problem sizes make the memory cost
 irrelevant and keep finite-difference checks tight.
 
 Shapes follow numpy. Image tensors are logically channels-first,
@@ -52,7 +52,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
+        # only the tape needs parent links; a result outside it holding
+        # them would keep every upstream intermediate alive
+        self._parents = _parents if self.requires_grad else ()
         self._backward_fn = None
 
     @property

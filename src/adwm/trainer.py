@@ -7,6 +7,7 @@ silently poisoning the parameters.
 """
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +25,6 @@ class TrainConfig:
     halve_every: int = 150
     batch_size: int = 16   # 64 reproduces the reference setting; 16 fits desk runs
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -57,6 +55,11 @@ def l1_loss(pred, gt):
 # ----------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 def init_adam(params):
     return {
         "t": 0,
@@ -65,21 +68,21 @@ def init_adam(params):
     }
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state, lr):
     """One bias-corrected update in place; returns the advanced state."""
     if len(params) != len(grads):
         raise ConfigurationError(
             f"{len(params)} parameters but {len(grads)} gradients"
         )
     t = state["t"] + 1
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     state["t"] = t
     return state
 
@@ -94,17 +97,24 @@ def _assemble(pairs):
     return pan, lrms, gt
 
 
-def evaluate_psnr(model, pairs):
-    """Mean PSNR over pairs with gradient tracking switched off."""
-    params = model.params()
+@contextmanager
+def _grad_flags(params, flag):
+    """Set every parameter's requires_grad for the block, then restore
+    the previous flags however the block ends."""
     saved = [p.requires_grad for p in params]
     for p in params:
-        p.requires_grad = False
+        p.requires_grad = flag
     try:
-        vals = [psnr(s.gt, model.forward(s.pan, s.lrms).data) for s in pairs]
+        yield
     finally:
         for p, r in zip(params, saved):
             p.requires_grad = r
+
+
+def evaluate_psnr(model, pairs):
+    """Mean PSNR over pairs with gradient tracking switched off."""
+    with _grad_flags(model.params(), False):
+        vals = [psnr(s.gt, model.forward(s.pan, s.lrms).data) for s in pairs]
     return float(np.mean(vals))
 
 
@@ -127,47 +137,45 @@ def train(model, train_pairs, val_pairs, cfg, out_dir):
     final_path = os.path.join(out_dir, "checkpoint_final.ckpt")
 
     params = model.params()
-    for p in params:
-        p.requires_grad = True
     state = init_adam(params)
     rng = np.random.default_rng(cfg.seed)
     best = -np.inf
     history = []
     lines = ["epoch,lr,train_l1,val_psnr"]
 
-    for epoch in range(1, cfg.epochs + 1):
-        lr = lr_at(epoch, cfg)
-        order = rng.permutation(len(train_pairs))
-        total_abs = 0.0
-        total_n = 0
-        for b0 in range(0, len(order), cfg.batch_size):
-            batch_idx = order[b0:b0 + cfg.batch_size]
-            batch = [train_pairs[i] for i in batch_idx]
-            pan, lrms, gt = _assemble(batch)
-            model.zero_grad()
-            loss = l1_loss(model.forward(pan, lrms), gt)
-            if not np.isfinite(loss.data):
-                ids = ",".join(s.id for s in batch)
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, "
-                    f"batch {b0 // cfg.batch_size} (samples {ids}); aborting"
-                )
-            loss.backward()
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                     for p in params]
-            adam_step(params, grads, state, lr,
-                      beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-            total_abs += float(loss.data) * gt.data.size
-            total_n += gt.data.size
-        train_l1 = total_abs / total_n
-        val_psnr = evaluate_psnr(model, val_pairs) if val_pairs else float("nan")
-        if val_pairs and val_psnr > best:
-            best = val_psnr
-            save_checkpoint(best_path, model)
-        history.append(
-            {"epoch": epoch, "lr": lr, "train_l1": train_l1, "val_psnr": val_psnr}
-        )
-        lines.append(f"{epoch},{lr:.10g},{train_l1:.10g},{val_psnr:.10g}")
+    with _grad_flags(params, True):
+        for epoch in range(1, cfg.epochs + 1):
+            lr = lr_at(epoch, cfg)
+            order = rng.permutation(len(train_pairs))
+            total_abs = 0.0
+            total_n = 0
+            for b0 in range(0, len(order), cfg.batch_size):
+                batch_idx = order[b0:b0 + cfg.batch_size]
+                batch = [train_pairs[i] for i in batch_idx]
+                pan, lrms, gt = _assemble(batch)
+                model.zero_grad()
+                loss = l1_loss(model.forward(pan, lrms), gt)
+                if not np.isfinite(loss.data):
+                    ids = ",".join(s.id for s in batch)
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch}, "
+                        f"batch {b0 // cfg.batch_size} (samples {ids}); aborting"
+                    )
+                loss.backward()
+                grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
+                         for p in params]
+                adam_step(params, grads, state, lr)
+                total_abs += float(loss.data) * gt.data.size
+                total_n += gt.data.size
+            train_l1 = total_abs / total_n
+            val_psnr = evaluate_psnr(model, val_pairs) if val_pairs else float("nan")
+            if val_pairs and val_psnr > best:
+                best = val_psnr
+                save_checkpoint(best_path, model)
+            history.append(
+                {"epoch": epoch, "lr": lr, "train_l1": train_l1, "val_psnr": val_psnr}
+            )
+            lines.append(f"{epoch},{lr:.10g},{train_l1:.10g},{val_psnr:.10g}")
 
     save_checkpoint(final_path, model)
     if not val_pairs or not os.path.exists(best_path):
@@ -175,8 +183,6 @@ def train(model, train_pairs, val_pairs, cfg, out_dir):
         best = float("nan")
     with open(log_path, "w") as f:
         f.write("\n".join(lines) + "\n")
-    for p in params:
-        p.requires_grad = False
     return TrainResult(
         log_path=log_path, best_path=best_path, final_path=final_path,
         best_val_psnr=float(best), history=history,

@@ -8,15 +8,16 @@ Cross-feature weighting (CFW) pools every layer's map to a channel
 profile, treats the C channels as samples of N layer features, and
 aggregates the gated maps with softmax layer weights.
 
-All entry points accept (C, H, W) features or (B, C, H, W) batches.
+`aggregate` is the one entry point over a feature stack; `ifw_apply`
+and `cfw_apply` are its two levels. Everything accepts (C, H, W)
+features or (B, C, H, W) batches.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cacw import WEIGHT_GENERATORS
+from .cacw import WEIGHT_GENERATORS, reduced_width
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
 from .tensor import Tensor, softmax, spatial_mean, stack
 
@@ -27,7 +28,6 @@ class AdwmConfig:
     channels: int
     ifw_d_fraction: float = 0.8
     cfw_d_fraction: float = 0.8
-    share_ifw: bool = False
     generator: str = "cacw"
 
     def __post_init__(self):
@@ -47,11 +47,11 @@ class AdwmConfig:
 
     @property
     def ifw_d(self):
-        return max(1, math.ceil(self.ifw_d_fraction * self.channels))
+        return reduced_width(self.ifw_d_fraction, self.channels)
 
     @property
     def cfw_d(self):
-        return max(1, math.ceil(self.cfw_d_fraction * self.n_layers))
+        return reduced_width(self.cfw_d_fraction, self.n_layers)
 
 
 def make_adwm_modules(config, seed=0):
@@ -59,18 +59,14 @@ def make_adwm_modules(config, seed=0):
 
     Returns {"ifw": [generator, ...], "cfw": generator}. IFW generators
     gate channels through a sigmoid; the CFW generator emits raw scores
-    for the downstream softmax. With share_ifw one generator instance is
-    reused across all layers.
+    for the downstream softmax.
     """
     cls = WEIGHT_GENERATORS[config.generator]
-    n_ifw = 1 if config.share_ifw else config.n_layers
     ifw = [
         cls(config.channels, d=config.ifw_d, output_activation="sigmoid",
             seed=seed * 1000 + i)
-        for i in range(n_ifw)
+        for i in range(config.n_layers)
     ]
-    if config.share_ifw:
-        ifw = ifw * config.n_layers
     cfw = cls(config.n_layers, d=config.cfw_d, output_activation="identity",
               seed=seed * 1000 + 997)
     return {"ifw": ifw, "cfw": cfw}
@@ -78,8 +74,7 @@ def make_adwm_modules(config, seed=0):
 
 def adwm_param_count(config):
     modules = make_adwm_modules(config)
-    unique = {id(m): m for m in modules["ifw"]}.values()
-    return sum(m.param_count() for m in unique) + modules["cfw"].param_count()
+    return sum(m.param_count() for m in modules["ifw"] + [modules["cfw"]])
 
 
 def _channel_observations(F):
@@ -202,16 +197,21 @@ def cfw_apply(generator, F, F_tilde):
 def aggregate(features, ifw=None, cfw=None):
     """Fuse a feature stack with the weighting levels that are switched on.
 
-    `ifw` is one channel-gate generator per layer and `cfw` the layer
-    score generator; passing one switches its level on. With both off
-    the result is the uniform mean of the stack, and identity weights
-    (gates of exactly 1, equal layer scores) reduce either level to it
-    bit for bit. Returns (fused, alphas, beta), None for a level that is
-    off.
+    The one entry point of dual-level weighting. `ifw` is one
+    channel-gate generator per layer, each built for n = C, and `cfw`
+    the layer score generator, built for n = N layers; passing one
+    switches its level on. With both off the result is the uniform mean
+    of the stack, and identity weights (gates of exactly 1, equal layer
+    scores) reduce either level to it bit for bit. Returns (fused,
+    alphas, beta), None for a level that is off.
     """
     features = [f if isinstance(f, Tensor) else Tensor(f) for f in features]
     if len(features) == 0:
         raise DimensionError("aggregation needs a nonempty feature stack")
+    if cfw is not None and cfw.n != len(features):
+        raise DimensionError(
+            f"layer score generator built for {cfw.n} layers, stack has {len(features)}"
+        )
     gated, alphas = features, None
     if ifw is not None:
         if len(ifw) != len(features):
@@ -225,17 +225,3 @@ def aggregate(features, ifw=None, cfw=None):
         return weighted_sum(gated), alphas, None
     fused, beta = cfw_apply(cfw, features, gated)
     return fused, alphas, beta
-
-
-def adwm_forward(config, modules, features):
-    """Full dual-level weighting over a recorded feature stack.
-
-    Gates every layer, then softmax-aggregates the gated stack with
-    weights generated from the ungated one.
-    """
-    if len(features) != config.n_layers:
-        raise DimensionError(
-            f"stack has {len(features)} layers, config says {config.n_layers}"
-        )
-    fused, _, _ = aggregate(features, modules["ifw"], modules["cfw"])
-    return fused

@@ -31,7 +31,6 @@ from adwm.metrics import d_lambda, d_s, ergas, hqnr, psnr, q2n, q_index, sam
 from adwm.tensor import Tensor
 from adwm.weighting import (
     AdwmConfig,
-    adwm_forward,
     aggregate,
     cfw_apply,
     make_adwm_modules,
@@ -171,7 +170,7 @@ def test_criterion_06_identity_reduction():
         modules = make_adwm_modules(cfg, seed=6)
         identity_heads(modules["ifw"], modules["cfw"])
         feats = [Tensor(rng.standard_normal((4, 6, 6))) for _ in range(3)]
-        forced = adwm_forward(cfg, modules, feats)
+        forced, _, _ = aggregate(feats, modules["ifw"], modules["cfw"])
         plain, _, _ = aggregate(feats)
         assert np.array_equal(forced.data, plain.data)
 
@@ -269,9 +268,10 @@ def test_criterion_10_complexity_accounting():
                 for p in g.params():
                     p.data[...] = 0.3 * rng.standard_normal(p.data.shape)
         feats = [rng.standard_normal((C, H, W)) for _ in range(N)]
-        fused_ref = adwm_forward(
-            cfg, modules, [Tensor(f) for f in feats]
-        ).data
+        fused_ref, _, _ = aggregate(
+            [Tensor(f) for f in feats], modules["ifw"], modules["cfw"]
+        )
+        fused_ref = fused_ref.data
         fused_loop, counts = instrumented_weighting(
             feats, modules, cfg.ifw_d, cfg.cfw_d
         )

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from adwm.backbone import (
     ModelConfig,
     PansharpenModel,
-    build_model,
     load_checkpoint,
     save_checkpoint,
     upsample_bilinear,
@@ -129,13 +130,6 @@ def test_param_count_single_level_variants():
     d_cfw = max(1, math.ceil(0.8 * N))
     assert ifw.param_count() - base.param_count() == N * (d_ifw * C + 2 * d_ifw + 1)
     assert cfw.param_count() - base.param_count() == d_cfw * N + 2 * d_cfw + 1
-
-
-def test_shared_gates_reduce_params():
-    shared = PansharpenModel(tiny_config("adwm", share_ifw=True))
-    separate = PansharpenModel(tiny_config("adwm"))
-    per_gen = shared.ifw[0].param_count()
-    assert separate.param_count() - shared.param_count() == per_gen  # N=2: one saved
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +336,21 @@ def test_checkpoint_bad_magic(tmp_path):
     assert e.value.offset == 0
 
 
+def test_format_1_checkpoint_is_format_error(tmp_path):
+    # format 1 wrote the same layout with a share_ifw config key
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, PansharpenModel(tiny_config("adwm")))
+    raw = p.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    cfg = json.loads(raw[12:12 + n])
+    cfg["share_ifw"] = False
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    p.write_bytes(raw[:4] + struct.pack("<II", 1, len(blob)) + blob + raw[12 + n:])
+    with pytest.raises(FormatError) as e:
+        load_checkpoint(p)
+    assert e.value.offset == 4
+
+
 def test_checkpoint_truncated(tmp_path):
     model = PansharpenModel(tiny_config("adwm", bands=1, channels=2, blocks=1))
     p = tmp_path / "m.ckpt"
@@ -388,9 +397,3 @@ def test_checkpoint_trailing_bytes(tmp_path):
     p.write_bytes(p.read_bytes() + b"\x00\x00")
     with pytest.raises(FormatError):
         load_checkpoint(p)
-
-
-def test_build_model_helper():
-    m = build_model(tiny_config("ifw"), seed=2)
-    assert isinstance(m, PansharpenModel)
-    assert m.cfw is None and m.ifw is not None

@@ -19,7 +19,6 @@ from adwm.cacw import (
     generate_weights,
     normalize_covariance,
     pca_eigendecompose,
-    pca_project,
 )
 
 
@@ -274,7 +273,7 @@ def test_pca_project_full_basis_preserves_variance():
         X = rng.standard_normal((m, n)) * rng.uniform(0.5, 5)
         C = compute_covariance(Tensor(X)).data
         res = pca_eigendecompose(C)
-        Y = pca_project(X, res.eigenvectors)
+        Y = res.eigenvectors.T @ (X - X.mean(axis=0)).T
         var_y = (Y * Y).sum() / (m - 1)
         assert abs(var_y - np.trace(C)) < 1e-8 * max(1.0, np.trace(C))
 
@@ -282,23 +281,9 @@ def test_pca_project_full_basis_preserves_variance():
 def test_pca_project_top1_captures_lambda1():
     X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     res = pca_eigendecompose(compute_covariance(Tensor(X)).data)
-    Y = pca_project(X, res.basis(1))
+    Y = res.basis(1).T @ (X - X.mean(axis=0)).T
     captured = (Y * Y).sum() / (X.shape[0] - 1)
     assert abs(captured - 8.0) < 1e-9
-
-
-def test_pca_project_identity_columns():
-    rng = np.random.default_rng(13)
-    X = rng.standard_normal((7, 5))
-    P = np.eye(5)[:, :2]
-    Y = pca_project(X, P)
-    centered = X - X.mean(axis=0)
-    assert np.allclose(Y, centered.T[:2], atol=1e-12)
-
-
-def test_pca_project_oversized_basis():
-    with pytest.raises(DimensionError):
-        pca_project(np.ones((4, 3)), np.ones((3, 4)))
 
 
 def test_scree_energy_dominates_random_projections():
@@ -328,6 +313,17 @@ def test_generator_shape_contract(cls):
     for bad in (dict(n=8, output_activation="softmax"), dict(n=0), dict(n=8, d=0)):
         with pytest.raises(ConfigurationError):
             cls(**bad)
+
+
+@pytest.mark.parametrize("cls", [CacwModule, PoolWeights, AttentionWeights, PcaWeights])
+def test_generator_rejects_other_widths(cls):
+    # a generator built for n = 4 must not score 3 or 8 features, nor a
+    # vector without a sample axis
+    rng = np.random.default_rng(17)
+    gen = cls(n=4, seed=5)
+    for shape in ((16, 3), (16, 8), (2, 16, 8), (4,)):
+        with pytest.raises(DimensionError):
+            gen.forward(Tensor(rng.standard_normal(shape)))
 
 
 @pytest.mark.parametrize("cls", [CacwModule, PoolWeights, AttentionWeights, PcaWeights])

@@ -127,6 +127,17 @@ def test_eval_truncated_checkpoint_exits_2(tmp_path, data_dir, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_eval_format_1_checkpoint_exits_2(tmp_path, run_dir, data_dir, capsys):
+    raw = bytearray(open(os.path.join(run_dir, "checkpoint_final.ckpt"), "rb").read())
+    struct.pack_into("<I", raw, 4, 1)
+    ckpt = tmp_path / "v1.ckpt"
+    ckpt.write_bytes(bytes(raw))
+    rc = main(["eval", "--model", str(ckpt), "--data", data_dir,
+               "--report", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert "version 1" in capsys.readouterr().err
+
+
 def test_train_empty_manifest_exits_2(tmp_path, capsys):
     d = tmp_path / "d"
     d.mkdir()

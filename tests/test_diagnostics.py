@@ -19,7 +19,7 @@ from adwm.diagnostics import (
 )
 from adwm.errors import ConfigurationError, DegenerateSampleError, DimensionError
 from adwm.tensor import Tensor
-from adwm.weighting import AdwmConfig, adwm_forward, make_adwm_modules
+from adwm.weighting import AdwmConfig, aggregate, make_adwm_modules
 
 
 def make_pair(seed=0, H=16, W=16, c=2):
@@ -314,7 +314,9 @@ def test_count_flops_matches_instrumented_run():
                 p.data[...] = 0.3 * rng.standard_normal(p.data.shape)
     features = [rng.standard_normal((C, H, W)) for _ in range(N)]
 
-    fused_ref = adwm_forward(cfg, modules, [Tensor(f) for f in features]).data
+    fused_ref, _, _ = aggregate([Tensor(f) for f in features],
+                                modules["ifw"], modules["cfw"])
+    fused_ref = fused_ref.data
     fused_loop, counts = instrumented_weighting(
         features, modules, cfg.ifw_d, cfg.cfw_d
     )

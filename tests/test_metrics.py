@@ -4,7 +4,6 @@ import pytest
 from adwm.errors import ConfigurationError, DimensionError, UsageError
 from adwm.metrics import (
     _EPS,
-    MetricsReport,
     _cd_conj,
     _cd_mul,
     _check_same_shape,
@@ -689,15 +688,3 @@ def test_report_csv_validation(tmp_path):
             tmp_path / "y.csv",
             [{"id": "a", "psnr": 1.0}, {"id": "b"}],
         )
-
-
-def test_metrics_report_type(tmp_path):
-    rep = MetricsReport(
-        rows=[{"id": "a", "psnr": 10.0}, {"id": "b", "psnr": 20.0}],
-        metadata={"dataset": "synthetic", "variant": "cfw"},
-    )
-    assert rep.means() == {"psnr": 15.0}
-    rep.write_csv(tmp_path / "r.csv")
-    text = (tmp_path / "r.csv").read_text()
-    assert "# dataset=synthetic" in text
-    assert "mean,15" in text

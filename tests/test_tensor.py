@@ -403,6 +403,26 @@ def test_backward_releases_tape_without_gc():
     assert x.grad is not None and k.grad is not None
 
 
+def test_results_outside_the_tape_keep_no_parents():
+    # with no gradient to carry, an intermediate must free as soon as its
+    # consumer is built rather than live as long as the consumer does
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((2, 3, 5, 5)))
+    k = Tensor(rng.standard_normal((4, 3, 3, 3)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hidden = conv2d(x, k).leaky_relu()
+        ref = weakref.ref(hidden)
+        out = (hidden * hidden).mean()
+        del hidden
+        assert ref() is None
+        assert out._parents == ()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ----------------------------------------------------------------------
 # gradcheck over every op
 

@@ -211,6 +211,9 @@ def test_nan_loss_aborts_with_batch_id(tmp_path):
         train(model, pairs, [], cfg, out_dir=tmp_path)
     assert "sample_00002" in str(e.value)
     assert "epoch 1" in str(e.value)
+    # the abort hands the parameters back outside the tape
+    assert not any(p.requires_grad for p in model.params())
+    assert not model.forward(pairs[0].pan, pairs[0].lrms).requires_grad
 
 
 def test_empty_training_set(tmp_path):

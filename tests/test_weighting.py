@@ -12,7 +12,6 @@ from adwm import (
 from adwm.cacw import CacwModule
 from adwm.weighting import (
     AdwmConfig,
-    adwm_forward,
     adwm_param_count,
     aggregate,
     cfw_apply,
@@ -221,7 +220,7 @@ def test_adwm_zero_heads_closed_form():
     config = AdwmConfig(n_layers=3, channels=4)
     modules = make_adwm_modules(config, seed=11)
     F = stack_of(rng, 3)
-    out = adwm_forward(config, modules, F)
+    out, _, _ = aggregate(F, modules["ifw"], modules["cfw"])
     expect = 0.5 / 3 * sum(f.data for f in F)
     assert np.allclose(out.data, expect, atol=1e-12)
 
@@ -233,7 +232,7 @@ def test_adwm_identity_reduction_bit_exact():
         modules = identity_modules(config, seed=n)
         for batch in (None, 2):
             F = stack_of(rng, n, batch=batch)
-            forced = adwm_forward(config, modules, F)
+            forced, _, _ = aggregate(F, modules["ifw"], modules["cfw"])
             baseline, _, _ = aggregate(F)
             assert np.array_equal(forced.data, baseline.data)
 
@@ -273,7 +272,7 @@ def test_adwm_gradcheck_end_to_end():
     all_params.extend(modules["cfw"].params())
 
     def fn(a, b, c, *params):
-        out = adwm_forward(config, modules, [a, b, c])
+        out, _, _ = aggregate([a, b, c], modules["ifw"], modules["cfw"])
         return (out * out).sum()
 
     err = gradcheck(fn, list(F) + all_params)
@@ -286,7 +285,7 @@ def test_adwm_output_shape_contract():
         config = AdwmConfig(n_layers=n, channels=c)
         modules = make_adwm_modules(config)
         F = stack_of(rng, n, c=c, h=h, w=w)
-        out = adwm_forward(config, modules, F)
+        out, _, _ = aggregate(F, modules["ifw"], modules["cfw"])
         assert out.shape == (c, h, w)
 
 
@@ -295,20 +294,22 @@ def test_adwm_batched_matches_per_sample():
     config = AdwmConfig(n_layers=2, channels=4)
     modules = randomized_modules(config, seed=15)
     F = stack_of(rng, 2, batch=3)
-    out = adwm_forward(config, modules, F)
+    out, _, _ = aggregate(F, modules["ifw"], modules["cfw"])
     for b in range(3):
-        single = adwm_forward(config, modules, [Tensor(f.data[b]) for f in F])
+        single, _, _ = aggregate([Tensor(f.data[b]) for f in F],
+                                 modules["ifw"], modules["cfw"])
         assert np.allclose(out.data[b], single.data, atol=1e-12)
 
 
-def test_share_ifw_reuses_one_generator():
-    config = AdwmConfig(n_layers=4, channels=6, share_ifw=True)
-    modules = make_adwm_modules(config)
-    assert len({id(m) for m in modules["ifw"]}) == 1
-    shared = adwm_param_count(config)
-    per_layer = adwm_param_count(AdwmConfig(n_layers=4, channels=6))
-    ifw_single = modules["ifw"][0].param_count()
-    assert per_layer - shared == 3 * ifw_single
+@pytest.mark.parametrize("generator", ["cacw", "pool", "attention", "pca"])
+def test_aggregate_rejects_cfw_for_other_layer_count(generator):
+    rng = np.random.default_rng(19)
+    F = stack_of(rng, 3)
+    ifw = make_adwm_modules(AdwmConfig(n_layers=3, channels=4, generator=generator))["ifw"]
+    cfw = make_adwm_modules(AdwmConfig(n_layers=2, channels=4, generator=generator))["cfw"]
+    for gates in (None, ifw):
+        with pytest.raises(DimensionError):
+            aggregate(F, gates, cfw)
 
 
 def test_config_validation():
