@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .cacw import WEIGHT_GENERATORS
 from .data import TNSR_MAGIC, tensor_from_bytes, tensor_to_bytes
 from .errors import ConfigurationError, DimensionError, FormatError
 from .tensor import Tensor, concat, conv2d
@@ -72,6 +73,11 @@ class ModelConfig:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; choose from {VARIANTS}"
             )
+        if self.generator not in WEIGHT_GENERATORS:
+            raise ConfigurationError(
+                f"unknown weight generator {self.generator!r}; "
+                f"choose from {sorted(WEIGHT_GENERATORS)}"
+            )
 
     def weighting_config(self):
         return AdwmConfig(
@@ -94,40 +100,47 @@ def _interp_axis(length, factor):
     return i0, i1, src - i0
 
 
-def _gather_last(arr, i0, i1, frac):
-    return arr[..., i0] * (1.0 - frac) + arr[..., i1] * frac
+def _gather(arr, axis, i0, i1, frac):
+    """Linear interpolation along `axis`, counted from the end."""
+    frac = frac.reshape((-1,) + (1,) * (-axis - 1))
+    return arr.take(i0, axis) * (1.0 - frac) + arr.take(i1, axis) * frac
 
 
-def _scatter_last(grad, length, i0, i1, frac):
-    out = np.zeros(grad.shape[:-1] + (length,))
-    np.add.at(out, (Ellipsis, i0), grad * (1.0 - frac))
-    np.add.at(out, (Ellipsis, i1), grad * frac)
+def _scatter(grad, axis, length, i0, i1, frac):
+    """Adjoint of `_gather`: spread `grad` back onto `length` positions."""
+    shape = list(grad.shape)
+    shape[axis] = length
+    out = np.zeros(shape)
+    frac = frac.reshape((-1,) + (1,) * (-axis - 1))
+    trail = (slice(None),) * (-axis - 1)
+    np.add.at(out, (Ellipsis, i0) + trail, grad * (1.0 - frac))
+    np.add.at(out, (Ellipsis, i1) + trail, grad * frac)
     return out
 
 
 def upsample_bilinear(x, factor):
-    """Separable bilinear resize of the trailing two axes by `factor`.
+    """Separable bilinear resize of the (h, w) axes of (..., h, w, c).
 
-    Half-pixel (align-corners-false) sampling with edge clamping, so a
-    constant image stays constant and factor 1 is the exact identity.
+    Rows are resized first, then columns. Half-pixel (align-corners-false)
+    sampling with edge clamping, so a constant image stays constant and
+    factor 1 is the exact identity.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.ndim < 2:
-        raise DimensionError(f"need at least 2 spatial axes, got shape {x.shape}")
+    if x.ndim < 3:
+        raise DimensionError(f"need (..., h, w, c), got shape {x.shape}")
     if factor < 1 or int(factor) != factor:
         raise ConfigurationError(f"factor must be a positive integer, got {factor}")
     factor = int(factor)
-    h, w = x.shape[-2], x.shape[-1]
+    h, w = x.shape[-3], x.shape[-2]
     ri0, ri1, rf = _interp_axis(h, factor)
     ci0, ci1, cf = _interp_axis(w, factor)
-    rows = _gather_last(x.data.swapaxes(-1, -2), ri0, ri1, rf).swapaxes(-1, -2)
-    data = _gather_last(rows, ci0, ci1, cf)
+    rows = _gather(x.data, -3, ri0, ri1, rf)
+    data = _gather(rows, -2, ci0, ci1, cf)
     out = Tensor(data, x.requires_grad, (x,))
     if x.requires_grad:
         def _backward():
-            g = _scatter_last(out.grad, w, ci0, ci1, cf)
-            g = _scatter_last(g.swapaxes(-1, -2), h, ri0, ri1, rf).swapaxes(-1, -2)
-            x._accumulate(g)
+            g = _scatter(out.grad, -2, w, ci0, ci1, cf)
+            x._accumulate(_scatter(g, -3, h, ri0, ri1, rf))
 
         out._backward = _backward
     return out
@@ -195,13 +208,13 @@ class PansharpenModel:
             p.zero_grad()
 
     def forward(self, pan, lrms, return_weights=False):
-        """pan (H,W) or (B,H,W); lrms (h,w,c) or (B,h,w,c), channel-last.
+        """pan (H,W) or (B,H,W); lrms (h,w,c) or (B,h,w,c), channels last.
 
-        Returns the fused image in the same channel-last layout; with
+        Returns the fused (H, W, c) or (B, H, W, c) image; with
         return_weights also a dict of the raw weighting outputs, "alpha"
         (per-block channel gates) and "beta" (pre-softmax layer scores),
         None where the variant has none, plus "features", the detached
-        per-block feature maps.
+        per-block (H, W, C) or (B, H, W, C) feature maps.
         """
         pan = pan if isinstance(pan, Tensor) else Tensor(pan)
         lrms = lrms if isinstance(lrms, Tensor) else Tensor(lrms)
@@ -228,16 +241,17 @@ class PansharpenModel:
                 f"batch mismatch: pan {pan.shape[0]} vs lrms {lrms.shape[0]}"
             )
 
-        cf = lrms.transpose(0, 3, 1, 2) if batched else lrms.transpose(2, 0, 1)
-        up = upsample_bilinear(cf, s)
-        p = pan.reshape((pan.shape[0], 1, H, W) if batched else (1, H, W))
-        x = concat([p, up], axis=-3)
+        up = upsample_bilinear(lrms, s)
+        x = concat([pan.reshape(pan.shape + (1,)), up], axis=-1)
 
-        f = (conv2d(x, self.enc_w) + self.enc_b.reshape((-1, 1, 1))).leaky_relu()
+        # a (1, 1, C) bias makes `_unbroadcast` sum the batch axis first
+        # and H, W second; a plain (C,) one would sum all three at once
+        # and round the bias gradients differently
+        f = (conv2d(x, self.enc_w) + self.enc_b.reshape((1, 1, -1))).leaky_relu()
         features = []
         for blk in self.blocks:
-            y = conv2d(f, blk["w1"]) + blk["b1"].reshape((-1, 1, 1))
-            y = conv2d(y.leaky_relu(), blk["w2"]) + blk["b2"].reshape((-1, 1, 1))
+            y = conv2d(f, blk["w1"]) + blk["b1"].reshape((1, 1, -1))
+            y = conv2d(y.leaky_relu(), blk["w2"]) + blk["b2"].reshape((1, 1, -1))
             f = f + y
             features.append(f)
 
@@ -245,8 +259,7 @@ class PansharpenModel:
             fused, alphas, beta = features[-1], None, None
         else:
             fused, alphas, beta = aggregate(features, self.ifw, self.cfw)
-        out = up + conv2d(fused, self.dec_w) + self.dec_b.reshape((-1, 1, 1))
-        hhat = out.transpose(0, 2, 3, 1) if batched else out.transpose(1, 2, 0)
+        hhat = up + conv2d(fused, self.dec_w) + self.dec_b.reshape((1, 1, -1))
         if return_weights:
             return hhat, {"alpha": alphas, "beta": beta,
                           "features": [f.detach() for f in features]}

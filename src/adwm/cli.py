@@ -60,38 +60,28 @@ def _parse_bool(raw):
     raise ValueError(f"cannot read {raw!r} as a boolean")
 
 
-def _apply_config(args, argv):
-    """Fill unset flags from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    file_vals = _read_config_file(args.config)
-    explicit = {
-        tok[2:].split("=", 1)[0].replace("-", "_")
-        for tok in argv if tok.startswith("--")
-    }
-    actions = {a.dest: a for a in args._subparser._actions}
-    for key, raw in file_vals.items():
+def _config_tokens(args):
+    """The --config file's entries as flag tokens for the command's parser."""
+    actions = {a.dest: a for a in args._subparser._actions
+               if a.option_strings and a.dest != "help"}
+    tokens = []
+    for key, raw in _read_config_file(args.config).items():
         if key == "config":
             continue
         action = actions.get(key)
         if action is None:
             raise UsageError(f"config file sets unknown option {key!r}")
-        if key in explicit:
-            continue
-        try:
-            if isinstance(action, argparse._StoreTrueAction):
-                val = _parse_bool(raw)
-            elif action.nargs == 2:
-                parts = raw.replace(",", " ").split()
-                if len(parts) != 2:
-                    raise ValueError("expected two values")
-                val = [(action.type or str)(p) for p in parts]
-            else:
-                val = (action.type or str)(raw)
-        except ValueError as e:
-            raise UsageError(f"config value {key}={raw!r}: {e}")
-        setattr(args, key, val)
-    return args
+        flag = action.option_strings[-1]
+        if isinstance(action, argparse._StoreTrueAction):
+            try:
+                tokens += [flag] if _parse_bool(raw) else []
+            except ValueError as e:
+                raise UsageError(f"config value {key}={raw!r}: {e}")
+        elif action.nargs == 2:
+            tokens += [flag] + raw.replace(",", " ").split()
+        else:
+            tokens.append(f"{flag}={raw}")
+    return tokens
 
 
 def _check_required(args):
@@ -119,9 +109,14 @@ def _split_pairs(pairs, test_count):
     return [by_id[i] for i in train_ids], [by_id[i] for i in test_ids]
 
 
-def _run_training(args, variant, out_dir, d_frac=None, generator=None):
+def _training_set(args):
+    """(manifest rows, train pairs, validation pairs), read once per command."""
     rows, pairs = _load_pairs(args.data)
-    bands = rows[0]["c"]
+    return (rows,) + _split_pairs(pairs, args.test_count)
+
+
+def _run_training(args, dataset, variant, out_dir, d_frac=None, generator=None):
+    rows, train_pairs, val_pairs = dataset
     if d_frac is None:
         try:
             d_frac = float(args.d_frac)
@@ -130,12 +125,11 @@ def _run_training(args, variant, out_dir, d_frac=None, generator=None):
                              f"got {args.d_frac!r}")
     gen = generator if generator is not None else getattr(args, "generator", "cacw")
     cfg = ModelConfig(
-        bands=bands, channels=args.channels, blocks=args.blocks,
+        bands=rows[0]["c"], channels=args.channels, blocks=args.blocks,
         variant=variant, ifw_d_fraction=d_frac, cfw_d_fraction=d_frac,
         generator=gen,
     )
     model = PansharpenModel(cfg, seed=args.seed)
-    train_pairs, val_pairs = _split_pairs(pairs, args.test_count)
     tcfg = TrainConfig(
         epochs=args.epochs, lr0=args.lr0, batch_size=args.batch_size,
         seed=args.seed, halve_every=args.halve_every,
@@ -156,10 +150,11 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     variants = list(VARIANT_CHOICES[:-1]) if args.variant == "all" else [args.variant]
+    dataset = _training_set(args)
     for variant in variants:
         out_dir = (os.path.join(args.out, variant)
                    if args.variant == "all" else args.out)
-        result, _ = _run_training(args, variant, out_dir)
+        result, _ = _run_training(args, dataset, variant, out_dir)
         print(f"{variant}: best_val_psnr={result.best_val_psnr:.4f} "
               f"final={result.final_path}")
         if args.log and args.variant != "all":
@@ -208,7 +203,7 @@ def cmd_eval(args):
 
 def cmd_diagnose(args):
     model = load_checkpoint(args.model)
-    rows, _ = _load_pairs(args.data)
+    rows = read_manifest(args.data)
     probe = load_sample(args.data, args.sample or rows[0]["id"])
     os.makedirs(args.out, exist_ok=True)
 
@@ -270,8 +265,8 @@ def cmd_compare(args):
                 f"choose from {sorted(WEIGHT_GENERATORS)}"
             )
     fracs = [float(x) for x in str(args.d_frac).split(",")]
-    rows, _ = _load_pairs(args.data)
-    H, W = rows[0]["H"], rows[0]["W"]
+    dataset = _training_set(args)
+    H, W = dataset[0][0]["H"], dataset[0][0]["W"]
     os.makedirs(args.out, exist_ok=True)
 
     lines = [
@@ -284,7 +279,7 @@ def cmd_compare(args):
         for frac in fracs:
             run_dir = os.path.join(args.out, f"{method}_d{frac:g}")
             result, model = _run_training(
-                args, "adwm", run_dir, d_frac=frac, generator=method
+                args, dataset, "adwm", run_dir, d_frac=frac, generator=method
             )
             params = adwm_param_count(model.config.weighting_config())
             flops = diagnostics.count_flops(
@@ -322,8 +317,7 @@ def _gradcheck_suite(seed, corrupt=False):
             [t(3, 3), Tensor(rng.standard_normal((3, 3)) + 3.0)])),
         ("matmul", lambda: gradcheck(lambda a, b: (a @ b).sum(), [t(3, 4), t(4, 2)])),
         ("conv2d", lambda: gradcheck(
-            lambda x, k: conv2d(x, k).sum(), [t(2, 5, 5), fixed_k])),
-        ("relu", lambda: gradcheck(lambda a: a.relu().sum(), t(4, 4))),
+            lambda x, k: conv2d(x, k).sum(), [t(5, 5, 2), fixed_k])),
         ("leaky_relu", lambda: gradcheck(lambda a: a.leaky_relu().sum(), t(4, 4))),
         ("sigmoid", lambda: gradcheck(lambda a: a.sigmoid().sum(), t(4, 4))),
         ("sqrt", lambda: gradcheck(
@@ -345,7 +339,7 @@ def _gradcheck_suite(seed, corrupt=False):
         ("stack", lambda: gradcheck(
             lambda a, b: stack([a, b], axis=0).abs().sum(), [t(2, 3), t(2, 3)])),
         ("upsample", lambda: gradcheck(
-            lambda a: upsample_bilinear(a, 2).abs().sum(), t(2, 3, 3))),
+            lambda a: upsample_bilinear(a, 2).abs().sum(), t(3, 3, 2))),
         ("covariance", lambda: gradcheck(
             lambda X: compute_covariance(X).abs().sum(), t(8, 3))),
         ("correlation", lambda: gradcheck(
@@ -507,7 +501,11 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        args = _apply_config(args, argv)
+        if args.config:
+            # file entries go ahead of the command line's own flags, so a
+            # flag given there wins by position
+            at = argv.index(args.command) + 1
+            args = ap.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         _check_required(args)
         return args.fn(args)
     except NumericError as e:

@@ -50,10 +50,10 @@ def spectrum_entropy(scree):
 
 
 def feature_covariance(F):
-    """Channel covariance of one (C, H, W) feature map as plain numpy."""
+    """Channel covariance of one (H, W, C) feature map as plain numpy."""
     F = F if isinstance(F, Tensor) else Tensor(F)
     if F.ndim != 3:
-        raise DimensionError(f"need a (C, H, W) feature map, got {F.shape}")
+        raise DimensionError(f"need an (H, W, C) feature map, got {F.shape}")
     return compute_covariance(_channel_observations(F)).data
 
 

@@ -2,23 +2,22 @@
 
 Small define-by-run engine in the micrograd tradition: every operation
 whose result requires grad records its parents and a closure that knows
-how to push gradients back; other results keep neither. Everything is float64; desk-scale problem sizes make the memory cost
-irrelevant and keep finite-difference checks tight.
+how to push gradients back; other results keep neither. Everything is
+float64; desk-scale problem sizes make the memory cost irrelevant and
+keep finite-difference checks tight.
 
-Shapes follow numpy. Image tensors are logically channels-first,
-(C, H, W), with an optional leading batch axis (B, C, H, W) accepted by
-the image ops. Memory order is another matter: `conv2d` returns views
-whose memory is channels-last, (B, H, W, C), and numpy's elementwise ops
-keep the memory order of their operands, so a backbone's activations
-stay channels-last from one conv to the next.
+Shapes follow numpy. Image tensors are channels-last, (H, W, C), with an
+optional leading batch axis (B, H, W, C) accepted by the image ops. The
+backbone's images are C-contiguous in that order, so no image op
+transposes them.
 
 `conv2d` builds no patch matrix. It pads the batch once into a flat
-channels-last (B*Hp*Wp, C_in) buffer, where every kernel tap is a
-constant shift of rows, and adds up one GEMM per tap over row slices of
-that buffer: the kn2row family of Anderson et al. 2017, "Low-memory
-GEMM-based convolution algorithms for deep neural networks", over an HWC
-layout. Each tap GEMM is a tall (rows, C_in) @ (C_in, C_out) product.
-Both gradients are the same shifted GEMMs run as adjoints; the `conv2d`
+(B*Hp*Wp, C_in) buffer, where every kernel tap is a constant shift of
+rows, and adds up one GEMM per tap over row slices of that buffer: the
+kn2row family of Anderson et al. 2017, "Low-memory GEMM-based
+convolution algorithms for deep neural networks", over an HWC layout.
+Each tap GEMM is a tall (rows, C_in) @ (C_in, C_out) product. Both
+gradients are the same shifted GEMMs run as adjoints; the `conv2d`
 docstring has the index arithmetic.
 """
 
@@ -237,16 +236,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # nonlinearities
 
-    def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), self.requires_grad, (self,))
-
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * (self.data > 0))
-
-        out._backward = _backward
-        return out
-
     def leaky_relu(self, slope=0.01):
         out = Tensor(
             np.where(self.data > 0, self.data, slope * self.data),
@@ -442,12 +431,12 @@ def softmax(v, axis=-1):
 def spatial_mean(f):
     """Per-channel mean over the spatial axes.
 
-    (C, H, W) -> (C,), or (B, C, H, W) -> (B, C).
+    (H, W, C) -> (C,), or (B, H, W, C) -> (B, C).
     """
     f = Tensor._coerce(f)
     if f.ndim not in (3, 4):
-        raise DimensionError(f"spatial_mean expects (C,H,W) or (B,C,H,W), got {f.shape}")
-    return f.mean(axis=(-2, -1))
+        raise DimensionError(f"spatial_mean expects (H,W,C) or (B,H,W,C), got {f.shape}")
+    return f.mean(axis=(-3, -2))
 
 
 def concat(tensors, axis=0):
@@ -495,17 +484,16 @@ _BLOCK = 2048
 
 
 def _flat_grid(a, lead, p, hp, wp):
-    """Copy (B, C, h, w) into a flat channels-last (lead + B*hp*wp, C) buffer.
+    """Copy (B, h, w, C) into a flat (lead + B*hp*wp, C) buffer.
 
     Each image lands in its own hp x wp cell of rows at offset (p, p); the
     cells are laid out back to back after `lead` rows. Everything outside
-    the images is zero. A source already in (B, h, w, C) memory order, as
-    every `conv2d` output and the elementwise ops on it are, copies as runs
-    of contiguous rows. `np.empty` reuses heap pages where `np.zeros` would
-    map fresh ones, and writing the zeros and the images separately touches
-    each element once.
+    the images is zero. A C-contiguous source, as every `conv2d` output
+    and the elementwise ops on it are, copies as runs of contiguous rows.
+    `np.empty` reuses heap pages where `np.zeros` would map fresh ones, and
+    writing the zeros and the images separately touches each element once.
     """
-    b, c, h, w = a.shape
+    b, h, w, c = a.shape
     buf = np.empty((lead + b * hp * wp, c))
     buf[:lead] = 0.0
     grid = buf[lead:].reshape(b, hp, wp, c)
@@ -513,7 +501,7 @@ def _flat_grid(a, lead, p, hp, wp):
     grid[:, p + h:] = 0.0
     grid[:, p:p + h, :p] = 0.0
     grid[:, p:p + h, p + w:] = 0.0
-    grid[:, p:p + h, p:p + w] = a.transpose(0, 2, 3, 1)
+    grid[:, p:p + h, p:p + w] = a
     return buf
 
 
@@ -549,24 +537,24 @@ def _tap_products(a, src, offsets):
 def conv2d(x, k, padding=1):
     """2-D cross-correlation with zero padding, as shifted GEMMs.
 
-    x: (C_in, H, W) or (B, C_in, H, W); k: (C_out, C_in, kh, kw) with odd
-    square spatial size; `padding` must preserve H and W. Gradients are
-    defined for both operands.
+    x: (H, W, C_in) or (B, H, W, C_in); k: (C_out, C_in, kh, kw) with odd
+    square spatial size; `padding` must preserve H and W. Returns
+    (..., H, W, C_out). Gradients are defined for both operands.
 
-    The input is padded once into a contiguous channels-last (B, Hp, Wp,
-    C_in) buffer and read flat as X, shape (L, C_in) with L = B*Hp*Wp.
-    Output pixel (b, r, c) is row q = b*Hp*Wp + r*Wp + c, and kernel tap
-    (i, j) reads X at row q + o with o = i*Wp + j. So one GEMM per tap,
+    The input is padded once into a contiguous (B, Hp, Wp, C_in) buffer
+    and read flat as X, shape (L, C_in) with L = B*Hp*Wp. Output pixel
+    (b, r, c) is row q = b*Hp*Wp + r*Wp + c, and kernel tap (i, j) reads X
+    at row q + o with o = i*Wp + j. So one GEMM per tap,
 
         Y[:M] += X[o:o+M] @ K[:, :, i, j].T,  M = L - (kh-1)*Wp - (kw-1),
 
     covers the whole batch, and the output is the valid (H, W) corner of
     each Hp x Wp cell of Y. Rows outside that corner, including the ones
     whose taps straddle two images, are computed and never read. The
-    result is returned as a (B, C_out, H, W) view of Y, so its memory stays
-    channels-last and the next conv's padded copy is a run of row copies.
-    The backward pass places the output gradient in the same corners with
-    zeros elsewhere, dY, and runs the adjoint of each tap:
+    result is returned as the (B, H, W, C_out) view of Y, so the next
+    conv's padded copy is a run of row copies. The backward pass places
+    the output gradient in the same corners with zeros elsewhere, dY, and
+    runs the adjoint of each tap:
 
         gk[:, :, i, j] = dY[:M].T @ X[o:o+M]
         dX[o:o+M]     += dY[:M] @ K[:, :, i, j]
@@ -591,13 +579,13 @@ def conv2d(x, k, padding=1):
         )
     batched = x.ndim == 4
     if x.ndim not in (3, 4):
-        raise DimensionError(f"input must be (C,H,W) or (B,C,H,W), got {x.shape}")
+        raise DimensionError(f"input must be (H,W,C) or (B,H,W,C), got {x.shape}")
     xd = x.data if batched else x.data[None]
-    if xd.shape[1] != cin:
+    if xd.shape[-1] != cin:
         raise DimensionError(
-            f"input channels {xd.shape[1]} do not match kernel C_in {cin}"
+            f"input channels {xd.shape[-1]} do not match kernel C_in {cin}"
         )
-    b, _, h, w = xd.shape
+    b, h, w, _ = xd.shape
     p = padding
     hp, wp = h + 2 * p, w + 2 * p
     n = b * hp * wp
@@ -608,7 +596,7 @@ def conv2d(x, k, padding=1):
     taps = np.ascontiguousarray(k.data.transpose(2, 3, 1, 0))
     taps = taps.reshape(kh * kw, cin, cout)
     yf = _shifted_gemm(taps, offsets, xf, np.empty((n, cout)))
-    y = yf.reshape(b, hp, wp, cout)[:, :h, :w].transpose(0, 3, 1, 2)
+    y = yf.reshape(b, hp, wp, cout)[:, :h, :w]
     out = Tensor(y if batched else y[0], x.requires_grad or k.requires_grad, (x, k))
 
     if out.requires_grad:
@@ -623,7 +611,6 @@ def conv2d(x, k, padding=1):
                 flipped = np.ascontiguousarray(flipped).reshape(kh * kw, cout, cin)
                 dxf = _shifted_gemm(flipped, offsets, dyf, np.empty((n, cin)))
                 gx = dxf.reshape(b, hp, wp, cin)[:, p:p + h, p:p + w]
-                gx = gx.transpose(0, 3, 1, 2)
                 x._accumulate(gx if batched else gx[0])
 
         out._backward = _backward

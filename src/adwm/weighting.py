@@ -9,8 +9,8 @@ profile, treats the C channels as samples of N layer features, and
 aggregates the gated maps with softmax layer weights.
 
 `aggregate` is the one entry point over a feature stack; `ifw_apply`
-and `cfw_apply` are its two levels. Everything accepts (C, H, W)
-features or (B, C, H, W) batches.
+and `cfw_apply` are its two levels. Everything accepts channels-last
+(H, W, C) features or (B, H, W, C) batches.
 """
 
 from dataclasses import dataclass
@@ -78,45 +78,36 @@ def adwm_param_count(config):
 
 
 def _channel_observations(F):
-    """Reshape (.., C, H, W) so spatial positions are rows: (.., H*W, C).
+    """Read (.., H, W, C) flat so spatial positions are rows: (.., H*W, C).
 
-    A view, with unit channel stride, when F is held in channels-last
-    memory, as `conv2d` outputs and the backbone's features are.
+    A view of F whenever F is C-contiguous, as the backbone's features are.
     """
-    if F.ndim == 3:
-        c, h, w = F.shape
-        return F.reshape(c, h * w).transpose(1, 0)
-    b, c, h, w = F.shape
-    return F.reshape(b, c, h * w).transpose(0, 2, 1)
+    return F.reshape(F.shape[:-3] + (F.shape[-3] * F.shape[-2], F.shape[-1]))
 
 
 def ifw_apply(generator, F_i):
     """Gate one feature map by its channel weights.
 
-    F_i: (C, H, W) or (B, C, H, W) with H*W >= 2. Returns (gated map,
+    F_i: (H, W, C) or (B, H, W, C) with H*W >= 2. Returns (gated map,
     alpha) where alpha has shape (C,) or (B, C).
     """
     F_i = F_i if isinstance(F_i, Tensor) else Tensor(F_i)
     if F_i.ndim not in (3, 4):
-        raise DimensionError(f"feature map must be (C,H,W) or (B,C,H,W), got {F_i.shape}")
-    h, w = F_i.shape[-2], F_i.shape[-1]
+        raise DimensionError(f"feature map must be (H,W,C) or (B,H,W,C), got {F_i.shape}")
+    h, w = F_i.shape[-3], F_i.shape[-2]
     if h * w < 2:
         raise DegenerateSampleError(
             f"channel weighting needs at least 2 spatial positions, got {h}x{w}"
         )
-    X = _channel_observations(F_i)
-    alpha = generator.forward(X)
-    if F_i.ndim == 3:
-        gate = alpha.reshape(alpha.shape[-1], 1, 1)
-    else:
-        gate = alpha.reshape(alpha.shape[0], alpha.shape[-1], 1, 1)
+    alpha = generator.forward(_channel_observations(F_i))
+    gate = alpha.reshape(alpha.shape[:-1] + (1, 1, alpha.shape[-1]))
     return F_i * gate, alpha
 
 
 def weighted_sum(maps, w=None):
     """Sum_k w[..., k] * maps[k] in fixed layer order, as one tape op.
 
-    maps: N tensors of one shape, (C, H, W) or (B, C, H, W). w: layer
+    maps: N tensors of one shape, (H, W, C) or (B, H, W, C). w: layer
     weights of shape (N,) or (B, N), or None for the uniform 1/N, which
     makes this the plain mean of the stack.
     """
@@ -183,7 +174,7 @@ def cfw_apply(generator, F, F_tilde):
     for f in F + F_tilde:
         if f.shape != shape:
             raise DimensionError(f"stack features disagree in shape: {f.shape} vs {shape}")
-    c = shape[-3]
+    c = shape[-1]
     if c < 2:
         raise DegenerateSampleError(
             f"layer weighting needs at least 2 channels as samples, got C={c}"

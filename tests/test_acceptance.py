@@ -127,11 +127,11 @@ def test_criterion_04_cfw_dual_route():
             gen = modules["cfw"]
             for p in gen.params():
                 p.data[...] = 0.3 * rng.standard_normal(p.data.shape)
-            F = [Tensor(rng.standard_normal((c, 5, 4))) for _ in range(n)]
+            F = [Tensor(rng.standard_normal((5, 4, c))) for _ in range(n)]
             combined, beta = cfw_apply(gen, F, F)
             w = np.exp(beta.data - beta.data.max())
             w = w / w.sum()
-            loop = np.zeros((c, 5, 4))
+            loop = np.zeros((5, 4, c))
             for k in range(n):
                 loop += w[k] * F[k].data
             assert np.max(np.abs(combined.data - loop)) < 1e-9
@@ -169,7 +169,7 @@ def test_criterion_06_identity_reduction():
         cfg = AdwmConfig(n_layers=3, channels=4)
         modules = make_adwm_modules(cfg, seed=6)
         identity_heads(modules["ifw"], modules["cfw"])
-        feats = [Tensor(rng.standard_normal((4, 6, 6))) for _ in range(3)]
+        feats = [Tensor(rng.standard_normal((6, 6, 4))) for _ in range(3)]
         forced, _, _ = aggregate(feats, modules["ifw"], modules["cfw"])
         plain, _, _ = aggregate(feats)
         assert np.array_equal(forced.data, plain.data)
@@ -268,10 +268,12 @@ def test_criterion_10_complexity_accounting():
                 for p in g.params():
                     p.data[...] = 0.3 * rng.standard_normal(p.data.shape)
         feats = [rng.standard_normal((C, H, W)) for _ in range(N)]
+        # the loop oracle reads (C, H, W); aggregate takes (H, W, C)
         fused_ref, _, _ = aggregate(
-            [Tensor(f) for f in feats], modules["ifw"], modules["cfw"]
+            [Tensor(np.moveaxis(f, 0, -1)) for f in feats],
+            modules["ifw"], modules["cfw"]
         )
-        fused_ref = fused_ref.data
+        fused_ref = np.moveaxis(fused_ref.data, -1, 0)
         fused_loop, counts = instrumented_weighting(
             feats, modules, cfg.ifw_d, cfg.cfw_d
         )

@@ -49,20 +49,20 @@ def test_upsample_factor_one_is_identity():
 
 
 def test_upsample_constant_stays_constant():
-    out = upsample_bilinear(Tensor(np.full((2, 4, 4), 3.25)), 4)
-    np.testing.assert_array_equal(out.data, np.full((2, 16, 16), 3.25))
+    out = upsample_bilinear(Tensor(np.full((4, 4, 2), 3.25)), 4)
+    np.testing.assert_array_equal(out.data, np.full((16, 16, 2), 3.25))
 
 
 def test_upsample_ramp_hand_values():
     # half-pixel sampling of [[0,1],[2,3]] at factor 2, worked by hand
-    x = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]]))
+    x = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]])[..., None])
     expected = np.array([
         [0.0, 0.25, 0.75, 1.0],
         [0.5, 0.75, 1.25, 1.5],
         [1.5, 1.75, 2.25, 2.5],
         [2.0, 2.25, 2.75, 3.0],
     ])
-    np.testing.assert_allclose(upsample_bilinear(x, 2).data, expected, atol=1e-15)
+    np.testing.assert_allclose(upsample_bilinear(x, 2).data[..., 0], expected, atol=1e-15)
 
 
 def test_upsample_batched_matches_single():
@@ -75,17 +75,17 @@ def test_upsample_batched_matches_single():
 
 def test_upsample_gradcheck():
     rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal((2, 3, 4)))
-    proj = Tensor(rng.standard_normal((2, 12, 16)))
+    x = Tensor(rng.standard_normal((3, 4, 2)))
+    proj = Tensor(rng.standard_normal((12, 16, 2)))
     err = gradcheck(lambda t: (upsample_bilinear(t, 4) * proj).sum(), x)
     assert err < 1e-7
 
 
 def test_upsample_bad_factor():
     with pytest.raises(ConfigurationError):
-        upsample_bilinear(Tensor(np.zeros((2, 2))), 0)
+        upsample_bilinear(Tensor(np.zeros((2, 2, 1))), 0)
     with pytest.raises(ConfigurationError):
-        upsample_bilinear(Tensor(np.zeros((2, 2))), 2.5)
+        upsample_bilinear(Tensor(np.zeros((2, 2, 1))), 2.5)
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +99,12 @@ def test_config_validation():
         ModelConfig(bands=0)
     with pytest.raises(ConfigurationError):
         ModelConfig(bands=4, blocks=0)
+
+
+@pytest.mark.parametrize("variant", ["baseline", "ifw", "cfw", "adwm"])
+def test_config_rejects_unknown_generator_for_every_variant(variant):
+    with pytest.raises(ConfigurationError):
+        ModelConfig(bands=4, variant=variant, generator="nosuch")
 
 
 def test_same_seed_same_init_across_variants():
@@ -141,7 +147,7 @@ def test_fresh_model_is_bilinear_upsampling():
     rng = np.random.default_rng(5)
     lrms = rng.random((4, 4, 2))
     pan = rng.random((16, 16))
-    expected = upsample_bilinear(Tensor(lrms.transpose(2, 0, 1)), 4).data.transpose(1, 2, 0)
+    expected = upsample_bilinear(Tensor(lrms), 4).data
     for variant in ("baseline", "ifw", "cfw", "adwm"):
         model = PansharpenModel(tiny_config(variant), seed=1)
         out = model.forward(pan, lrms)
@@ -243,7 +249,7 @@ def test_return_weights_structure():
     assert weights["beta"].shape == (2,)
     assert np.all(weights["alpha"][0].data > 0) and np.all(weights["alpha"][0].data < 1)
     assert len(weights["features"]) == 2
-    assert weights["features"][0].shape == (4, 16, 16)
+    assert weights["features"][0].shape == (16, 16, 4)
     assert not weights["features"][0].requires_grad
     _, weights = PansharpenModel(tiny_config()).forward(pan, lrms, return_weights=True)
     assert weights["alpha"] is None and weights["beta"] is None
@@ -252,16 +258,16 @@ def test_return_weights_structure():
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_features_stay_channels_last(batched):
-    # conv2d returns views of a channels-last grid and the bias, leaky ReLU
-    # and residual ops keep that order, so IFW's observation matrix is a
-    # view with unit channel stride rather than a copy
+    # conv2d returns (.., H, W, C) views of its grid and the bias, leaky
+    # ReLU and residual ops produce C-contiguous maps from them, so IFW's
+    # observation matrix is a view rather than a copy
     rng = np.random.default_rng(13)
     lead = (3,) if batched else ()
     pan, lrms = rng.random(lead + (16, 16)), rng.random(lead + (4, 4, 2))
     model = randomized(PansharpenModel(tiny_config("adwm")), seed=5)
     _, weights = model.forward(pan, lrms, return_weights=True)
     for f in weights["features"]:
-        assert np.moveaxis(f.data, -3, -1).flags.c_contiguous
+        assert f.data.flags.c_contiguous
         obs = _channel_observations(f).data
         assert np.shares_memory(obs, f.data) and obs.strides[-1] == 8
 

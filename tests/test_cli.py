@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from adwm import data
 from adwm.backbone import PansharpenModel
 from adwm.cli import main
 from adwm.data import read_manifest
@@ -75,6 +76,27 @@ def test_train_all_variants(tmp_path, data_dir):
     assert rc == 0
     for variant in ("baseline", "ifw", "cfw", "adwm"):
         assert (out / variant / "checkpoint_final.ckpt").is_file()
+
+
+def counted_reads(monkeypatch):
+    """Record every TNSR file the commands read from here on."""
+    reads = []
+    read_tensor = data.read_tensor
+
+    def counted(path):
+        reads.append(path)
+        return read_tensor(path)
+
+    monkeypatch.setattr(data, "read_tensor", counted)
+    return reads
+
+
+def test_train_all_reads_the_dataset_once(tmp_path, data_dir, monkeypatch):
+    reads = counted_reads(monkeypatch)
+    rc = main(["train", "--data", data_dir, "--variant", "all",
+               "--out", str(tmp_path / "all"), *TRAIN_FLAGS])
+    assert rc == 0
+    assert len(reads) == 3 * 3  # three samples, three files each
 
 
 def test_eval_report(tmp_path, run_dir, data_dir, capsys):
@@ -223,6 +245,15 @@ def test_diagnose_forwards_the_probe_once(tmp_path, run_dir, data_dir,
     assert (tmp_path / "d" / "weight_trace.csv").is_file()
 
 
+def test_diagnose_reads_only_the_probe(tmp_path, run_dir, data_dir, monkeypatch):
+    reads = counted_reads(monkeypatch)
+    rc = main(["diagnose", "--model",
+               os.path.join(run_dir, "checkpoint_final.ckpt"),
+               "--data", data_dir, "--out", str(tmp_path / "d")])
+    assert rc == 0
+    assert len(reads) == 3
+
+
 def test_diagnose_skips_weight_trace_for_baseline(tmp_path, data_dir):
     out = tmp_path / "run"
     assert main(["train", "--data", data_dir, "--variant", "baseline",
@@ -251,6 +282,14 @@ def test_compare_csv_columns(tmp_path, data_dir):
         assert int(params) == adwm_param_count(cfg)
         assert int(flops) == count_flops(32, 32, 6, 2, d_fraction=frac).total
         assert np.isfinite(float(psnr))
+
+
+def test_compare_reads_the_dataset_once(tmp_path, data_dir, monkeypatch):
+    reads = counted_reads(monkeypatch)
+    rc = main(["compare", "--data", data_dir, "--out", str(tmp_path / "cmp"),
+               "--methods", "cacw,pool", "--d-frac", "0.5,1.0", *TRAIN_FLAGS])
+    assert rc == 0
+    assert len(reads) == 3 * 3  # four runs share one read of three samples
 
 
 def test_compare_rejects_unknown_method(tmp_path, data_dir, capsys):
@@ -297,6 +336,29 @@ def test_explicit_flag_beats_config(tmp_path):
     rc = main(["gen-data", "--config", str(cfg), "--bands", "2"])
     assert rc == 0
     assert read_manifest(str(tmp_path / "d"))[0]["c"] == 2
+
+
+def test_abbreviated_explicit_flag_beats_config(tmp_path, data_dir):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 3\nvariant = baseline\n")
+    out = tmp_path / "run"
+    assert TRAIN_FLAGS[:2] == ["--epochs", "1"]
+    rc = main(["train", "--config", str(cfg), "--data", data_dir,
+               "--out", str(out), "--epoch", "1", *TRAIN_FLAGS[2:]])
+    assert rc == 0
+    log = (out / "train_log.csv").read_text().splitlines()
+    assert len(log) == 1 + 1  # header and one epoch
+
+
+def test_config_values_obey_choices(tmp_path, data_dir):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("generator = nosuch\nvariant = baseline\n")
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--config", str(cfg), "--data", data_dir,
+              "--out", str(out), *TRAIN_FLAGS])
+    assert e.value.code == 2
+    assert not out.exists()
 
 
 def test_config_unknown_key(tmp_path, capsys):

@@ -117,7 +117,8 @@ def test_feature_covariance_loop_oracle():
     for i in range(3):
         for j in range(3):
             want[i, j] = np.sum((obs[:, i] - mean[i]) * (obs[:, j] - mean[j])) / 19
-    np.testing.assert_allclose(feature_covariance(F), want, atol=1e-12)
+    np.testing.assert_allclose(feature_covariance(np.moveaxis(F, 0, -1)), want,
+                               atol=1e-12)
 
 
 def probe_weights(model, pair):
@@ -314,9 +315,10 @@ def test_count_flops_matches_instrumented_run():
                 p.data[...] = 0.3 * rng.standard_normal(p.data.shape)
     features = [rng.standard_normal((C, H, W)) for _ in range(N)]
 
-    fused_ref, _, _ = aggregate([Tensor(f) for f in features],
+    # the loop oracle reads (C, H, W); aggregate takes (H, W, C)
+    fused_ref, _, _ = aggregate([Tensor(np.moveaxis(f, 0, -1)) for f in features],
                                 modules["ifw"], modules["cfw"])
-    fused_ref = fused_ref.data
+    fused_ref = np.moveaxis(fused_ref.data, -1, 0)
     fused_loop, counts = instrumented_weighting(
         features, modules, cfg.ifw_d, cfg.cfw_d
     )

@@ -48,14 +48,14 @@ def identity_modules(config, seed=0):
 
 def test_ifw_identity_gate():
     rng = np.random.default_rng(0)
-    f = rng.standard_normal((4, 5, 5))
+    f = rng.standard_normal((5, 5, 4))
     gen = CacwModule(n=4, seed=0)
 
     gated, alpha = ifw_apply(gen, Tensor(f))
-    forced = f * np.ones(4).reshape(4, 1, 1)
-    assert gated.shape == (4, 5, 5)
+    forced = f * np.ones(4).reshape(1, 1, 4)
+    assert gated.shape == (5, 5, 4)
     # with an honest ones-gate the map must be exactly preserved
-    assert np.array_equal(Tensor(f).data * np.ones((4, 1, 1)), forced)
+    assert np.array_equal(Tensor(f).data * np.ones((1, 1, 4)), forced)
     # zero-head module gives 0.5 gates
     assert np.allclose(alpha.data, 0.5)
     assert np.array_equal(gated.data, 0.5 * f)
@@ -65,7 +65,7 @@ def test_ifw_gradcheck():
     rng = np.random.default_rng(1)
     config = AdwmConfig(n_layers=1, channels=4)
     gen = randomized_modules(config, seed=1)["ifw"][0]
-    f = Tensor(rng.standard_normal((4, 6, 6)))
+    f = Tensor(rng.standard_normal((6, 6, 4)))
 
     def fn(x, *params):
         gated, _ = ifw_apply(gen, x)
@@ -77,8 +77,8 @@ def test_ifw_gradcheck():
 
 def test_ifw_duplicate_channels_equal_gates():
     rng = np.random.default_rng(2)
-    f = rng.standard_normal((4, 6, 6))
-    f[1] = f[3]
+    f = rng.standard_normal((6, 6, 4))
+    f[..., 1] = f[..., 3]
     config = AdwmConfig(n_layers=1, channels=4)
     gen = randomized_modules(config, seed=2)["ifw"][0]
     _, alpha = ifw_apply(gen, Tensor(f))
@@ -88,12 +88,12 @@ def test_ifw_duplicate_channels_equal_gates():
 def test_ifw_rejects_single_pixel():
     gen = CacwModule(n=3, seed=0)
     with pytest.raises(DegenerateSampleError):
-        ifw_apply(gen, Tensor(np.ones((3, 1, 1))))
+        ifw_apply(gen, Tensor(np.ones((1, 1, 3))))
 
 
 def test_ifw_rescale_invariance_of_gates():
     rng = np.random.default_rng(3)
-    f = rng.standard_normal((5, 8, 8)) + 1.0
+    f = rng.standard_normal((8, 8, 5)) + 1.0
     config = AdwmConfig(n_layers=1, channels=5)
     gen = randomized_modules(config, seed=3)["ifw"][0]
     _, a1 = ifw_apply(gen, Tensor(f))
@@ -106,7 +106,7 @@ def test_ifw_rescale_invariance_of_gates():
 
 def test_ifw_batched_matches_per_sample():
     rng = np.random.default_rng(4)
-    f = rng.standard_normal((3, 4, 6, 6))
+    f = rng.standard_normal((3, 6, 6, 4))
     config = AdwmConfig(n_layers=1, channels=4)
     gen = randomized_modules(config, seed=4)["ifw"][0]
     gated, alpha = ifw_apply(gen, Tensor(f))
@@ -120,13 +120,13 @@ def test_ifw_batched_matches_per_sample():
 # CFW
 
 def stack_of(rng, n, c=4, h=5, w=5, batch=None):
-    shape = (c, h, w) if batch is None else (batch, c, h, w)
+    shape = (h, w, c) if batch is None else (batch, h, w, c)
     return [Tensor(rng.standard_normal(shape)) for _ in range(n)]
 
 
 def test_cfw_identical_maps_give_first_map():
     rng = np.random.default_rng(5)
-    f = Tensor(rng.standard_normal((4, 5, 5)))
+    f = Tensor(rng.standard_normal((5, 5, 4)))
     config = AdwmConfig(n_layers=3, channels=4)
     cfw = randomized_modules(config, seed=5)["cfw"]
     out, _ = cfw_apply(cfw, [f, f, f], [f, f, f])
@@ -135,7 +135,7 @@ def test_cfw_identical_maps_give_first_map():
 
 def test_cfw_single_layer_passthrough():
     rng = np.random.default_rng(6)
-    f = Tensor(rng.standard_normal((4, 5, 5)))
+    f = Tensor(rng.standard_normal((5, 5, 4)))
     config = AdwmConfig(n_layers=1, channels=4)
     cfw = randomized_modules(config, seed=6)["cfw"]
     out, beta = cfw_apply(cfw, [f], [f])
@@ -145,7 +145,7 @@ def test_cfw_single_layer_passthrough():
 
 def test_cfw_pointwise_equals_matrix_form():
     # the pointwise tape op against the combination as one numpy matrix
-    # product: softmax row times the (N, CHW) stack of gated maps
+    # product: softmax row times the (N, HWC) stack of gated maps
     rng = np.random.default_rng(7)
     for trial in range(30):
         n = int(rng.integers(1, 9))
@@ -190,7 +190,7 @@ def test_cfw_degenerate_errors():
     cfw = make_adwm_modules(config)["cfw"]
     with pytest.raises(DimensionError):
         cfw_apply(cfw, [], [])
-    one_channel = [Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 4, 4)))]
+    one_channel = [Tensor(np.ones((4, 4, 1))), Tensor(np.ones((4, 4, 1)))]
     with pytest.raises(DegenerateSampleError):
         cfw_apply(cfw, one_channel, one_channel)
 
@@ -286,7 +286,7 @@ def test_adwm_output_shape_contract():
         modules = make_adwm_modules(config)
         F = stack_of(rng, n, c=c, h=h, w=w)
         out, _, _ = aggregate(F, modules["ifw"], modules["cfw"])
-        assert out.shape == (c, h, w)
+        assert out.shape == (h, w, c)
 
 
 def test_adwm_batched_matches_per_sample():
@@ -325,11 +325,11 @@ def test_aggregate_single_layer_is_gated_input():
     rng = np.random.default_rng(16)
     config = AdwmConfig(n_layers=1, channels=4)
     modules = randomized_modules(config, seed=16)
-    x = Tensor(rng.standard_normal((4, 5, 5)))
+    x = Tensor(rng.standard_normal((5, 5, 4)))
     out, _, _ = aggregate([x], modules["ifw"], modules["cfw"])
     # N=1: softmax weight is 1, so the output is just the gated input
     _, alpha = ifw_apply(modules["ifw"][0], x)
-    expect = x.data * alpha.data.reshape(4, 1, 1)
+    expect = x.data * alpha.data.reshape(1, 1, 4)
     assert np.allclose(out.data, expect, atol=1e-12)
 
 
