@@ -16,20 +16,22 @@ point of the weighting stack: one channel-gate generator per block,
 built for n = channels, and one layer-score generator built for
 n = blocks.
 
-Checkpoint file, format 2: magic "ADWM", u32 format version, u32 config
-length, config JSON (sorted keys), u32 tensor count, then one TNSR
-record per parameter in declaration order. Other versions, format 1
-among them, are rejected.
+Checkpoint file, format 3: magic "ADWM", u32 format version, u32 config
+length, config JSON (the ModelConfig fields, d_fraction among them and
+no scale, plus seed; sorted keys), u32 tensor count, then one TNSR
+record per parameter in declaration order. Other versions, formats 1
+and 2 among them, are rejected.
 """
 
 import json
 import struct
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .cacw import WEIGHT_GENERATORS
-from .data import TNSR_MAGIC, tensor_from_bytes, tensor_to_bytes
+from .cacw import D_FRACTION
+from .data import SCALE, TNSR_MAGIC, _read_u32, tensor_from_bytes, tensor_to_bytes
 from .errors import ConfigurationError, DimensionError, FormatError
 from .tensor import Tensor, concat, conv2d
 # ifw_apply and cfw_apply stay importable from here because the
@@ -46,7 +48,7 @@ from .weighting import (  # noqa: F401
 VARIANTS = ("baseline", "ifw", "cfw", "adwm")
 
 CKPT_MAGIC = b"ADWM"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 
 @dataclass
@@ -54,37 +56,27 @@ class ModelConfig:
     bands: int
     channels: int = 48
     blocks: int = 6
-    scale: int = 4
     variant: str = "baseline"
-    ifw_d_fraction: float = 0.8
-    cfw_d_fraction: float = 0.8
+    d_fraction: float = D_FRACTION
     generator: str = "cacw"
+    scale: ClassVar[int] = SCALE  # a constant, not a field: never checkpointed
 
     def __post_init__(self):
         if self.bands < 1:
             raise ConfigurationError(f"bands must be >= 1, got {self.bands}")
-        if self.channels < 1:
-            raise ConfigurationError(f"channels must be >= 1, got {self.channels}")
         if self.blocks < 1:
             raise ConfigurationError(f"blocks must be >= 1, got {self.blocks}")
-        if self.scale < 1:
-            raise ConfigurationError(f"scale must be >= 1, got {self.scale}")
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; choose from {VARIANTS}"
             )
-        if self.generator not in WEIGHT_GENERATORS:
-            raise ConfigurationError(
-                f"unknown weight generator {self.generator!r}; "
-                f"choose from {sorted(WEIGHT_GENERATORS)}"
-            )
+        self.weighting_config()  # checks channels, d_fraction and generator
 
     def weighting_config(self):
         return AdwmConfig(
             n_layers=self.blocks,
             channels=self.channels,
-            ifw_d_fraction=self.ifw_d_fraction,
-            cfw_d_fraction=self.cfw_d_fraction,
+            d_fraction=self.d_fraction,
             generator=self.generator,
         )
 
@@ -225,23 +217,22 @@ class PansharpenModel:
             raise DimensionError(
                 f"pan {pan.shape} and lrms {lrms.shape} disagree on batching"
             )
-        s = self.config.scale
         H, W = pan.shape[-2], pan.shape[-1]
         h, w, c = lrms.shape[-3], lrms.shape[-2], lrms.shape[-1]
         if c != self.config.bands:
             raise DimensionError(
                 f"lrms has {c} bands, model expects {self.config.bands}"
             )
-        if H != h * s or W != w * s:
+        if H != h * SCALE or W != w * SCALE:
             raise DimensionError(
-                f"pan {H}x{W} is not {s}x the lrms grid {h}x{w}"
+                f"pan {H}x{W} is not {SCALE}x the lrms grid {h}x{w}"
             )
         if batched and pan.shape[0] != lrms.shape[0]:
             raise DimensionError(
                 f"batch mismatch: pan {pan.shape[0]} vs lrms {lrms.shape[0]}"
             )
 
-        up = upsample_bilinear(lrms, s)
+        up = upsample_bilinear(lrms, SCALE)
         x = concat([pan.reshape(pan.shape + (1,)), up], axis=-1)
 
         # a (1, 1, C) bias makes `_unbroadcast` sum the batch axis first
@@ -285,12 +276,6 @@ def save_checkpoint(path, model):
         buf += tensor_to_bytes(p)
     with open(path, "wb") as f:
         f.write(bytes(buf))
-
-
-def _read_u32(buf, off, field):
-    if len(buf) < off + 4:
-        raise FormatError(f"truncated {field}", offset=off)
-    return struct.unpack_from("<I", buf, off)[0]
 
 
 def load_checkpoint(path):

@@ -30,6 +30,10 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# default hidden-width fraction of every generator head, at both weighting levels
+D_FRACTION = 0.8
+
+
 def reduced_width(frac, n):
     """Hidden width of a generator head over n features: max(1, ceil(frac*n))."""
     return max(1, math.ceil(frac * n))
@@ -95,9 +99,9 @@ class _MlpHead:
     evaluation records none; `train` switches gradients on.
     """
 
-    def __init__(self, n, d=None, d_fraction=0.8, output_activation="sigmoid", seed=0):
+    def __init__(self, n, d=None, output_activation="sigmoid", seed=0):
         if d is None:
-            d = reduced_width(d_fraction, n)
+            d = reduced_width(D_FRACTION, n)
         if n < 1 or d < 1:
             raise ConfigurationError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
         if output_activation not in ("sigmoid", "identity"):

@@ -14,9 +14,10 @@ import sys
 import numpy as np
 
 from . import diagnostics
-from .backbone import ModelConfig, PansharpenModel, load_checkpoint
+from .backbone import VARIANTS, ModelConfig, PansharpenModel, load_checkpoint
 from .cacw import WEIGHT_GENERATORS
 from .data import (
+    SCALE,
     blur_bands,
     build_dataset,
     load_sample,
@@ -29,7 +30,7 @@ from .tensor import Tensor, concat, conv2d, gradcheck, softmax, spatial_mean, st
 from .trainer import TrainConfig, train
 from .weighting import adwm_param_count
 
-VARIANT_CHOICES = ("baseline", "ifw", "cfw", "adwm", "all")
+VARIANT_CHOICES = VARIANTS + ("all",)
 
 
 # ----------------------------------------------------------------------
@@ -102,32 +103,27 @@ def _load_pairs(data_dir):
     return rows, [load_sample(data_dir, r["id"]) for r in rows]
 
 
-def _split_pairs(pairs, test_count):
-    ids = [p.id for p in pairs]
-    train_ids, test_ids = split_ids(ids, test_count)
-    by_id = {p.id: p for p in pairs}
-    return [by_id[i] for i in train_ids], [by_id[i] for i in test_ids]
-
-
 def _training_set(args):
     """(manifest rows, train pairs, validation pairs), read once per command."""
     rows, pairs = _load_pairs(args.data)
-    return (rows,) + _split_pairs(pairs, args.test_count)
+    train_ids, val_ids = split_ids([p.id for p in pairs], args.test_count)
+    by_id = {p.id: p for p in pairs}
+    return rows, [by_id[i] for i in train_ids], [by_id[i] for i in val_ids]
 
 
-def _run_training(args, dataset, variant, out_dir, d_frac=None, generator=None):
+def _fractions(raw):
+    """--d-frac as a list of floats: one number, or several comma-separated."""
+    try:
+        return [float(x) for x in str(raw).split(",")]
+    except ValueError:
+        raise UsageError(f"--d-frac takes comma-separated numbers, got {raw!r}") from None
+
+
+def _run_training(args, dataset, variant, out_dir, d_frac, generator):
     rows, train_pairs, val_pairs = dataset
-    if d_frac is None:
-        try:
-            d_frac = float(args.d_frac)
-        except ValueError:
-            raise UsageError(f"--d-frac must be a single number here, "
-                             f"got {args.d_frac!r}")
-    gen = generator if generator is not None else getattr(args, "generator", "cacw")
     cfg = ModelConfig(
         bands=rows[0]["c"], channels=args.channels, blocks=args.blocks,
-        variant=variant, ifw_d_fraction=d_frac, cfw_d_fraction=d_frac,
-        generator=gen,
+        variant=variant, d_fraction=d_frac, generator=generator,
     )
     model = PansharpenModel(cfg, seed=args.seed)
     tcfg = TrainConfig(
@@ -149,12 +145,16 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    variants = list(VARIANT_CHOICES[:-1]) if args.variant == "all" else [args.variant]
+    fracs = _fractions(args.d_frac)
+    if len(fracs) != 1:
+        raise UsageError(f"train takes one --d-frac value, got {args.d_frac!r}")
+    variants = VARIANTS if args.variant == "all" else [args.variant]
     dataset = _training_set(args)
     for variant in variants:
         out_dir = (os.path.join(args.out, variant)
                    if args.variant == "all" else args.out)
-        result, _ = _run_training(args, dataset, variant, out_dir)
+        result, _ = _run_training(args, dataset, variant, out_dir,
+                                  fracs[0], args.generator)
         print(f"{variant}: best_val_psnr={result.best_val_psnr:.4f} "
               f"final={result.final_path}")
         if args.log and args.variant != "all":
@@ -163,8 +163,8 @@ def cmd_train(args):
     return 0
 
 
-def _pan_degraded(pan, scale):
-    return blur_bands(pan[:, :, None])[::scale, ::scale, 0]
+def _pan_degraded(pan):
+    return blur_bands(pan[:, :, None])[::SCALE, ::SCALE, 0]
 
 
 def cmd_eval(args):
@@ -175,7 +175,6 @@ def cmd_eval(args):
             f"dataset has {rows[0]['c']} bands but the checkpoint was "
             f"trained with {model.config.bands}"
         )
-    scale = model.config.scale
     report_rows = []
     for s in pairs:
         pred = model.forward(s.pan, s.lrms).data
@@ -183,8 +182,7 @@ def cmd_eval(args):
         m.update(evaluate_reference(s.gt, pred))
         if args.full_res:
             m.update(
-                evaluate_noreference(pred, s.lrms, s.pan,
-                                     _pan_degraded(s.pan, scale))
+                evaluate_noreference(pred, s.lrms, s.pan, _pan_degraded(s.pan))
             )
         report_rows.append(m)
     write_report_csv(
@@ -243,11 +241,9 @@ def cmd_diagnose(args):
         )
 
     H, W = probe.pan.shape
-    wcfg = model.config.weighting_config()
-    f = diagnostics.count_flops(
-        H, W, model.config.channels, model.config.blocks,
-        d_ifw=wcfg.ifw_d, d_cfw=wcfg.cfw_d,
-    )
+    cfg = model.config
+    f = diagnostics.count_flops(H, W, cfg.channels, cfg.blocks,
+                                d_fraction=cfg.d_fraction)
     diagnostics.write_rows_csv(
         os.path.join(args.out, "flops.csv"), ["component", "count"],
         sorted(f.as_dict().items()),
@@ -264,7 +260,7 @@ def cmd_compare(args):
                 f"unknown weighting method {m!r}; "
                 f"choose from {sorted(WEIGHT_GENERATORS)}"
             )
-    fracs = [float(x) for x in str(args.d_frac).split(",")]
+    fracs = _fractions(args.d_frac)
     dataset = _training_set(args)
     H, W = dataset[0][0]["H"], dataset[0][0]["W"]
     os.makedirs(args.out, exist_ok=True)
@@ -279,7 +275,7 @@ def cmd_compare(args):
         for frac in fracs:
             run_dir = os.path.join(args.out, f"{method}_d{frac:g}")
             result, model = _run_training(
-                args, dataset, "adwm", run_dir, d_frac=frac, generator=method
+                args, dataset, "adwm", run_dir, frac, method
             )
             params = adwm_param_count(model.config.weighting_config())
             flops = diagnostics.count_flops(
@@ -428,12 +424,12 @@ def _add_common_train_flags(p):
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d-frac", dest="d_frac", default="0.8")
-    p.add_argument("--channels", type=int, default=48)
-    p.add_argument("--blocks", type=int, default=6)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr0", type=float, default=2e-3)
-    p.add_argument("--halve-every", type=int, default=150)
+    p.add_argument("--d-frac", dest="d_frac", default=str(ModelConfig.d_fraction))
+    p.add_argument("--channels", type=int, default=ModelConfig.channels)
+    p.add_argument("--blocks", type=int, default=ModelConfig.blocks)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr0", type=float, default=TrainConfig.lr0)
+    p.add_argument("--halve-every", type=int, default=TrainConfig.halve_every)
     p.add_argument("--test-count", type=int, default=32)
 
 
@@ -463,7 +459,7 @@ def build_parser():
     p.add_argument("--variant", choices=VARIANT_CHOICES, default="adwm")
     p.add_argument("--out", help="run directory")
     p.add_argument("--log", help="also copy the log CSV here")
-    p.add_argument("--generator", default="cacw",
+    p.add_argument("--generator", default=ModelConfig.generator,
                    choices=sorted(WEIGHT_GENERATORS))
     _add_common_train_flags(p)
 

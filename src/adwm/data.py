@@ -5,9 +5,9 @@ gratings, and rectangles, each with a spectral signature drawn from an
 AR(1) chain so adjacent bands are strongly correlated (the redundancy
 structure the weighting mechanism exploits). Degradation follows the
 reduced-resolution protocol: the scene is both the ground truth and the
-source of the simulated inputs (per-band Gaussian blur + 4x decimation
-for the low-res bands, a fixed spectral average for the panchromatic
-band).
+source of the simulated inputs (per-band Gaussian blur + SCALE-fold
+decimation for the low-res bands, a fixed spectral average for the
+panchromatic band).
 
 File formats:
   TNSR  magic "TNSR", u32 version=1, u32 rank, u32 dims[rank], u8 dtype
@@ -33,9 +33,18 @@ TNSR_VERSION = 1
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODES_BY_NAME = {"f4": 1, "f8": 2}
 
+SCALE = 4  # resolution ratio: pan pixels per low-res pixel along each axis
+
 
 # ----------------------------------------------------------------------
 # TNSR records
+
+def _read_u32(buf, off, field):
+    """The little-endian u32 at `off`, or a FormatError naming `field`."""
+    if len(buf) < off + 4:
+        raise FormatError(f"truncated {field}", offset=off)
+    return struct.unpack_from("<I", buf, off)[0]
+
 
 def tensor_to_bytes(t, dtype="f8"):
     arr = t.data if isinstance(t, Tensor) else np.asarray(t)
@@ -64,15 +73,11 @@ def tensor_from_bytes(buf, offset=0):
     if len(buf) < offset + 4 or buf[offset:offset + 4] != TNSR_MAGIC:
         raise FormatError("bad magic, expected TNSR", offset=start)
     offset += 4
-    if len(buf) < offset + 4:
-        raise FormatError("truncated version field", offset=offset)
-    (version,) = struct.unpack_from("<I", buf, offset)
+    version = _read_u32(buf, offset, "version field")
     if version != TNSR_VERSION:
         raise FormatError(f"unsupported version {version}", offset=offset)
     offset += 4
-    if len(buf) < offset + 4:
-        raise FormatError("truncated rank field", offset=offset)
-    (rank,) = struct.unpack_from("<I", buf, offset)
+    rank = _read_u32(buf, offset, "rank field")
     if rank == 0:
         raise FormatError("rank-0 tensors are forbidden", offset=offset)
     if rank > 32:
@@ -141,8 +146,10 @@ def _spectral_signature(rng, c):
 
 def generate_scene(seed, H, W, c):
     """Deterministic procedural ground truth, (H, W, c) in [0, 1]."""
-    if H % 4 or W % 4:
-        raise ConfigurationError(f"H and W must be divisible by 4, got {H}x{W}")
+    if min(H, W) < SCALE or H % SCALE or W % SCALE:
+        raise ConfigurationError(
+            f"H and W must be positive multiples of {SCALE}, got {H}x{W}"
+        )
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:H, 0:W].astype(np.float64)
 
@@ -184,7 +191,6 @@ def generate_scene(seed, H, W, c):
 
 _MTF_SIGMA = 1.6
 _MTF_SIZE = 7
-_SCALE = 4
 
 
 def _gaussian_kernel1d(sigma, size):
@@ -216,7 +222,7 @@ def blur_bands(gt):
 def wald_degrade(gt, pan_weights=None):
     """Ground truth -> (pan, lrms) simulated acquisition pair.
 
-    lrms is the blurred scene decimated 4x; pan is a fixed positive
+    lrms is the blurred scene decimated SCALE-fold; pan is a fixed positive
     spectral average of the unblurred scene (uniform weights by default).
     """
     arr = gt.data if isinstance(gt, Tensor) else np.asarray(gt)
@@ -232,7 +238,7 @@ def wald_degrade(gt, pan_weights=None):
                 f"pan weights shape {pan_weights.shape} does not match {c} bands"
             )
     blurred = blur_bands(arr)
-    lrms = blurred[::_SCALE, ::_SCALE, :]
+    lrms = blurred[::SCALE, ::SCALE, :]
     pan = arr @ pan_weights
     return Tensor(pan), Tensor(lrms)
 
@@ -244,7 +250,7 @@ def wald_degrade(gt, pan_weights=None):
 class SamplePair:
     id: str
     pan: np.ndarray    # (H, W)
-    lrms: np.ndarray   # (H/4, W/4, c)
+    lrms: np.ndarray   # (H/SCALE, W/SCALE, c)
     gt: np.ndarray     # (H, W, c)
 
 
@@ -259,14 +265,16 @@ def _thread_count():
 
 def build_dataset(seed, count, H, W, c, out_dir):
     """Write `count` samples plus manifest.txt; returns the manifest path."""
-    os.makedirs(out_dir, exist_ok=True)
+    if count < 1 or c < 1:
+        raise ConfigurationError(f"need count >= 1 and c >= 1, got {count} and {c}")
     sample_seeds = np.random.SeedSequence(seed).generate_state(count)
 
     def emit(i):
         sid = f"sample_{i:05d}"
         sdir = os.path.join(out_dir, sid)
-        os.makedirs(sdir, exist_ok=True)
+        # the scene checks H and W, so a bad size writes nothing
         gt = generate_scene(int(sample_seeds[i]), H, W, c)
+        os.makedirs(sdir, exist_ok=True)
         pan, lrms = wald_degrade(gt)
         write_tensor(os.path.join(sdir, "gt.tnsr"), gt)
         write_tensor(os.path.join(sdir, "pan.tnsr"), pan)
@@ -333,6 +341,8 @@ def read_manifest(data_dir):
 
 
 def load_sample(data_dir, sample_id):
+    if not _plain_component(sample_id):
+        raise FormatError(f"sample id {sample_id!r} is not a plain file name")
     sdir = os.path.join(data_dir, sample_id)
     try:
         return SamplePair(

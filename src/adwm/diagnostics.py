@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cacw import compute_covariance, pca_eigendecompose, reduced_width
+from .cacw import D_FRACTION, compute_covariance, pca_eigendecompose, reduced_width
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
 from .tensor import Tensor, softmax
 from .weighting import _channel_observations
@@ -150,7 +150,7 @@ class FlopCount:
         }
 
 
-def count_flops(H, W, C, N, d_ifw=None, d_cfw=None, d_fraction=0.8):
+def count_flops(H, W, C, N, d_ifw=None, d_cfw=None, d_fraction=D_FRACTION):
     """Closed-form multiply counts for one dual-level weighting pass.
 
     Covariance of C channels over H*W positions costs H*W*C^2 multiplies

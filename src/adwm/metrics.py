@@ -21,6 +21,7 @@ writer records this choice in its header comments.
 
 import numpy as np
 
+from .data import SCALE
 from .errors import ConfigurationError, DimensionError, UsageError
 
 _EPS = 1e-12
@@ -76,7 +77,7 @@ def _row_norms(a):
     return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
-def ergas(gt, pred, scale=4):
+def ergas(gt, pred, scale=SCALE):
     """Relative global dimensionless error; zero band means are guarded."""
     gt = np.asarray(gt, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
@@ -320,11 +321,11 @@ def hqnr(dl, ds):
 # ----------------------------------------------------------------------
 # batch evaluation and reporting
 
-def evaluate_reference(gt, pred, scale=4, window=32):
+def evaluate_reference(gt, pred, window=32):
     return {
         "psnr": psnr(gt, pred),
         "sam": sam(gt, pred),
-        "ergas": ergas(gt, pred, scale=scale),
+        "ergas": ergas(gt, pred, scale=SCALE),
         "q2n": q2n(gt, pred, window=_clamped_window(np.asarray(gt), window)),
     }
 

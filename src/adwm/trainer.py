@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import save_checkpoint
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, DimensionError, NumericError
 from .metrics import psnr
 from .tensor import Tensor
 
@@ -91,6 +91,10 @@ def adam_step(params, grads, state, lr):
 # batching and evaluation
 
 def _assemble(pairs):
+    if len({(s.pan.shape, s.lrms.shape, s.gt.shape) for s in pairs}) > 1:
+        listing = "; ".join(f"{s.id} {s.pan.shape} {s.lrms.shape} {s.gt.shape}"
+                            for s in pairs)
+        raise DimensionError(f"batch mixes sample shapes (pan, lrms, gt): {listing}")
     pan = Tensor(np.stack([s.pan for s in pairs]))
     lrms = Tensor(np.stack([s.lrms for s in pairs]))
     gt = Tensor(np.stack([s.gt for s in pairs]))

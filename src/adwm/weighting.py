@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cacw import WEIGHT_GENERATORS, reduced_width
+from .cacw import D_FRACTION, WEIGHT_GENERATORS, reduced_width
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
 from .tensor import Tensor, softmax, spatial_mean, stack
 
@@ -26,8 +26,7 @@ from .tensor import Tensor, softmax, spatial_mean, stack
 class AdwmConfig:
     n_layers: int
     channels: int
-    ifw_d_fraction: float = 0.8
-    cfw_d_fraction: float = 0.8
+    d_fraction: float = D_FRACTION
     generator: str = "cacw"
 
     def __post_init__(self):
@@ -35,10 +34,10 @@ class AdwmConfig:
             raise ConfigurationError(f"n_layers must be >= 1, got {self.n_layers}")
         if self.channels < 1:
             raise ConfigurationError(f"channels must be >= 1, got {self.channels}")
-        for name, frac in (("ifw_d_fraction", self.ifw_d_fraction),
-                           ("cfw_d_fraction", self.cfw_d_fraction)):
-            if not 0.0 < frac <= 2.0:
-                raise ConfigurationError(f"{name} must be in (0, 2], got {frac}")
+        if not 0.0 < self.d_fraction <= 2.0:
+            raise ConfigurationError(
+                f"d_fraction must be in (0, 2], got {self.d_fraction}"
+            )
         if self.generator not in WEIGHT_GENERATORS:
             raise ConfigurationError(
                 f"unknown weight generator {self.generator!r}; "
@@ -47,11 +46,11 @@ class AdwmConfig:
 
     @property
     def ifw_d(self):
-        return reduced_width(self.ifw_d_fraction, self.channels)
+        return reduced_width(self.d_fraction, self.channels)
 
     @property
     def cfw_d(self):
-        return reduced_width(self.cfw_d_fraction, self.n_layers)
+        return reduced_width(self.d_fraction, self.n_layers)
 
 
 def make_adwm_modules(config, seed=0):

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adwm.backbone import (
+    CKPT_VERSION,
     ModelConfig,
     PansharpenModel,
     load_checkpoint,
@@ -20,12 +22,13 @@ from adwm.errors import (
     DimensionError,
     FormatError,
 )
+from adwm.data import SCALE
 from adwm.tensor import Tensor, gradcheck
 from adwm.weighting import _channel_observations
 
 
 def tiny_config(variant="baseline", **kw):
-    base = dict(bands=2, channels=4, blocks=2, scale=4, variant=variant)
+    base = dict(bands=2, channels=4, blocks=2, variant=variant)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -107,6 +110,22 @@ def test_config_rejects_unknown_generator_for_every_variant(variant):
         ModelConfig(bands=4, variant=variant, generator="nosuch")
 
 
+@pytest.mark.parametrize("variant", ["baseline", "ifw", "cfw", "adwm"])
+@pytest.mark.parametrize("frac", [-1.0, 0.0, 2.5])
+def test_config_rejects_bad_d_fraction_for_every_variant(variant, frac):
+    with pytest.raises(ConfigurationError):
+        ModelConfig(bands=4, variant=variant, d_fraction=frac)
+
+
+def test_config_fields_and_constant_scale():
+    names = [f.name for f in fields(ModelConfig)]
+    assert names == ["bands", "channels", "blocks", "variant", "d_fraction",
+                     "generator"]
+    cfg = ModelConfig(bands=4)
+    assert cfg.scale == ModelConfig.scale == SCALE
+    assert "scale" not in asdict(cfg)
+
+
 def test_same_seed_same_init_across_variants():
     a = PansharpenModel(tiny_config("baseline"), seed=3)
     b = PansharpenModel(tiny_config("adwm"), seed=3)
@@ -120,7 +139,7 @@ def test_param_count_delta_closed_form():
         base = PansharpenModel(ModelConfig(bands=4, channels=C, blocks=N))
         full = PansharpenModel(
             ModelConfig(bands=4, channels=C, blocks=N, variant="adwm",
-                        ifw_d_fraction=frac, cfw_d_fraction=frac))
+                        d_fraction=frac))
         d_ifw = max(1, math.ceil(frac * C))
         d_cfw = max(1, math.ceil(frac * N))
         expected = N * (d_ifw * C + 2 * d_ifw + 1) + (d_cfw * N + 2 * d_cfw + 1)
@@ -355,6 +374,36 @@ def test_format_1_checkpoint_is_format_error(tmp_path):
     with pytest.raises(FormatError) as e:
         load_checkpoint(p)
     assert e.value.offset == 4
+
+
+def test_checkpoint_config_block_holds_d_fraction(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, PansharpenModel(tiny_config("adwm", d_fraction=0.5), seed=2))
+    raw = p.read_bytes()
+    assert struct.unpack_from("<I", raw, 4)[0] == CKPT_VERSION == 3
+    (n,) = struct.unpack_from("<I", raw, 8)
+    assert json.loads(raw[12:12 + n]) == {
+        "bands": 2, "blocks": 2, "channels": 4, "d_fraction": 0.5,
+        "generator": "cacw", "seed": 2, "variant": "adwm",
+    }
+    assert load_checkpoint(p).config == tiny_config("adwm", d_fraction=0.5)
+
+
+def test_format_2_checkpoint_is_format_error(tmp_path):
+    # format 2 wrote the same layout with two fractions and a scale
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, PansharpenModel(tiny_config("adwm")))
+    raw = p.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    cfg = json.loads(raw[12:12 + n])
+    frac = cfg.pop("d_fraction")
+    cfg.update(ifw_d_fraction=frac, cfw_d_fraction=frac, scale=4)
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    p.write_bytes(raw[:4] + struct.pack("<II", 2, len(blob)) + blob + raw[12 + n:])
+    with pytest.raises(FormatError) as e:
+        load_checkpoint(p)
+    assert e.value.offset == 4
+    assert "version 2" in str(e.value)
 
 
 def test_checkpoint_truncated(tmp_path):

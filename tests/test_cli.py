@@ -1,6 +1,7 @@
 """End-to-end command-line tests, all through main(argv)."""
 
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -52,6 +53,33 @@ def test_gen_data_rejects_bad_size(tmp_path, capsys):
                "--size", "30", "32"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--size", "0", "0"],
+    ["--size", "2", "2"],
+    ["--size", "16", "16", "--bands", "0"],
+    ["--size", "16", "16", "--count", "-1"],
+    ["--size", "16", "16", "--count", "0"],
+])
+def test_gen_data_rejects_bad_count_bands_or_size(tmp_path, capsys, flags):
+    out = tmp_path / "x"
+    rc = main(["gen-data", "--out", str(out), "--count", "1", *flags])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_smallest_size_runs_every_command(tmp_path):
+    d, run = str(tmp_path / "d"), tmp_path / "run"
+    assert main(["gen-data", "--out", d, "--count", "2", "--size", "4", "4",
+                 "--bands", "2"]) == 0
+    assert main(["train", "--data", d, "--out", str(run), *TRAIN_FLAGS]) == 0
+    ckpt = str(run / "checkpoint_final.ckpt")
+    assert main(["eval", "--model", ckpt, "--data", d, "--full-res",
+                 "--report", str(tmp_path / "r.csv")]) == 0
+    assert main(["diagnose", "--model", ckpt, "--data", d,
+                 "--out", str(tmp_path / "diag")]) == 0
 
 
 def test_train_writes_run_artifacts(run_dir):
@@ -160,6 +188,51 @@ def test_eval_format_1_checkpoint_exits_2(tmp_path, run_dir, data_dir, capsys):
     assert "version 1" in capsys.readouterr().err
 
 
+def test_eval_format_2_checkpoint_exits_2(tmp_path, run_dir, data_dir, capsys):
+    raw = bytearray(open(os.path.join(run_dir, "checkpoint_final.ckpt"), "rb").read())
+    struct.pack_into("<I", raw, 4, 2)
+    ckpt = tmp_path / "v2.ckpt"
+    ckpt.write_bytes(bytes(raw))
+    report = tmp_path / "r.csv"
+    rc = main(["eval", "--model", str(ckpt), "--data", data_dir,
+               "--report", str(report)])
+    assert rc == 2
+    assert "version 2" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command, frac", [
+    ("compare", "abc"),
+    ("compare", "0.5,"),
+    ("train", "abc"),
+    ("train", "0.5,1.0"),
+])
+def test_bad_d_frac_exits_2(tmp_path, data_dir, capsys, command, frac):
+    out = tmp_path / "o"
+    rc = main([command, "--data", data_dir, "--out", str(out),
+               "--d-frac", frac, *TRAIN_FLAGS])
+    assert rc == 2
+    assert "--d-frac" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_mixed_sample_shapes_exits_2(tmp_path, capsys):
+    d, big = tmp_path / "d", tmp_path / "big"
+    for out, size in ((d, "16"), (big, "32")):
+        assert main(["gen-data", "--out", str(out), "--count", "2",
+                     "--size", size, size, "--bands", "2", "--seed", "5"]) == 0
+    shutil.copytree(big / "sample_00000", d / "big_00000")
+    seed = read_manifest(str(big))[0]["seed"]
+    with open(d / "manifest.txt", "a") as f:
+        f.write(f"big_00000\t{seed}\t32\t32\t2\n")
+    # every sample trains, so the one batch of three mixes two shapes
+    rc = main(["train", "--data", str(d), "--out", str(tmp_path / "o"),
+               *TRAIN_FLAGS, "--test-count", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "big_00000" in err and "(32, 32, 2)" in err and "(16, 16, 2)" in err
+
+
 def test_train_empty_manifest_exits_2(tmp_path, capsys):
     d = tmp_path / "d"
     d.mkdir()
@@ -254,6 +327,25 @@ def test_diagnose_reads_only_the_probe(tmp_path, run_dir, data_dir, monkeypatch)
     assert len(reads) == 3
 
 
+@pytest.mark.parametrize("absolute", [False, True])
+def test_diagnose_sample_outside_the_dataset_exits_2(tmp_path, run_dir, capsys,
+                                                     monkeypatch, absolute):
+    d = tmp_path / "d"
+    assert main(["gen-data", "--out", str(d), "--count", "1",
+                 "--size", "16", "16", "--bands", "2"]) == 0
+    shutil.copytree(d / "sample_00000", tmp_path / "outside")
+    sample = str(tmp_path / "outside") if absolute else "../outside"
+    reads = counted_reads(monkeypatch)
+    rc = main(["diagnose", "--model",
+               os.path.join(run_dir, "checkpoint_final.ckpt"),
+               "--data", str(d), "--out", str(tmp_path / "diag"),
+               "--sample", sample])
+    assert rc == 2
+    assert "not a plain file name" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "diag").exists()
+
+
 def test_diagnose_skips_weight_trace_for_baseline(tmp_path, data_dir):
     out = tmp_path / "run"
     assert main(["train", "--data", data_dir, "--variant", "baseline",
@@ -277,8 +369,8 @@ def test_compare_csv_columns(tmp_path, data_dir):
     assert len(rows) == 4
     for method, frac, params, flops, psnr in rows:
         frac = float(frac)
-        cfg = AdwmConfig(n_layers=2, channels=6, ifw_d_fraction=frac,
-                         cfw_d_fraction=frac, generator=method)
+        cfg = AdwmConfig(n_layers=2, channels=6, d_fraction=frac,
+                         generator=method)
         assert int(params) == adwm_param_count(cfg)
         assert int(flops) == count_flops(32, 32, 6, 2, d_fraction=frac).total
         assert np.isfinite(float(psnr))

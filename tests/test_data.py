@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adwm import data
 from adwm.data import (
+    SCALE,
     SamplePair,
     blur_bands,
     build_dataset,
@@ -267,6 +269,60 @@ def test_build_dataset_deterministic(tmp_path):
             fa = (tmp_path / "a" / sid / f"{name}.tnsr").read_bytes()
             fb = (tmp_path / "b" / sid / f"{name}.tnsr").read_bytes()
             assert fa == fb
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_threaded_build_matches_serial(tmp_path, monkeypatch):
+    pools = []
+    executor = data.ThreadPoolExecutor
+
+    def counted(max_workers):
+        pools.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(data, "ThreadPoolExecutor", counted)
+    monkeypatch.setenv("ADWM_THREADS", "1")
+    build_dataset(3, 6, 32, 32, 4, tmp_path / "serial")
+    monkeypatch.setenv("ADWM_THREADS", "3")
+    build_dataset(3, 6, 32, 32, 4, tmp_path / "threaded")
+    assert pools == [3]
+    serial = _tree_bytes(tmp_path / "serial")
+    assert len(serial) == 6 * 3 + 1
+    assert _tree_bytes(tmp_path / "threaded") == serial
+
+
+@pytest.mark.parametrize("count, H, W, c", [
+    (0, 16, 16, 4), (-1, 16, 16, 4), (1, 16, 16, 0),
+    (1, 0, 0, 4), (1, 16, -16, 4), (1, SCALE // 2, SCALE // 2, 4), (1, 18, 16, 4),
+])
+def test_build_dataset_rejects_bad_inputs(tmp_path, count, H, W, c):
+    with pytest.raises(ConfigurationError):
+        build_dataset(0, count, H, W, c, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
+
+
+def test_build_dataset_smallest_size(tmp_path):
+    build_dataset(0, 1, SCALE, SCALE, 1, tmp_path)
+    s = load_sample(tmp_path, "sample_00000")
+    assert s.gt.shape == (SCALE, SCALE, 1) and s.lrms.shape == (1, 1, 1)
+
+
+@pytest.mark.parametrize("sid", ["..", ".", "", "../outside", "a/b", "a\\b"])
+def test_load_sample_rejects_path_like_ids(tmp_path, sid):
+    build_dataset(0, 1, 16, 16, 2, tmp_path / "d")
+    os.rename(tmp_path / "d" / "sample_00000", tmp_path / "outside")
+    with pytest.raises(FormatError):
+        load_sample(tmp_path / "d", sid)
+
+
+def test_load_sample_rejects_absolute_path(tmp_path):
+    build_dataset(0, 1, 16, 16, 2, tmp_path / "d")
+    with pytest.raises(FormatError):
+        load_sample(tmp_path / "d", str(tmp_path / "d" / "sample_00000"))
 
 
 def test_load_dataset(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from adwm.backbone import ModelConfig, PansharpenModel, load_checkpoint
 from adwm.data import SamplePair, generate_scene, wald_degrade
-from adwm.errors import ConfigurationError, NumericError
+from adwm.errors import ConfigurationError, DimensionError, NumericError
 from adwm.tensor import Tensor, gradcheck
 from adwm.trainer import (
     TrainConfig,
@@ -214,6 +214,18 @@ def test_nan_loss_aborts_with_batch_id(tmp_path):
     # the abort hands the parameters back outside the tape
     assert not any(p.requires_grad for p in model.params())
     assert not model.forward(pairs[0].pan, pairs[0].lrms).requires_grad
+
+
+def test_mixed_shape_batch_is_dimension_error(tmp_path):
+    big = make_pairs(1, seed0=9, H=32, W=32)[0]
+    big.id = "big"
+    model = tiny_model(seed=5)
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
+    with pytest.raises(DimensionError) as e:
+        train(model, make_pairs(2) + [big], [], cfg, out_dir=tmp_path)
+    msg = str(e.value)
+    assert "sample_00000" in msg and "sample_00001" in msg and "big" in msg
+    assert "(16, 16, 2)" in msg and "(32, 32, 2)" in msg
 
 
 def test_empty_training_set(tmp_path):

@@ -316,7 +316,7 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         AdwmConfig(n_layers=0, channels=4)
     with pytest.raises(ConfigurationError):
-        AdwmConfig(n_layers=2, channels=4, ifw_d_fraction=0.0)
+        AdwmConfig(n_layers=2, channels=4, d_fraction=0.0)
     with pytest.raises(ConfigurationError):
         AdwmConfig(n_layers=2, channels=4, generator="nope")
 
