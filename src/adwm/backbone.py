@@ -33,7 +33,7 @@ import numpy as np
 from .cacw import D_FRACTION
 from .data import SCALE, TNSR_MAGIC, _read_u32, tensor_from_bytes, tensor_to_bytes
 from .errors import ConfigurationError, DimensionError, FormatError
-from .tensor import Tensor, concat, conv2d
+from .tensor import Tensor, _node, as_tensor, concat, conv2d
 # ifw_apply and cfw_apply stay importable from here because the
 # perfbench span tracer patches them on this module as well; the model
 # reaches them through aggregate
@@ -62,6 +62,11 @@ class ModelConfig:
     scale: ClassVar[int] = SCALE  # a constant, not a field: never checkpointed
 
     def __post_init__(self):
+        for name in ("bands", "channels", "blocks"):
+            # an exact type test, so a JSON true/false (a bool) fails too
+            if type(getattr(self, name)) is not int:
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.bands < 1:
             raise ConfigurationError(f"bands must be >= 1, got {self.bands}")
         if self.blocks < 1:
@@ -117,7 +122,7 @@ def upsample_bilinear(x, factor):
     sampling with edge clamping, so a constant image stays constant and
     factor 1 is the exact identity.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    x = as_tensor(x)
     if x.ndim < 3:
         raise DimensionError(f"need (..., h, w, c), got shape {x.shape}")
     if factor < 1 or int(factor) != factor:
@@ -127,15 +132,12 @@ def upsample_bilinear(x, factor):
     ri0, ri1, rf = _interp_axis(h, factor)
     ci0, ci1, cf = _interp_axis(w, factor)
     rows = _gather(x.data, -3, ri0, ri1, rf)
-    data = _gather(rows, -2, ci0, ci1, cf)
-    out = Tensor(data, x.requires_grad, (x,))
-    if x.requires_grad:
-        def _backward():
-            g = _scatter(out.grad, -2, w, ci0, ci1, cf)
-            x._accumulate(_scatter(g, -3, h, ri0, ri1, rf))
 
-        out._backward = _backward
-    return out
+    def backward(g):
+        g = _scatter(g, -2, w, ci0, ci1, cf)
+        x._accumulate(_scatter(g, -3, h, ri0, ri1, rf))
+
+    return _node(_gather(rows, -2, ci0, ci1, cf), (x,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +210,8 @@ class PansharpenModel:
         None where the variant has none, plus "features", the detached
         per-block (H, W, C) or (B, H, W, C) feature maps.
         """
-        pan = pan if isinstance(pan, Tensor) else Tensor(pan)
-        lrms = lrms if isinstance(lrms, Tensor) else Tensor(lrms)
+        pan = as_tensor(pan)
+        lrms = as_tensor(lrms)
         if pan.ndim not in (2, 3):
             raise DimensionError(f"pan must be (H,W) or (B,H,W), got {pan.shape}")
         batched = pan.ndim == 3
@@ -294,8 +296,12 @@ def load_checkpoint(path):
         cfg = json.loads(buf[off:off + blob_len].decode())
     except ValueError as e:
         raise FormatError(f"config block is not valid JSON: {e}", offset=off)
+    if not isinstance(cfg, dict):
+        raise FormatError("config block is not a JSON object", offset=off)
     off += blob_len
     seed = cfg.pop("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise FormatError(f"seed must be a non-negative integer, got {seed!r}", offset=12)
     try:
         config = ModelConfig(**cfg)
     except TypeError as e:

@@ -23,11 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError, NumericError
-from .tensor import Tensor, softmax
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+from .tensor import Tensor, as_tensor, softmax
 
 
 # default hidden-width fraction of every generator head, at both weighting levels
@@ -59,7 +55,7 @@ def compute_covariance(X):
     X: (m, n) observation matrix, m >= 2. Returns the symmetrized
     (n, n) covariance (X-mean)^T (X-mean) / (m-1).
     """
-    X = _as_tensor(X)
+    X = as_tensor(X)
     if X.ndim < 2:
         raise DimensionError(f"observation matrix must be 2-D, got shape {X.shape}")
     m = X.shape[-2]
@@ -77,7 +73,7 @@ def normalize_covariance(C, eps=1e-8):
     variances well above eps, entries bounded by [-1, 1], zero-variance
     features degrade gracefully to zero rows instead of dividing by zero.
     """
-    C = _as_tensor(C)
+    C = as_tensor(C)
     if C.ndim < 2 or C.shape[-1] != C.shape[-2]:
         raise DimensionError(f"covariance must be square, got shape {C.shape}")
     n = C.shape[-1]
@@ -122,7 +118,7 @@ class _MlpHead:
 
     def _observations(self, X):
         """X as a Tensor of shape (..., m, n), or a DimensionError."""
-        X = _as_tensor(X)
+        X = as_tensor(X)
         if X.ndim < 2 or X.shape[-1] != self.n:
             raise DimensionError(
                 f"observations of shape {X.shape} do not match generator n={self.n}"
@@ -167,7 +163,7 @@ def generate_weights(module, corr):
 
     corr: (n, n) with n matching module.n. Returns weights of length n.
     """
-    corr = _as_tensor(corr)
+    corr = as_tensor(corr)
     if corr.shape[-1] != module.n or corr.shape[-2] != module.n:
         raise DimensionError(
             f"correlation shape {corr.shape} does not match module n={module.n}"

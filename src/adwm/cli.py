@@ -26,7 +26,7 @@ from .data import (
 )
 from .errors import AdwmError, NumericError, UsageError
 from .metrics import evaluate_noreference, evaluate_reference, write_report_csv
-from .tensor import Tensor, concat, conv2d, gradcheck, softmax, spatial_mean, stack
+from .tensor import Tensor, _node, concat, conv2d, gradcheck, softmax, spatial_mean, stack
 from .trainer import TrainConfig, train
 from .weighting import adwm_param_count
 
@@ -390,13 +390,10 @@ def _gradcheck_suite(seed, corrupt=False):
 
     if corrupt:
         def bad_square(x):
-            out = Tensor(x.data * x.data, True, (x,))
+            def backward(g):
+                x._accumulate(1.9 * x.data * g)  # wrong factor, on purpose
 
-            def _backward():
-                x._accumulate(1.9 * x.data * out.grad)  # wrong factor, on purpose
-
-            out._backward = _backward
-            return out
+            return _node(x.data * x.data, (x,), backward)
 
         results.append(
             ("corrupted_square", float(gradcheck(lambda a: bad_square(a).sum(),
@@ -420,10 +417,17 @@ def cmd_gradcheck(args):
 # ----------------------------------------------------------------------
 # parser
 
+def _seed(raw):
+    """--seed's type: a non-negative integer, the seeds numpy accepts."""
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def _add_common_train_flags(p):
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--d-frac", dest="d_frac", default=str(ModelConfig.d_fraction))
     p.add_argument("--channels", type=int, default=ModelConfig.channels)
     p.add_argument("--blocks", type=int, default=ModelConfig.blocks)
@@ -452,7 +456,7 @@ def build_parser():
     p.add_argument("--count", type=int)
     p.add_argument("--size", type=int, nargs=2, metavar=("H", "W"))
     p.add_argument("--bands", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = new_command("train", cmd_train, ("data", "out"),
                     help="train one variant or all four")
@@ -486,7 +490,7 @@ def build_parser():
 
     p = new_command("gradcheck", cmd_gradcheck, (),
                     help="finite-difference verification")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--corrupt", action="store_true",
                    help="inject a wrong backward rule; must fail")
     return ap

@@ -20,7 +20,6 @@ import io
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,15 +253,6 @@ class SamplePair:
     gt: np.ndarray     # (H, W, c)
 
 
-def _thread_count():
-    raw = os.environ.get("ADWM_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else 1
-
-
 def build_dataset(seed, count, H, W, c, out_dir):
     """Write `count` samples plus manifest.txt; returns the manifest path."""
     if count < 1 or c < 1:
@@ -281,12 +271,7 @@ def build_dataset(seed, count, H, W, c, out_dir):
         write_tensor(os.path.join(sdir, "lrms.tnsr"), lrms)
         return sid
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ids = list(pool.map(emit, range(count)))
-    else:
-        ids = [emit(i) for i in range(count)]
+    ids = [emit(i) for i in range(count)]
 
     manifest = os.path.join(out_dir, "manifest.txt")
     with open(manifest, "w") as f:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cacw import D_FRACTION, compute_covariance, pca_eigendecompose, reduced_width
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
-from .tensor import Tensor, softmax
+from .tensor import Tensor, as_tensor, softmax
 from .weighting import _channel_observations
 
 # ----------------------------------------------------------------------
@@ -51,7 +51,7 @@ def spectrum_entropy(scree):
 
 def feature_covariance(F):
     """Channel covariance of one (H, W, C) feature map as plain numpy."""
-    F = F if isinstance(F, Tensor) else Tensor(F)
+    F = as_tensor(F)
     if F.ndim != 3:
         raise DimensionError(f"need an (H, W, C) feature map, got {F.shape}")
     return compute_covariance(_channel_observations(F)).data

@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Small define-by-run engine in the micrograd tradition: every operation
-whose result requires grad records its parents and a closure that knows
-how to push gradients back; other results keep neither. Everything is
-float64; desk-scale problem sizes make the memory cost irrelevant and
-keep finite-difference checks tight.
+Small define-by-run engine in the micrograd tradition. Every op builds
+its result through `_node(data, parents, backward)`, the one route onto
+the tape: when some parent requires grad, the result records its parents
+and a closure that pushes its gradient back through `backward`; other
+results keep neither. `as_tensor` is the one coercion of raw arrays.
+Everything is float64; desk-scale problem sizes make the memory cost
+irrelevant and keep finite-difference checks tight.
 
 Shapes follow numpy. Image tensors are channels-last, (H, W, C), with an
 optional leading batch axis (B, H, W, C) accepted by the image ops. The
@@ -41,31 +43,41 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def as_tensor(x):
+    """`x` itself when it is a Tensor, else a constant Tensor over it."""
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _node(data, parents, backward):
+    """The result of an op over `parents`; the one route onto the tape.
+
+    When some parent requires grad, the result links its parents and the
+    sweep calls `backward(grad)` with its gradient, which accumulates into
+    each parent that requires grad. Otherwise the result keeps neither, so
+    a forward with no tape frees each intermediate once its consumer exists.
+    """
+    out = Tensor(data)
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward_fn = lambda: backward(out.grad)
+            break
+    return out
+
+
 class Tensor:
     """A numpy array plus optional participation in the gradient tape."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
                  "__weakref__")
 
-    def __init__(self, data, requires_grad=False, _parents=()):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        # only the tape needs parent links; a result outside it holding
-        # them would keep every upstream intermediate alive
-        self._parents = _parents if self.requires_grad else ()
+        self._parents = ()
         self._backward_fn = None
-
-    @property
-    def _backward(self):
-        return self._backward_fn
-
-    @_backward.setter
-    def _backward(self, fn):
-        # a stored closure references this tensor and vice versa, which
-        # turns every graph into cyclic garbage the collector must chase;
-        # tensors outside the tape simply drop it
-        self._backward_fn = fn if self.requires_grad else None
 
     # ------------------------------------------------------------------
     # plumbing
@@ -147,10 +159,6 @@ class Tensor:
     # elementwise arithmetic
 
     @staticmethod
-    def _coerce(other):
-        return other if isinstance(other, Tensor) else Tensor(other)
-
-    @staticmethod
     def _check_broadcast(a, b):
         try:
             np.broadcast_shapes(a.shape, b.shape)
@@ -160,66 +168,48 @@ class Tensor:
             ) from None
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = as_tensor(other)
         self._check_broadcast(self, other)
-        out = Tensor(
-            self.data + other.data,
-            self.requires_grad or other.requires_grad,
-            (self, other),
-        )
 
-        def _backward():
+        def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
+                self._accumulate(_unbroadcast(g, self.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad, other.shape))
+                other._accumulate(_unbroadcast(g, other.shape))
 
-        out._backward = _backward
-        return out
+        return _node(self.data + other.data, (self, other), backward)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = as_tensor(other)
         self._check_broadcast(self, other)
-        out = Tensor(
-            self.data * other.data,
-            self.requires_grad or other.requires_grad,
-            (self, other),
-        )
 
-        def _backward():
+        def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
+                self._accumulate(_unbroadcast(g * other.data, self.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
+                other._accumulate(_unbroadcast(g * self.data, other.shape))
 
-        out._backward = _backward
-        return out
+        return _node(self.data * other.data, (self, other), backward)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = as_tensor(other)
         self._check_broadcast(self, other)
-        out = Tensor(
-            self.data / other.data,
-            self.requires_grad or other.requires_grad,
-            (self, other),
-        )
 
-        def _backward():
+        def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad / other.data, self.shape))
+                self._accumulate(_unbroadcast(g / other.data, self.shape))
             if other.requires_grad:
                 other._accumulate(
-                    _unbroadcast(-out.grad * self.data / other.data**2, other.shape)
+                    _unbroadcast(-g * self.data / other.data**2, other.shape)
                 )
 
-        out._backward = _backward
-        return out
+        return _node(self.data / other.data, (self, other), backward)
 
     def __neg__(self):
         return self * -1.0
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-as_tensor(other))
 
     def __radd__(self, other):
         return self + other
@@ -231,78 +221,54 @@ class Tensor:
         return (-self) + other
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return as_tensor(other) / self
 
     # ------------------------------------------------------------------
     # nonlinearities
 
     def leaky_relu(self, slope=0.01):
-        out = Tensor(
-            np.where(self.data > 0, self.data, slope * self.data),
-            self.requires_grad,
-            (self,),
-        )
+        def backward(g):
+            self._accumulate(g * np.where(self.data > 0, 1.0, slope))
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * np.where(self.data > 0, 1.0, slope))
-
-        out._backward = _backward
-        return out
+        return _node(np.where(self.data > 0, self.data, slope * self.data),
+                     (self,), backward)
 
     def sigmoid(self):
         # guard both tails so exp never overflows
         x = self.data
         s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out = Tensor(s, self.requires_grad, (self,))
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * s * (1.0 - s))
+        def backward(g):
+            self._accumulate(g * s * (1.0 - s))
 
-        out._backward = _backward
-        return out
+        return _node(s, (self,), backward)
 
     def sqrt(self):
         root = np.sqrt(self.data)
-        out = Tensor(root, self.requires_grad, (self,))
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * 0.5 / root)
+        def backward(g):
+            self._accumulate(g * 0.5 / root)
 
-        out._backward = _backward
-        return out
+        return _node(root, (self,), backward)
 
     def abs(self):
-        out = Tensor(np.abs(self.data), self.requires_grad, (self,))
+        def backward(g):
+            # subgradient 0 at exact ties
+            self._accumulate(g * np.sign(self.data))
 
-        def _backward():
-            if self.requires_grad:
-                # subgradient 0 at exact ties
-                self._accumulate(out.grad * np.sign(self.data))
-
-        out._backward = _backward
-        return out
+        return _node(np.abs(self.data), (self,), backward)
 
     # ------------------------------------------------------------------
     # reductions and shape ops
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                     self.requires_grad, (self,))
-
-        def _backward():
-            if not self.requires_grad:
-                return
-            g = out.grad
+        def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        out._backward = _backward
-        return out
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -317,29 +283,23 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), self.requires_grad, (self,))
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad.reshape(self.shape))
+        def backward(g):
+            self._accumulate(g.reshape(self.shape))
 
-        out._backward = _backward
-        return out
+        return _node(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        out = Tensor(self.data.transpose(axes), self.requires_grad, (self,))
         inverse = tuple(np.argsort(axes))
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad.transpose(inverse))
+        def backward(g):
+            self._accumulate(g.transpose(inverse))
 
-        out._backward = _backward
-        return out
+        return _node(self.data.transpose(axes), (self,), backward)
 
     @property
     def T(self):
@@ -351,16 +311,13 @@ class Tensor:
             raise DimensionError(f"diagonal needs square trailing axes, got {self.shape}")
         n = self.shape[-1]
         idx = np.arange(n)
-        out = Tensor(self.data[..., idx, idx], self.requires_grad, (self,))
 
-        def _backward():
-            if self.requires_grad:
-                g = np.zeros_like(self.data)
-                g[..., idx, idx] = out.grad
-                self._accumulate(g)
+        def backward(g):
+            full = np.zeros_like(self.data)
+            full[..., idx, idx] = g
+            self._accumulate(full)
 
-        out._backward = _backward
-        return out
+        return _node(self.data[..., idx, idx], (self,), backward)
 
     # ------------------------------------------------------------------
     # linear algebra
@@ -369,8 +326,7 @@ class Tensor:
         return self.matmul(other)
 
     def matmul(self, other):
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, as_tensor(other)
         if a.ndim < 2 or b.ndim < 2:
             raise DimensionError(
                 f"matmul needs at least 2-D operands, got {a.shape} and {b.shape}"
@@ -385,10 +341,8 @@ class Tensor:
             raise DimensionError(
                 f"matmul batch dimensions do not broadcast: {a.shape} x {b.shape}"
             ) from None
-        out = Tensor(out_data, a.requires_grad or b.requires_grad, (a, b))
 
-        def _backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
                 a._accumulate(_unbroadcast(ga, a.shape))
@@ -396,8 +350,7 @@ class Tensor:
                 gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
                 b._accumulate(_unbroadcast(gb, b.shape))
 
-        out._backward = _backward
-        return out
+        return _node(out_data, (a, b), backward)
 
 
 # ----------------------------------------------------------------------
@@ -410,22 +363,18 @@ def softmax(v, axis=-1):
     The primary contract is a length-n vector; higher-rank inputs are
     normalized along the given axis.
     """
-    v = Tensor._coerce(v)
+    v = as_tensor(v)
     if v.size == 0:
         raise DimensionError("softmax of an empty tensor")
     shifted = v.data - v.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, v.requires_grad, (v,))
 
-    def _backward():
-        if v.requires_grad:
-            g = out.grad
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            v._accumulate(y * (g - dot))
+    def backward(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        v._accumulate(y * (g - dot))
 
-    out._backward = _backward
-    return out
+    return _node(y, (v,), backward)
 
 
 def spatial_mean(f):
@@ -433,46 +382,41 @@ def spatial_mean(f):
 
     (H, W, C) -> (C,), or (B, H, W, C) -> (B, C).
     """
-    f = Tensor._coerce(f)
+    f = as_tensor(f)
     if f.ndim not in (3, 4):
         raise DimensionError(f"spatial_mean expects (H,W,C) or (B,H,W,C), got {f.shape}")
     return f.mean(axis=(-3, -2))
 
 
 def concat(tensors, axis=0):
-    tensors = [Tensor._coerce(t) for t in tensors]
+    tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise DimensionError("concat of an empty sequence")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor(out_data, any(t.requires_grad for t in tensors), tuple(tensors))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def _backward():
+    def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                idx = [slice(None)] * out.ndim
+                idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t._accumulate(out.grad[tuple(idx)])
+                t._accumulate(g[tuple(idx)])
 
-    out._backward = _backward
-    return out
+    return _node(out_data, tensors, backward)
 
 
 def stack(tensors, axis=0):
-    tensors = [Tensor._coerce(t) for t in tensors]
+    tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise DimensionError("stack of an empty sequence")
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis),
-                 any(t.requires_grad for t in tensors), tuple(tensors))
 
-    def _backward():
+    def backward(g):
         for i, t in enumerate(tensors):
             if t.requires_grad:
-                t._accumulate(np.take(out.grad, i, axis=axis))
+                t._accumulate(np.take(g, i, axis=axis))
 
-    out._backward = _backward
-    return out
+    return _node(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 # ----------------------------------------------------------------------
@@ -566,8 +510,7 @@ def conv2d(x, k, padding=1):
     in place, so no patch matrix is built; the rows are walked in blocks of
     `_BLOCK` so each block's partial sums stay in cache.
     """
-    x = Tensor._coerce(x)
-    k = Tensor._coerce(k)
+    x, k = as_tensor(x), as_tensor(k)
     if k.ndim != 4:
         raise DimensionError(f"kernel must be 4-D (C_out,C_in,kh,kw), got {k.shape}")
     cout, cin, kh, kw = k.shape
@@ -597,24 +540,20 @@ def conv2d(x, k, padding=1):
     taps = taps.reshape(kh * kw, cin, cout)
     yf = _shifted_gemm(taps, offsets, xf, np.empty((n, cout)))
     y = yf.reshape(b, hp, wp, cout)[:, :h, :w]
-    out = Tensor(y if batched else y[0], x.requires_grad or k.requires_grad, (x, k))
 
-    if out.requires_grad:
-        def _backward():
-            gy = out.grad if batched else out.grad[None]
-            dyf = _flat_grid(gy, span, 0, hp, wp)
-            if k.requires_grad:
-                gk = _tap_products(dyf[span:n], xf, offsets)
-                k._accumulate(gk.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
-            if x.requires_grad:
-                flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
-                flipped = np.ascontiguousarray(flipped).reshape(kh * kw, cout, cin)
-                dxf = _shifted_gemm(flipped, offsets, dyf, np.empty((n, cin)))
-                gx = dxf.reshape(b, hp, wp, cin)[:, p:p + h, p:p + w]
-                x._accumulate(gx if batched else gx[0])
+    def backward(g):
+        dyf = _flat_grid(g if batched else g[None], span, 0, hp, wp)
+        if k.requires_grad:
+            gk = _tap_products(dyf[span:n], xf, offsets)
+            k._accumulate(gk.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
+        if x.requires_grad:
+            flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+            flipped = np.ascontiguousarray(flipped).reshape(kh * kw, cout, cin)
+            dxf = _shifted_gemm(flipped, offsets, dyf, np.empty((n, cin)))
+            gx = dxf.reshape(b, hp, wp, cin)[:, p:p + h, p:p + w]
+            x._accumulate(gx if batched else gx[0])
 
-        out._backward = _backward
-    return out
+    return _node(y if batched else y[0], (x, k), backward)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from .backbone import save_checkpoint
 from .errors import ConfigurationError, DimensionError, NumericError
 from .metrics import psnr
-from .tensor import Tensor
+from .tensor import Tensor, as_tensor
 
 
 @dataclass
@@ -47,9 +47,7 @@ def lr_at(epoch, cfg):
 
 
 def l1_loss(pred, gt):
-    pred = pred if isinstance(pred, Tensor) else Tensor(pred)
-    gt = gt if isinstance(gt, Tensor) else Tensor(gt)
-    return (pred - gt).abs().mean()
+    return (as_tensor(pred) - as_tensor(gt)).abs().mean()
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +130,7 @@ class TrainResult:
 
 
 def train(model, train_pairs, val_pairs, cfg, out_dir):
-    """Run the full loop; writes train_log.csv plus best/final checkpoints."""
+    """Run the full loop; streams train_log.csv, writes best/final checkpoints."""
     if not train_pairs:
         raise ConfigurationError("training set is empty")
     os.makedirs(out_dir, exist_ok=True)
@@ -145,9 +143,10 @@ def train(model, train_pairs, val_pairs, cfg, out_dir):
     rng = np.random.default_rng(cfg.seed)
     best = -np.inf
     history = []
-    lines = ["epoch,lr,train_l1,val_psnr"]
 
-    with _grad_flags(params, True):
+    # each epoch's row is flushed as it ends: a run that stops keeps them
+    with open(log_path, "w") as log, _grad_flags(params, True):
+        log.write("epoch,lr,train_l1,val_psnr\n")
         for epoch in range(1, cfg.epochs + 1):
             lr = lr_at(epoch, cfg)
             order = rng.permutation(len(train_pairs))
@@ -179,14 +178,13 @@ def train(model, train_pairs, val_pairs, cfg, out_dir):
             history.append(
                 {"epoch": epoch, "lr": lr, "train_l1": train_l1, "val_psnr": val_psnr}
             )
-            lines.append(f"{epoch},{lr:.10g},{train_l1:.10g},{val_psnr:.10g}")
+            log.write(f"{epoch},{lr:.10g},{train_l1:.10g},{val_psnr:.10g}\n")
+            log.flush()
 
     save_checkpoint(final_path, model)
     if not val_pairs or not os.path.exists(best_path):
         save_checkpoint(best_path, model)
         best = float("nan")
-    with open(log_path, "w") as f:
-        f.write("\n".join(lines) + "\n")
     return TrainResult(
         log_path=log_path, best_path=best_path, final_path=final_path,
         best_val_psnr=float(best), history=history,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cacw import D_FRACTION, WEIGHT_GENERATORS, reduced_width
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
-from .tensor import Tensor, softmax, spatial_mean, stack
+from .tensor import _node, as_tensor, softmax, spatial_mean, stack
 
 
 @dataclass
@@ -90,7 +90,7 @@ def ifw_apply(generator, F_i):
     F_i: (H, W, C) or (B, H, W, C) with H*W >= 2. Returns (gated map,
     alpha) where alpha has shape (C,) or (B, C).
     """
-    F_i = F_i if isinstance(F_i, Tensor) else Tensor(F_i)
+    F_i = as_tensor(F_i)
     if F_i.ndim not in (3, 4):
         raise DimensionError(f"feature map must be (H,W,C) or (B,H,W,C), got {F_i.shape}")
     h, w = F_i.shape[-3], F_i.shape[-2]
@@ -110,7 +110,7 @@ def weighted_sum(maps, w=None):
     weights of shape (N,) or (B, N), or None for the uniform 1/N, which
     makes this the plain mean of the stack.
     """
-    maps = [m if isinstance(m, Tensor) else Tensor(m) for m in maps]
+    maps = [as_tensor(m) for m in maps]
     n = len(maps)
     if n == 0:
         raise DimensionError("weighted sum of an empty stack")
@@ -135,10 +135,8 @@ def weighted_sum(maps, w=None):
     data = maps[0].data * factors[0]
     for m, f in zip(maps[1:], factors[1:]):
         data += m.data * f
-    out = Tensor(data, any(p.requires_grad for p in parents), parents)
 
-    def _backward():
-        g = out.grad
+    def backward(g):
         for m, f in zip(maps, factors):
             if m.requires_grad:
                 m._accumulate(g * f)
@@ -147,8 +145,7 @@ def weighted_sum(maps, w=None):
                 [(g * m.data).sum(axis=(-3, -2, -1)) for m in maps], axis=-1
             ))
 
-    out._backward = _backward
-    return out
+    return _node(data, parents, backward)
 
 
 def cfw_apply(generator, F, F_tilde):
@@ -167,8 +164,8 @@ def cfw_apply(generator, F, F_tilde):
         raise DimensionError(
             f"stacks disagree in length: {len(F)} vs {len(F_tilde)}"
         )
-    F = [f if isinstance(f, Tensor) else Tensor(f) for f in F]
-    F_tilde = [f if isinstance(f, Tensor) else Tensor(f) for f in F_tilde]
+    F = [as_tensor(f) for f in F]
+    F_tilde = [as_tensor(f) for f in F_tilde]
     shape = F[0].shape
     for f in F + F_tilde:
         if f.shape != shape:
@@ -195,7 +192,7 @@ def aggregate(features, ifw=None, cfw=None):
     scores) reduce either level to it bit for bit. Returns (fused,
     alphas, beta), None for a level that is off.
     """
-    features = [f if isinstance(f, Tensor) else Tensor(f) for f in features]
+    features = [as_tensor(f) for f in features]
     if len(features) == 0:
         raise DimensionError("aggregation needs a nonempty feature stack")
     if cfw is not None and cfw.n != len(features):

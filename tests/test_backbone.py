@@ -406,6 +406,19 @@ def test_format_2_checkpoint_is_format_error(tmp_path):
     assert "version 2" in str(e.value)
 
 
+@pytest.mark.parametrize("blob", [b"[]", b'"x"', b"3"])
+def test_checkpoint_config_block_not_an_object(tmp_path, blob):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, PansharpenModel(tiny_config("adwm")))
+    raw = p.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    p.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
+    with pytest.raises(FormatError) as e:
+        load_checkpoint(p)
+    assert e.value.offset == 12
+    assert "JSON object" in str(e.value)
+
+
 def test_checkpoint_truncated(tmp_path):
     model = PansharpenModel(tiny_config("adwm", bands=1, channels=2, blocks=1))
     p = tmp_path / "m.ckpt"

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, all through main(argv)."""
 
+import json
 import os
 import shutil
 import struct
@@ -178,7 +179,8 @@ def test_eval_truncated_checkpoint_exits_2(tmp_path, data_dir, capsys):
 
 
 def test_eval_format_1_checkpoint_exits_2(tmp_path, run_dir, data_dir, capsys):
-    raw = bytearray(open(os.path.join(run_dir, "checkpoint_final.ckpt"), "rb").read())
+    with open(os.path.join(run_dir, "checkpoint_final.ckpt"), "rb") as f:
+        raw = bytearray(f.read())
     struct.pack_into("<I", raw, 4, 1)
     ckpt = tmp_path / "v1.ckpt"
     ckpt.write_bytes(bytes(raw))
@@ -189,7 +191,8 @@ def test_eval_format_1_checkpoint_exits_2(tmp_path, run_dir, data_dir, capsys):
 
 
 def test_eval_format_2_checkpoint_exits_2(tmp_path, run_dir, data_dir, capsys):
-    raw = bytearray(open(os.path.join(run_dir, "checkpoint_final.ckpt"), "rb").read())
+    with open(os.path.join(run_dir, "checkpoint_final.ckpt"), "rb") as f:
+        raw = bytearray(f.read())
     struct.pack_into("<I", raw, 4, 2)
     ckpt = tmp_path / "v2.ckpt"
     ckpt.write_bytes(bytes(raw))
@@ -199,6 +202,43 @@ def test_eval_format_2_checkpoint_exits_2(tmp_path, run_dir, data_dir, capsys):
     assert rc == 2
     assert "version 2" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("channels", 4.0), ("channels", True),
+    ("seed", "x"), ("seed", -1), ("seed", None), ("seed", 1.5),
+])
+def test_eval_config_block_of_wrong_json_type_exits_2(tmp_path, run_dir, data_dir,
+                                                      capsys, field, value):
+    with open(os.path.join(run_dir, "checkpoint_final.ckpt"), "rb") as f:
+        raw = f.read()
+    n = struct.unpack_from("<I", raw, 8)[0]
+    cfg = json.loads(raw[12:12 + n])
+    cfg[field] = value
+    blob = json.dumps(cfg, sort_keys=True).encode()
+    ckpt = tmp_path / "typed.ckpt"
+    ckpt.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
+    report = tmp_path / "r.csv"
+    rc = main(["eval", "--model", str(ckpt), "--data", data_dir,
+               "--report", str(report)])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "gradcheck"])
+def test_negative_seed_exits_2(tmp_path, data_dir, capsys, command):
+    out = tmp_path / "o"
+    flags = {
+        "gen-data": ["--out", str(out), "--count", "1", "--size", "16", "16"],
+        "train": ["--data", data_dir, "--out", str(out), *TRAIN_FLAGS],
+        "gradcheck": [],
+    }[command]
+    with pytest.raises(SystemExit) as e:
+        main([command, *flags, "--seed", "-1"])
+    assert e.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, frac", [

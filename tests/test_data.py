@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adwm import data
 from adwm.data import (
     SCALE,
     SamplePair,
@@ -269,30 +268,6 @@ def test_build_dataset_deterministic(tmp_path):
             fa = (tmp_path / "a" / sid / f"{name}.tnsr").read_bytes()
             fb = (tmp_path / "b" / sid / f"{name}.tnsr").read_bytes()
             assert fa == fb
-
-
-def _tree_bytes(root):
-    return {str(p.relative_to(root)): p.read_bytes()
-            for p in root.rglob("*") if p.is_file()}
-
-
-def test_threaded_build_matches_serial(tmp_path, monkeypatch):
-    pools = []
-    executor = data.ThreadPoolExecutor
-
-    def counted(max_workers):
-        pools.append(max_workers)
-        return executor(max_workers=max_workers)
-
-    monkeypatch.setattr(data, "ThreadPoolExecutor", counted)
-    monkeypatch.setenv("ADWM_THREADS", "1")
-    build_dataset(3, 6, 32, 32, 4, tmp_path / "serial")
-    monkeypatch.setenv("ADWM_THREADS", "3")
-    build_dataset(3, 6, 32, 32, 4, tmp_path / "threaded")
-    assert pools == [3]
-    serial = _tree_bytes(tmp_path / "serial")
-    assert len(serial) == 6 * 3 + 1
-    assert _tree_bytes(tmp_path / "threaded") == serial
 
 
 @pytest.mark.parametrize("count, H, W, c", [

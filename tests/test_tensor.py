@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from adwm import DimensionError, Tensor, UsageError, concat, conv2d, gradcheck, softmax, spatial_mean, stack
+from adwm.backbone import upsample_bilinear
+from adwm.weighting import weighted_sum
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +412,59 @@ def test_backward_releases_tape_without_gc():
     assert x.grad is not None and k.grad is not None
 
 
+def _node_cases():
+    """(name, op, input arrays, tape parent order) for every op that builds
+    its result through the tape's node constructor."""
+    rng = np.random.default_rng(14)
+
+    def a(*shape):
+        return rng.random(shape) + 0.5  # positive, for sqrt and division
+
+    return [
+        ("add", lambda x, y: x + y, [a(2, 3), a(2, 3)], None),
+        ("mul", lambda x, y: x * y, [a(2, 3), a(1, 3)], None),
+        ("div", lambda x, y: x / y, [a(2, 3), a(2, 1)], None),
+        ("leaky_relu", lambda x: x.leaky_relu(), [a(2, 3) - 1.0], None),
+        ("sigmoid", lambda x: x.sigmoid(), [a(2, 3)], None),
+        ("sqrt", lambda x: x.sqrt(), [a(2, 3)], None),
+        ("abs", lambda x: x.abs(), [a(2, 3) - 1.0], None),
+        ("sum", lambda x: x.sum(axis=0), [a(2, 3)], None),
+        ("reshape", lambda x: x.reshape(3, 2), [a(2, 3)], None),
+        ("transpose", lambda x: x.transpose(), [a(2, 3)], None),
+        ("diagonal", lambda x: x.diagonal(), [a(3, 3)], None),
+        ("matmul", lambda x, y: x @ y, [a(2, 3), a(3, 2)], None),
+        ("softmax", lambda x: softmax(x), [a(4)], None),
+        ("concat", lambda x, y: concat([x, y], axis=0), [a(2, 3), a(1, 3)], None),
+        ("stack", lambda x, y: stack([x, y], axis=0), [a(2, 3), a(2, 3)], None),
+        ("conv2d", lambda x, k: conv2d(x, k), [a(4, 4, 2), a(3, 2, 3, 3)], None),
+        ("upsample_bilinear", lambda x: upsample_bilinear(x, 2), [a(2, 2, 3)], None),
+        ("weighted_sum", lambda x, y: weighted_sum([x, y]), [a(2, 2, 3), a(2, 2, 3)],
+         None),
+        # the tape reaches w right after the first map
+        ("weighted_sum_w", lambda x, y, w: weighted_sum([x, y], w),
+         [a(2, 2, 3), a(2, 2, 3), a(2)], (0, 2, 1)),
+    ]
+
+
 def test_results_outside_the_tape_keep_no_parents():
+    for name, op, arrays, order in _node_cases():
+        # constant inputs: the result is off the tape
+        out = op(*[Tensor(x) for x in arrays])
+        assert not out.requires_grad, name
+        assert out._parents == () and out._backward_fn is None, name
+        # one grad-requiring input puts it on the tape over all its inputs
+        for i in range(len(arrays)):
+            inputs = [Tensor(x, requires_grad=(j == i)) for j, x in enumerate(arrays)]
+            out = op(*inputs)
+            expected = tuple(inputs[j] for j in order or range(len(inputs)))
+            assert out.requires_grad, (name, i)
+            assert len(out._parents) == len(expected), (name, i)
+            assert all(p is q for p, q in zip(out._parents, expected)), (name, i)
+            assert callable(out._backward_fn), (name, i)
+            out.sum().backward()
+            for j, t in enumerate(inputs):
+                assert (t.grad is not None) == (j == i), (name, i, j)
+
     # with no gradient to carry, an intermediate must free as soon as its
     # consumer is built rather than live as long as the consumer does
     rng = np.random.default_rng(13)

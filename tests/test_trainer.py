@@ -5,6 +5,7 @@ from adwm.backbone import ModelConfig, PansharpenModel, load_checkpoint
 from adwm.data import SamplePair, generate_scene, wald_degrade
 from adwm.errors import ConfigurationError, DimensionError, NumericError
 from adwm.tensor import Tensor, gradcheck
+from adwm import trainer
 from adwm.trainer import (
     TrainConfig,
     adam_step,
@@ -167,8 +168,10 @@ def test_train_is_byte_deterministic(tmp_path):
         res = train(model, pairs[:4], pairs[4:], cfg, out_dir=tmp_path / run)
         outs.append(res)
     for attr in ("log_path", "best_path", "final_path"):
-        fa = open(getattr(outs[0], attr), "rb").read()
-        fb = open(getattr(outs[1], attr), "rb").read()
+        with open(getattr(outs[0], attr), "rb") as f:
+            fa = f.read()
+        with open(getattr(outs[1], attr), "rb") as f:
+            fb = f.read()
         assert fa == fb, f"{attr} differs between identical runs"
 
 
@@ -177,7 +180,8 @@ def test_log_schema_and_schedule(tmp_path):
     pairs = make_pairs(6)
     cfg = TrainConfig(epochs=4, batch_size=4, seed=1, halve_every=2)
     res = train(model, pairs[:4], pairs[4:], cfg, out_dir=tmp_path)
-    lines = open(res.log_path).read().strip().split("\n")
+    with open(res.log_path) as f:
+        lines = f.read().strip().split("\n")
     assert lines[0] == "epoch,lr,train_l1,val_psnr"
     assert len(lines) == 5
     rows = [l.split(",") for l in lines[1:]]
@@ -214,6 +218,27 @@ def test_nan_loss_aborts_with_batch_id(tmp_path):
     # the abort hands the parameters back outside the tape
     assert not any(p.requires_grad for p in model.params())
     assert not model.forward(pairs[0].pan, pairs[0].lrms).requires_grad
+
+
+def test_log_streams_one_row_per_finished_epoch(tmp_path, monkeypatch):
+    pairs = make_pairs(5)
+    log_path = tmp_path / "train_log.csv"
+    seen = []
+
+    def failing_on_epoch_2(model, val_pairs):
+        seen.append(log_path.read_text().splitlines())
+        if len(seen) == 2:
+            raise RuntimeError("stop at epoch 2")
+        return 20.0
+
+    monkeypatch.setattr(trainer, "evaluate_psnr", failing_on_epoch_2)
+    cfg = TrainConfig(epochs=3, batch_size=4, seed=0)
+    with pytest.raises(RuntimeError):
+        train(tiny_model(seed=7), pairs[:4], pairs[4:], cfg, out_dir=tmp_path)
+    # epoch 1's row was on disk while epoch 2 was still running
+    assert seen[1][0] == "epoch,lr,train_l1,val_psnr"
+    assert [row.split(",")[0] for row in seen[1][1:]] == ["1"]
+    assert log_path.read_text().splitlines() == seen[1]
 
 
 def test_mixed_shape_batch_is_dimension_error(tmp_path):
