@@ -26,6 +26,7 @@ and 2 among them, are rejected.
 import json
 import struct
 from dataclasses import asdict, dataclass
+from numbers import Real
 from typing import ClassVar
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from .cacw import D_FRACTION
 from .data import SCALE, TNSR_MAGIC, _read_u32, tensor_from_bytes, tensor_to_bytes
 from .errors import ConfigurationError, DimensionError, FormatError
-from .tensor import Tensor, _node, as_tensor, concat, conv2d
+from .tensor import LEAKY_SLOPE, Tensor, _node, as_tensor, bias_act, concat, conv2d
 # ifw_apply and cfw_apply stay importable from here because the
 # perfbench span tracer patches them on this module as well; the model
 # reaches them through aggregate
@@ -67,6 +68,12 @@ class ModelConfig:
             if type(getattr(self, name)) is not int:
                 raise ConfigurationError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
+        # a JSON true/false is a Python bool, which is also an int
+        if isinstance(self.d_fraction, bool) or not isinstance(self.d_fraction, Real):
+            raise ConfigurationError(
+                f"d_fraction must be a real number, got {self.d_fraction!r}")
+        # stored as a float, so 1 and 1.0 make the same checkpoint bytes
+        self.d_fraction = float(self.d_fraction)
         if self.bands < 1:
             raise ConfigurationError(f"bands must be >= 1, got {self.bands}")
         if self.blocks < 1:
@@ -237,22 +244,18 @@ class PansharpenModel:
         up = upsample_bilinear(lrms, SCALE)
         x = concat([pan.reshape(pan.shape + (1,)), up], axis=-1)
 
-        # a (1, 1, C) bias makes `_unbroadcast` sum the batch axis first
-        # and H, W second; a plain (C,) one would sum all three at once
-        # and round the bias gradients differently
-        f = (conv2d(x, self.enc_w) + self.enc_b.reshape((1, 1, -1))).leaky_relu()
+        f = bias_act(conv2d(x, self.enc_w), self.enc_b, LEAKY_SLOPE)
         features = []
         for blk in self.blocks:
-            y = conv2d(f, blk["w1"]) + blk["b1"].reshape((1, 1, -1))
-            y = conv2d(y.leaky_relu(), blk["w2"]) + blk["b2"].reshape((1, 1, -1))
-            f = f + y
+            y = bias_act(conv2d(f, blk["w1"]), blk["b1"], LEAKY_SLOPE)
+            f = f + bias_act(conv2d(y, blk["w2"]), blk["b2"])
             features.append(f)
 
         if self.config.variant == "baseline":
             fused, alphas, beta = features[-1], None, None
         else:
             fused, alphas, beta = aggregate(features, self.ifw, self.cfw)
-        hhat = up + conv2d(fused, self.dec_w) + self.dec_b.reshape((1, 1, -1))
+        hhat = bias_act(up + conv2d(fused, self.dec_w), self.dec_b)
         if return_weights:
             return hhat, {"alpha": alphas, "beta": beta,
                           "features": [f.detach() for f in features]}

@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, eval, diagnose, compare-weighting (alias
 compare), gradcheck. Exit codes: 0 success, 2 usage or configuration
-error, 3 numeric failure. A flat `key = value` file passed via --config
+error or a named path the command cannot read or write, 3 numeric
+failure. A flat `key = value` file passed via --config
 can stand in for any flag set; explicit flags win over file values.
 """
 
@@ -26,7 +27,19 @@ from .data import (
 )
 from .errors import AdwmError, NumericError, UsageError
 from .metrics import evaluate_noreference, evaluate_reference, write_report_csv
-from .tensor import Tensor, _node, concat, conv2d, gradcheck, softmax, spatial_mean, stack
+from .tensor import (
+    LEAKY_SLOPE,
+    Tensor,
+    _node,
+    bias_act,
+    channel_scale,
+    concat,
+    conv2d,
+    gradcheck,
+    softmax,
+    spatial_mean,
+    stack,
+)
 from .trainer import TrainConfig, train
 from .weighting import adwm_param_count
 
@@ -315,6 +328,12 @@ def _gradcheck_suite(seed, corrupt=False):
         ("conv2d", lambda: gradcheck(
             lambda x, k: conv2d(x, k).sum(), [t(5, 5, 2), fixed_k])),
         ("leaky_relu", lambda: gradcheck(lambda a: a.leaky_relu().sum(), t(4, 4))),
+        ("bias_act", lambda: gradcheck(
+            lambda a, b: (bias_act(a, b, LEAKY_SLOPE) * a).sum(), [t(2, 3, 3, 2), t(2)])),
+        ("bias_act_linear", lambda: gradcheck(
+            lambda a, b: (bias_act(a, b) * a).sum(), [t(3, 3, 2), t(2)])),
+        ("channel_scale", lambda: gradcheck(
+            lambda a, b: (channel_scale(a, b) * a).sum(), [t(2, 3, 3, 2), t(2, 2)])),
         ("sigmoid", lambda: gradcheck(lambda a: a.sigmoid().sum(), t(4, 4))),
         ("sqrt", lambda: gradcheck(
             lambda a: a.sqrt().sum(), Tensor(rng.random((4, 4)) + 0.5))),
@@ -513,6 +532,13 @@ def main(argv=None):
         return 3
     except AdwmError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        # a path the user named, or one under it, that cannot be read or
+        # written as the command needs: missing, a directory, a file
+        if e.filename is None:
+            raise
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
 
 

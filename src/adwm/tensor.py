@@ -13,6 +13,15 @@ optional leading batch axis (B, H, W, C) accepted by the image ops. The
 backbone's images are C-contiguous in that order, so no image op
 transposes them.
 
+Two fused ops make one tape node of what would be three or four generic
+ones. `bias_act(x, b, slope)` is a conv epilogue: a per-channel bias add,
+then optionally leaky ReLU. `channel_scale(f, alpha)` gates a map by
+per-channel weights. Each gives the bytes of the composition it replaces,
+forward and backward. The per-channel operand is tiled along W, so numpy
+runs one flat loop over the merged W*C axis instead of a C-long inner
+loop. Leaky ReLU has one kernel, `_leaky`, shared by `Tensor.leaky_relu`
+and `bias_act`.
+
 `conv2d` builds no patch matrix. It pads the batch once into a flat
 (B*Hp*Wp, C_in) buffer, where every kernel tap is a constant shift of
 rows, and adds up one GEMM per tap over row slices of that buffer: the
@@ -25,7 +34,7 @@ docstring has the index arithmetic.
 
 import numpy as np
 
-from .errors import DimensionError, UsageError
+from .errors import ConfigurationError, DimensionError, UsageError
 
 
 def _unbroadcast(grad, shape):
@@ -41,6 +50,28 @@ def _unbroadcast(grad, shape):
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+LEAKY_SLOPE = 0.01
+
+
+def _leaky(pre, slope, out=None):
+    """Leaky ReLU's one kernel, into `out` (which may be `pre`) or a fresh array.
+
+    For 0 <= slope <= 1, max(pre, slope*pre) picks pre where pre > 0 and
+    slope*pre elsewhere, signed zeros included: the bytes of
+    `np.where(pre > 0, pre, slope * pre)`, without its slower select.
+    """
+    if not 0.0 <= slope <= 1.0:
+        raise ConfigurationError(f"leaky_relu slope must be in [0, 1], got {slope}")
+    return np.maximum(pre, slope * pre, out=out)
+
+
+def _leaky_grad(out, g, slope):
+    """The gradient through `_leaky`, from its output: out > 0 exactly where
+    pre > 0, and g * 1.0 == g, so this is `g * np.where(pre > 0, 1.0, slope)`
+    byte for byte."""
+    return np.where(out > 0, g, g * slope)
 
 
 def as_tensor(x):
@@ -105,12 +136,17 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned=False):
+        """Add `g` into ``grad``.
+
+        An `owned` g is a fresh array that its op made for this tensor
+        alone and never reads again; its first write keeps it as the
+        gradient. Any other first write takes a straight copy: one memory
+        pass instead of the zeros-then-add two, and never aliases the source.
+        """
         if self.grad is None:
-            # first write takes a straight copy: one memory pass instead
-            # of the zeros-then-add two, and never aliases the source
             if np.shape(g) == self.data.shape:
-                self.grad = np.array(g, dtype=self.data.dtype)
+                self.grad = g if owned else np.array(g, dtype=self.data.dtype)
             else:
                 self.grad = np.zeros_like(self.data)
                 self.grad += g
@@ -226,12 +262,13 @@ class Tensor:
     # ------------------------------------------------------------------
     # nonlinearities
 
-    def leaky_relu(self, slope=0.01):
-        def backward(g):
-            self._accumulate(g * np.where(self.data > 0, 1.0, slope))
+    def leaky_relu(self, slope=LEAKY_SLOPE):
+        out = _leaky(self.data, slope)
 
-        return _node(np.where(self.data > 0, self.data, slope * self.data),
-                     (self,), backward)
+        def backward(g):
+            self._accumulate(_leaky_grad(out, g, slope), owned=True)
+
+        return _node(out, (self,), backward)
 
     def sigmoid(self):
         # guard both tails so exp never overflows
@@ -417,6 +454,72 @@ def stack(tensors, axis=0):
                 t._accumulate(np.take(g, i, axis=axis))
 
     return _node(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
+
+
+# ----------------------------------------------------------------------
+# fused per-channel ops
+
+def bias_act(x, b, slope=None):
+    """x + b over the last axis, then leaky_relu(slope) unless slope is None.
+
+    x: (..., H, W, C) with at least 3 axes; b: (C,). One tape node with the
+    bytes of `x + b.reshape((1, 1, C))`, followed by `.leaky_relu(slope)`
+    when a slope is given, forward and backward. The bias is added tiled
+    along W over the merged W*C axis, which gives the same sums. Its
+    gradient is summed as a (1, 1, C) operand's: the batch axis first and
+    H, W second, which a plain (C,) operand would round differently.
+    """
+    x, b = as_tensor(x), as_tensor(b)
+    if x.ndim < 3:
+        raise DimensionError(f"bias_act needs (..., H, W, C), got {x.shape}")
+    w, c = x.shape[-2], x.shape[-1]
+    if b.shape != (c,):
+        raise DimensionError(f"bias of shape {b.shape} does not match {c} channels")
+    out = (x.data.reshape(x.shape[:-2] + (w * c,)) + np.tile(b.data, w)).reshape(x.shape)
+    if slope is not None:
+        out = _leaky(out, slope, out=out)
+
+    def backward(g):
+        if slope is not None:
+            g = _leaky_grad(out, g, slope)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, (1, 1, c)).reshape(c), owned=True)
+        if x.requires_grad:
+            # with an activation g is fresh; without one it is this
+            # node's own gradient, which x must not alias
+            x._accumulate(g, owned=slope is not None)
+
+    return _node(out, (x, b), backward)
+
+
+def channel_scale(f, alpha):
+    """Scale each channel of a map by its own weight.
+
+    f: (..., H, W, C) with at least 3 axes; alpha: f's leading axes plus
+    (C,), so (C,) for one map and (B, C) for a batch. One tape node with
+    the bytes of `f * alpha.reshape(alpha.shape[:-1] + (1, 1, C))`,
+    forward and backward: the weights are tiled along W over the merged
+    W*C axis, and their gradient is summed as that (..., 1, 1, C)
+    operand's.
+    """
+    f, alpha = as_tensor(f), as_tensor(alpha)
+    if f.ndim < 3 or alpha.shape != f.shape[:-3] + f.shape[-1:]:
+        raise DimensionError(
+            f"channel weights {alpha.shape} do not match a map of shape {f.shape}"
+        )
+    lead = f.shape[:-3]
+    h, w, c = f.shape[-3:]
+    rows = lead + (h, w * c)
+    gate = np.tile(alpha.data, w).reshape(lead + (1, w * c))
+
+    def backward(g):
+        if alpha.requires_grad:
+            ga = _unbroadcast(g * f.data, lead + (1, 1, c)).reshape(alpha.shape)
+            alpha._accumulate(ga, owned=True)
+        if f.requires_grad:
+            f._accumulate((g.reshape(rows) * gate).reshape(f.shape), owned=True)
+
+    return _node((f.data.reshape(rows) * gate).reshape(f.shape), (f, alpha), backward)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cacw import D_FRACTION, WEIGHT_GENERATORS, reduced_width
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
-from .tensor import _node, as_tensor, softmax, spatial_mean, stack
+from .tensor import _node, as_tensor, channel_scale, softmax, spatial_mean, stack
 
 
 @dataclass
@@ -99,8 +99,7 @@ def ifw_apply(generator, F_i):
             f"channel weighting needs at least 2 spatial positions, got {h}x{w}"
         )
     alpha = generator.forward(_channel_observations(F_i))
-    gate = alpha.reshape(alpha.shape[:-1] + (1, 1, alpha.shape[-1]))
-    return F_i * gate, alpha
+    return channel_scale(F_i, alpha), alpha
 
 
 def weighted_sum(maps, w=None):

@@ -23,8 +23,9 @@ from adwm.errors import (
     FormatError,
 )
 from adwm.data import SCALE
-from adwm.tensor import Tensor, gradcheck
-from adwm.weighting import _channel_observations
+from adwm.tensor import Tensor, concat, conv2d, gradcheck
+from adwm.weighting import _channel_observations, cfw_apply, weighted_sum
+from test_tensor import assert_bitwise, channel_scale_oracle, where_leaky
 
 
 def tiny_config(variant="baseline", **kw):
@@ -115,6 +116,23 @@ def test_config_rejects_unknown_generator_for_every_variant(variant):
 def test_config_rejects_bad_d_fraction_for_every_variant(variant, frac):
     with pytest.raises(ConfigurationError):
         ModelConfig(bands=4, variant=variant, d_fraction=frac)
+
+
+@pytest.mark.parametrize("frac", [True, False, "0.8", None])
+def test_config_rejects_d_fraction_that_is_not_a_real_number(frac):
+    with pytest.raises(ConfigurationError, match="d_fraction"):
+        ModelConfig(bands=4, variant="adwm", d_fraction=frac)
+
+
+def test_config_stores_integer_d_fraction_as_float(tmp_path):
+    cfg = ModelConfig(bands=2, channels=4, blocks=2, variant="adwm", d_fraction=1)
+    assert type(cfg.d_fraction) is float and cfg.d_fraction == 1.0
+    paths = []
+    for frac in (1, 1.0):
+        p = tmp_path / f"{frac!r}.ckpt"
+        save_checkpoint(p, PansharpenModel(tiny_config("adwm", d_fraction=frac)))
+        paths.append(p)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_config_fields_and_constant_scale():
@@ -312,6 +330,54 @@ def test_end_to_end_gradcheck(variant):
 
 # ----------------------------------------------------------------------
 # checkpoints
+
+
+def unfused_forward(model, pan, lrms):
+    """`PansharpenModel.forward` written out with generic tape ops: the
+    bias adds, leaky ReLUs and channel gates that `bias_act` and
+    `channel_scale` fuse, and the `np.where` leaky kernel."""
+    up = upsample_bilinear(lrms, SCALE)
+    x = concat([pan.reshape(pan.shape + (1,)), up], axis=-1)
+    f = where_leaky(conv2d(x, model.enc_w) + model.enc_b.reshape((1, 1, -1)))
+    features = []
+    for blk in model.blocks:
+        y = conv2d(f, blk["w1"]) + blk["b1"].reshape((1, 1, -1))
+        y = conv2d(where_leaky(y), blk["w2"]) + blk["b2"].reshape((1, 1, -1))
+        f = f + y
+        features.append(f)
+    if model.config.variant == "baseline":
+        fused = features[-1]
+    else:
+        gated = features
+        if model.ifw is not None:
+            gated = [channel_scale_oracle(f, gen.forward(_channel_observations(f)))
+                     for gen, f in zip(model.ifw, features)]
+        fused = (weighted_sum(gated) if model.cfw is None
+                 else cfw_apply(model.cfw, features, gated)[0])
+    return up + conv2d(fused, model.dec_w) + model.dec_b.reshape((1, 1, -1))
+
+
+@pytest.mark.parametrize("variant", ["baseline", "ifw", "cfw", "adwm"])
+@pytest.mark.parametrize("batched", [False, True])
+def test_forward_and_gradients_match_unfused_model_bitwise(variant, batched):
+    model = randomized(PansharpenModel(tiny_config(variant), seed=4), seed=5)
+    rng = np.random.default_rng(6)
+    lead = (3,) if batched else ()
+    pan = rng.random(lead + (8, 8))
+    lrms = rng.random(lead + (2, 2, 2))
+    target = Tensor(rng.random(lead + (8, 8, 2)))
+    runs = []
+    for forward in (model.forward, lambda p, l: unfused_forward(model, p, l)):
+        for p in model.params():
+            p.requires_grad = True
+            p.zero_grad()
+        lt = Tensor(lrms, requires_grad=True)
+        out = forward(Tensor(pan), lt)
+        loss = (out - target).abs().mean()
+        loss.backward()
+        runs.append([loss.data, out.data, lt.grad] + [p.grad for p in model.params()])
+    for i, (got, want) in enumerate(zip(*runs)):
+        assert_bitwise(got, want, (variant, i))
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -206,6 +206,7 @@ def test_eval_format_2_checkpoint_exits_2(tmp_path, run_dir, data_dir, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("channels", 4.0), ("channels", True),
+    ("d_fraction", True), ("d_fraction", "0.8"),
     ("seed", "x"), ("seed", -1), ("seed", None), ("seed", 1.5),
 ])
 def test_eval_config_block_of_wrong_json_type_exits_2(tmp_path, run_dir, data_dir,
@@ -435,7 +436,8 @@ def test_gradcheck_passes(capsys):
     rc = main(["gradcheck", "--seed", "3"])
     out = capsys.readouterr().out
     assert rc == 0
-    for op in ("matmul:", "conv2d:", "softmax:", "dual_level_weighting:",
+    for op in ("matmul:", "conv2d:", "bias_act:", "bias_act_linear:",
+               "channel_scale:", "softmax:", "dual_level_weighting:",
                "model_end_to_end:"):
         assert op in out
     assert "all gradients verified" in out
@@ -512,3 +514,58 @@ def test_missing_dataset_is_config_error(tmp_path):
     rc = main(["train", "--data", str(tmp_path / "nope"),
                "--out", str(tmp_path / "o"), *TRAIN_FLAGS])
     assert rc == 2
+
+
+# ----------------------------------------------------------------------
+# OS errors on paths the user names exit 2 with the path in the message
+
+def _os_error_cases(tmp, run_dir, data_dir):
+    afile = tmp / "afile"
+    afile.write_text("x")
+    adir = tmp / "adir"
+    adir.mkdir()
+    ckpt = os.path.join(run_dir, "checkpoint_final.ckpt")
+    report = str(tmp / "r.csv")
+    return {
+        "eval_missing_model": (
+            ["eval", "--model", str(tmp / "nosuch.ckpt"), "--data", data_dir,
+             "--report", report], "nosuch.ckpt"),
+        "eval_model_is_a_directory": (
+            ["eval", "--model", str(adir), "--data", data_dir, "--report", report],
+            str(adir)),
+        "eval_report_in_missing_directory": (
+            ["eval", "--model", ckpt, "--data", data_dir,
+             "--report", str(tmp / "nodir" / "r.csv")], str(tmp / "nodir")),
+        "train_out_is_a_file": (
+            ["train", "--data", data_dir, "--out", str(afile), *TRAIN_FLAGS],
+            str(afile)),
+        "diagnose_out_is_a_file": (
+            ["diagnose", "--model", ckpt, "--data", data_dir, "--out", str(afile)],
+            str(afile)),
+        "gen_data_out_is_a_file": (
+            ["gen-data", "--out", str(afile), "--count", "1", "--size", "16", "16"],
+            str(afile)),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "eval_missing_model", "eval_model_is_a_directory",
+    "eval_report_in_missing_directory", "train_out_is_a_file",
+    "diagnose_out_is_a_file", "gen_data_out_is_a_file",
+])
+def test_os_error_on_named_path_exits_2(tmp_path, run_dir, data_dir, capsys, case):
+    argv, path = _os_error_cases(tmp_path, run_dir, data_dir)[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+    assert "Traceback" not in err
+
+
+def test_os_error_without_a_path_is_not_a_usage_error(monkeypatch):
+    # only errors on a named path map to exit 2; anything else stays loud
+    def broken(args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("adwm.cli.cmd_gradcheck", broken)
+    with pytest.raises(OSError):
+        main(["gradcheck"])

@@ -4,8 +4,12 @@ import weakref
 import numpy as np
 import pytest
 
-from adwm import DimensionError, Tensor, UsageError, concat, conv2d, gradcheck, softmax, spatial_mean, stack
+from adwm import (
+    ConfigurationError, DimensionError, Tensor, UsageError, concat, conv2d, gradcheck,
+    softmax, spatial_mean, stack,
+)
 from adwm.backbone import upsample_bilinear
+from adwm.tensor import _node, bias_act, channel_scale
 from adwm.weighting import weighted_sum
 
 
@@ -348,6 +352,141 @@ def test_channel_broadcast_equals_tiling():
     assert np.array_equal(out.data, tiled)
 
 
+# ----------------------------------------------------------------------
+# fused per-channel ops against the compositions they replace
+
+def where_leaky(t, slope=0.01):
+    """`Tensor.leaky_relu` before it shared `bias_act`'s kernel, verbatim."""
+    def backward(g):
+        t._accumulate(g * np.where(t.data > 0, 1.0, slope))
+
+    return _node(np.where(t.data > 0, t.data, slope * t.data), (t,), backward)
+
+
+def bias_act_oracle(x, b, slope=None):
+    pre = x + b.reshape((1, 1, -1))
+    return pre if slope is None else where_leaky(pre, slope)
+
+
+def channel_scale_oracle(f, alpha):
+    return f * alpha.reshape(alpha.shape[:-1] + (1, 1, alpha.shape[-1]))
+
+
+def assert_bitwise(got, want, msg=None):
+    # np.array_equal takes -0.0 for 0.0; the bytes tell them apart
+    assert np.array_equal(got, want), msg
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), msg
+
+
+def _signed_zeros(rng, shape):
+    """Normal draws, negatives among them, with some exact 0.0 and -0.0."""
+    a = rng.standard_normal(shape)
+    a.flat[::5] = 0.0
+    a.flat[2::7] = -0.0
+    return a
+
+
+def _run_both(op, oracle, arrays, g):
+    """Forward, then backward under upstream gradient g, through both."""
+    results = []
+    for fn in (op, oracle):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*ts)
+        (out * Tensor(g)).sum().backward()
+        results.append((out.data, [t.grad for t in ts]))
+    return results
+
+
+FUSED_SHAPES = [(5, 4, 3), (2, 5, 4, 3), (2, 5, 1, 3), (5, 1, 3), (2, 5, 4, 1), (3, 1, 1)]
+
+
+@pytest.mark.parametrize("shape", FUSED_SHAPES)
+@pytest.mark.parametrize("slope", [None, 0.01, 0.0, 0.3, 1.0])
+def test_bias_act_matches_composition_bitwise(shape, slope):
+    rng = np.random.default_rng(31)
+    x = _signed_zeros(rng, shape)
+    b = _signed_zeros(rng, shape[-1:])
+    # some pre-activations land exactly on zero: x = -b gives +0.0
+    x[..., 1::2, :, :] = -b
+    g = _signed_zeros(rng, shape)
+    (got, got_grads), (want, want_grads) = _run_both(
+        lambda x, b: bias_act(x, b, slope), lambda x, b: bias_act_oracle(x, b, slope),
+        [x, b], g)
+    assert_bitwise(got, want, (shape, slope))
+    for gg, wg in zip(got_grads, want_grads):
+        assert_bitwise(gg, wg, (shape, slope))
+
+
+@pytest.mark.parametrize("shape", FUSED_SHAPES)
+def test_channel_scale_matches_composition_bitwise(shape):
+    rng = np.random.default_rng(32)
+    f = _signed_zeros(rng, shape)
+    alpha = _signed_zeros(rng, shape[:-3] + shape[-1:])
+    g = _signed_zeros(rng, shape)
+    (got, got_grads), (want, want_grads) = _run_both(
+        channel_scale, channel_scale_oracle, [f, alpha], g)
+    assert_bitwise(got, want, shape)
+    for gg, wg in zip(got_grads, want_grads):
+        assert_bitwise(gg, wg, shape)
+
+
+def test_fused_ops_hand_their_input_a_fresh_gradient():
+    # an input's first gradient is the op's own fresh array, never the
+    # output's gradient: a later accumulation into it must not leak back.
+    # The tape reaches x * x after `out`, so the fused op writes x first.
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    for op in (lambda t: bias_act(t, b), lambda t: bias_act(t, b, 0.01),
+               lambda t: channel_scale(t, b.reshape(1, 2) * np.ones((2, 1)))):
+        x.zero_grad()
+        out = op(x)
+        (x * x + out * out).sum().backward()
+        assert x.grad is not out.grad
+        assert not np.shares_memory(x.grad, out.grad)
+
+
+def test_leaky_relu_matches_where_kernel_bitwise():
+    rng = np.random.default_rng(34)
+    x = _signed_zeros(rng, (6, 7))
+    g = _signed_zeros(rng, (6, 7))
+    for slope in (0.01, 0.0, 0.5, 1.0):
+        (got, [gg]), (want, [wg]) = _run_both(
+            lambda t: t.leaky_relu(slope), lambda t: where_leaky(t, slope), [x], g)
+        assert_bitwise(got, want, slope)
+        assert_bitwise(gg, wg, slope)
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5])
+def test_leaky_slope_outside_unit_interval_is_rejected(slope):
+    x = Tensor(np.ones((2, 2, 2)))
+    with pytest.raises(ConfigurationError):
+        x.leaky_relu(slope)
+    with pytest.raises(ConfigurationError):
+        bias_act(x, np.zeros(2), slope)
+
+
+@pytest.mark.parametrize("x_shape, b_shape", [
+    ((2, 4, 4, 3), (4,)),       # bias length is not C
+    ((4, 4, 3), (1, 1, 3)),     # bias is not a vector
+    ((4, 3), (3,)),             # no spatial axes
+])
+def test_bias_act_shape_errors(x_shape, b_shape):
+    with pytest.raises(DimensionError):
+        bias_act(np.ones(x_shape), np.ones(b_shape), 0.01)
+
+
+@pytest.mark.parametrize("f_shape, alpha_shape", [
+    ((2, 4, 4, 3), (2, 4)),     # gate length is not C
+    ((2, 4, 4, 3), (3,)),       # gate misses the batch axis
+    ((4, 4, 3), (2, 3)),        # gate has a batch axis the map lacks
+    ((4, 3), (3,)),             # no spatial axes
+])
+def test_channel_scale_shape_errors(f_shape, alpha_shape):
+    with pytest.raises(DimensionError):
+        channel_scale(np.ones(f_shape), np.ones(alpha_shape))
+
+
 def test_sigmoid_relu_points():
     assert Tensor(0.0).sigmoid().data == 0.5
     assert Tensor(-1.0).leaky_relu().data == -0.01
@@ -437,6 +576,10 @@ def _node_cases():
         ("concat", lambda x, y: concat([x, y], axis=0), [a(2, 3), a(1, 3)], None),
         ("stack", lambda x, y: stack([x, y], axis=0), [a(2, 3), a(2, 3)], None),
         ("conv2d", lambda x, k: conv2d(x, k), [a(4, 4, 2), a(3, 2, 3, 3)], None),
+        ("bias_act", lambda x, b: bias_act(x, b, 0.01), [a(2, 2, 3) - 1.0, a(3)], None),
+        ("bias_act_linear", lambda x, b: bias_act(x, b), [a(2, 2, 3), a(3)], None),
+        ("channel_scale", lambda f, w: channel_scale(f, w), [a(2, 2, 2, 3), a(2, 3)],
+         None),
         ("upsample_bilinear", lambda x: upsample_bilinear(x, 2), [a(2, 2, 3)], None),
         ("weighted_sum", lambda x, y: weighted_sum([x, y]), [a(2, 2, 3), a(2, 2, 3)],
          None),
@@ -516,6 +659,9 @@ def test_gradcheck_all_ops(seed):
         (lambda a: conv2d(a, fixed_k).sum(), [(4, 4, 2)]),
         (lambda a, b: conv2d(b, a).sum(), [(2, 3, 3, 3), (4, 4, 3)]),
         (lambda a, b: concat([a, b], axis=0).sum(), [(2, 3), (1, 3)]),
+        (lambda a, b: (bias_act(a, b, 0.01) * a).sum(), [(2, 3, 3, 2), (2,)]),
+        (lambda a, b: (bias_act(a, b) * a).sum(), [(3, 3, 2), (2,)]),
+        (lambda a, b: (channel_scale(a, b) * a).sum(), [(2, 3, 3, 2), (2, 2)]),
         (lambda a, b: (stack([a, b], axis=0) * stack([b, a], axis=0)).sum(), [(2, 3), (2, 3)]),
     ]
     for fn, shapes in cases:
