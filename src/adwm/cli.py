@@ -8,6 +8,7 @@ can stand in for any flag set; explicit flags win over file values.
 """
 
 import argparse
+import errno
 import os
 import shutil
 import sys
@@ -39,6 +40,7 @@ from .tensor import (
     softmax,
     spatial_mean,
     stack,
+    workspace,
 )
 from .trainer import TrainConfig, train
 from .weighting import adwm_param_count
@@ -124,6 +126,22 @@ def _training_set(args):
     return rows, [by_id[i] for i in train_ids], [by_id[i] for i in val_ids]
 
 
+def _check_writable(path):
+    """Raise the OSError that writing the file `path` would, before any work
+    whose result goes there is done. Creates nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _fractions(raw):
     """--d-frac as a list of floats: one number, or several comma-separated."""
     try:
@@ -162,17 +180,22 @@ def cmd_train(args):
     if len(fracs) != 1:
         raise UsageError(f"train takes one --d-frac value, got {args.d_frac!r}")
     variants = VARIANTS if args.variant == "all" else [args.variant]
+    copy_log = args.log and args.variant != "all"
+    if copy_log:
+        _check_writable(args.log)
     dataset = _training_set(args)
-    for variant in variants:
-        out_dir = (os.path.join(args.out, variant)
-                   if args.variant == "all" else args.out)
-        result, _ = _run_training(args, dataset, variant, out_dir,
-                                  fracs[0], args.generator)
-        print(f"{variant}: best_val_psnr={result.best_val_psnr:.4f} "
-              f"final={result.final_path}")
-        if args.log and args.variant != "all":
-            shutil.copyfile(result.log_path, args.log)
-            print(args.log)
+    # the runs of --variant all share one workspace
+    with workspace():
+        for variant in variants:
+            out_dir = (os.path.join(args.out, variant)
+                       if args.variant == "all" else args.out)
+            result, _ = _run_training(args, dataset, variant, out_dir,
+                                      fracs[0], args.generator)
+            print(f"{variant}: best_val_psnr={result.best_val_psnr:.4f} "
+                  f"final={result.final_path}")
+            if copy_log:
+                shutil.copyfile(result.log_path, args.log)
+                print(args.log)
     return 0
 
 
@@ -181,6 +204,7 @@ def _pan_degraded(pan):
 
 
 def cmd_eval(args):
+    _check_writable(args.report)
     model = load_checkpoint(args.model)
     rows, pairs = _load_pairs(args.data)
     if rows[0]["c"] != model.config.bands:
@@ -284,20 +308,23 @@ def cmd_compare(args):
         "(covariance + mlp + gate + combine) at these dimensions",
         "method,d_frac,params,flops,psnr",
     ]
-    for method in methods:
-        for frac in fracs:
-            run_dir = os.path.join(args.out, f"{method}_d{frac:g}")
-            result, model = _run_training(
-                args, dataset, "adwm", run_dir, frac, method
-            )
-            params = adwm_param_count(model.config.weighting_config())
-            flops = diagnostics.count_flops(
-                H, W, args.channels, args.blocks, d_fraction=frac
-            ).total
-            lines.append(
-                f"{method},{frac:g},{params},{flops},{result.best_val_psnr:.10g}"
-            )
-            print(lines[-1])
+    # one workspace for every run: each is short, so a pool per run would
+    # fault its pages in again for each one
+    with workspace():
+        for method in methods:
+            for frac in fracs:
+                run_dir = os.path.join(args.out, f"{method}_d{frac:g}")
+                result, model = _run_training(
+                    args, dataset, "adwm", run_dir, frac, method
+                )
+                params = adwm_param_count(model.config.weighting_config())
+                flops = diagnostics.count_flops(
+                    H, W, args.channels, args.blocks, d_fraction=frac
+                ).total
+                lines.append(
+                    f"{method},{frac:g},{params},{flops},{result.best_val_psnr:.10g}"
+                )
+                print(lines[-1])
     csv_path = os.path.join(args.out, "comparison.csv")
     with open(csv_path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -5,8 +5,7 @@ its result through `_node(data, parents, backward)`, the one route onto
 the tape: when some parent requires grad, the result records its parents
 and a closure that pushes its gradient back through `backward`; other
 results keep neither. `as_tensor` is the one coercion of raw arrays.
-Everything is float64; desk-scale problem sizes make the memory cost
-irrelevant and keep finite-difference checks tight.
+Everything is float64, which keeps finite-difference checks tight.
 
 Shapes follow numpy. Image tensors are channels-last, (H, W, C), with an
 optional leading batch axis (B, H, W, C) accepted by the image ops. The
@@ -22,9 +21,23 @@ runs one flat loop over the merged W*C axis instead of a C-long inner
 loop. Leaky ReLU has one kernel, `_leaky`, shared by `Tensor.leaky_relu`
 and `bias_act`.
 
-`conv2d` builds no patch matrix. It pads the batch once into a flat
-(B*Hp*Wp, C_in) buffer, where every kernel tap is a constant shift of
-rows, and adds up one GEMM per tap over row slices of that buffer: the
+Training allocates through `_empty` inside `workspace()`. While one is
+open, every request of at least `_POOL_MIN` elements is served from a
+pool of flat buffers: the smallest free one within an eighth above the
+size asked for. So each step reuses the pages of the step before,
+instead of faulting in fresh ones after the allocator trimmed the heap.
+A buffer is free when `sys.getrefcount` shows the pool's own reference
+alone. Every array handed out is a view, which references its buffer,
+so a buffer that a live Tensor, a view of it or a tape closure still
+holds is never handed out twice. `trainer.train` and the CLI commands
+that chain training runs open the workspace; evaluation does not, since
+a forward with no tape frees each intermediate as soon as its consumer
+exists. Every op writes all of a buffer before it reads any of it, so
+the bytes are those of fresh arrays.
+
+`conv2d` builds no patch matrix. It reads the batch as one flat padded
+(B*Hp*Wp, C_in) grid, where every kernel tap is a constant shift of
+rows, and adds up one GEMM per tap over row slices of that grid: the
 kn2row family of Anderson et al. 2017, "Low-memory GEMM-based
 convolution algorithms for deep neural networks", over an HWC layout.
 Each tap GEMM is a tall (rows, C_in) @ (C_in, C_out) product. Both
@@ -32,9 +45,84 @@ gradients are the same shifted GEMMs run as adjoints; the `conv2d`
 docstring has the index arithmetic.
 """
 
+import math
+import sys
+import threading
+from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, UsageError
+
+
+# ----------------------------------------------------------------------
+# buffer workspace
+
+# requests of at least this many elements come from an open workspace
+_POOL_MIN = 32768
+
+
+class _Pool:
+    """Flat float64 buffers, ascending by size, each free once nothing but
+    this pool references it."""
+
+    def __init__(self):
+        self.sizes = []
+        self.buffers = []
+        # what a free buffer's refcount reads from here; measured, since
+        # the interpreter decides how many references the call adds
+        self.free_refs = self._refs([np.empty(1)], 0)
+
+    @staticmethod
+    def _refs(buffers, i):
+        return sys.getrefcount(buffers[i])
+
+    def take(self, n):
+        """The smallest free buffer of n to n + n/8 elements, or a new one."""
+        lo = bisect_left(self.sizes, n)
+        for i in range(lo, bisect_right(self.sizes, n + n // 8)):
+            if self._refs(self.buffers, i) == self.free_refs:
+                return self.buffers[i]
+        buf = np.empty(n)
+        self.sizes.insert(lo, n)
+        self.buffers.insert(lo, buf)
+        return buf
+
+
+class _Open(threading.local):
+    pool = None
+
+
+_open = _Open()
+
+
+@contextmanager
+def workspace():
+    """Serve large `_empty` requests from one pool of reusable buffers.
+
+    Re-entrant: a nested entry keeps the pool already open. The pool and
+    every buffer only it holds are released when the outermost entry
+    exits, however it exits.
+    """
+    if _open.pool is not None:
+        yield
+        return
+    _open.pool = _Pool()
+    try:
+        yield
+    finally:
+        _open.pool = None
+
+
+def _empty(shape):
+    """An uninitialised float64 array of `shape`, from the open workspace
+    when it is large enough. Every caller writes all of it before reading."""
+    n = math.prod(shape)
+    pool = _open.pool
+    if pool is None or n < _POOL_MIN:
+        return np.empty(shape)
+    return pool.take(n)[:n].reshape(shape)
 
 
 def _unbroadcast(grad, shape):
@@ -71,7 +159,9 @@ def _leaky_grad(out, g, slope):
     """The gradient through `_leaky`, from its output: out > 0 exactly where
     pre > 0, and g * 1.0 == g, so this is `g * np.where(pre > 0, 1.0, slope)`
     byte for byte."""
-    return np.where(out > 0, g, g * slope)
+    grad = np.multiply(g, slope, out=_empty(g.shape))
+    np.putmask(grad, out > 0, g)
+    return grad
 
 
 def as_tensor(x):
@@ -146,7 +236,11 @@ class Tensor:
         """
         if self.grad is None:
             if np.shape(g) == self.data.shape:
-                self.grad = g if owned else np.array(g, dtype=self.data.dtype)
+                if not owned:
+                    copy = _empty(self.data.shape)
+                    np.copyto(copy, g)
+                    g = copy
+                self.grad = g
             else:
                 self.grad = np.zeros_like(self.data)
                 self.grad += g
@@ -195,9 +289,9 @@ class Tensor:
     # elementwise arithmetic
 
     @staticmethod
-    def _check_broadcast(a, b):
+    def _broadcast_shape(a, b):
         try:
-            np.broadcast_shapes(a.shape, b.shape)
+            return np.broadcast_shapes(a.shape, b.shape)
         except ValueError:
             raise DimensionError(
                 f"shapes {a.shape} and {b.shape} do not broadcast"
@@ -205,7 +299,7 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        self._check_broadcast(self, other)
+        shape = self._broadcast_shape(self, other)
 
         def backward(g):
             if self.requires_grad:
@@ -213,23 +307,28 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.shape))
 
-        return _node(self.data + other.data, (self, other), backward)
+        out = np.add(self.data, other.data, out=_empty(shape))
+        return _node(out, (self, other), backward)
 
     def __mul__(self, other):
         other = as_tensor(other)
-        self._check_broadcast(self, other)
+        shape = self._broadcast_shape(self, other)
 
         def backward(g):
+            # each product is fresh, and so is its sum when it is summed down
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
+                prod = np.multiply(g, other.data, out=_empty(shape))
+                self._accumulate(_unbroadcast(prod, self.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
+                prod = np.multiply(g, self.data, out=_empty(shape))
+                other._accumulate(_unbroadcast(prod, other.shape), owned=True)
 
-        return _node(self.data * other.data, (self, other), backward)
+        out = np.multiply(self.data, other.data, out=_empty(shape))
+        return _node(out, (self, other), backward)
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        self._check_broadcast(self, other)
+        self._broadcast_shape(self, other)
 
         def backward(g):
             if self.requires_grad:
@@ -292,9 +391,10 @@ class Tensor:
     def abs(self):
         def backward(g):
             # subgradient 0 at exact ties
-            self._accumulate(g * np.sign(self.data))
+            grad = np.sign(self.data, out=_empty(self.shape))
+            self._accumulate(np.multiply(g, grad, out=grad), owned=True)
 
-        return _node(np.abs(self.data), (self,), backward)
+        return _node(np.abs(self.data, out=_empty(self.shape)), (self,), backward)
 
     # ------------------------------------------------------------------
     # reductions and shape ops
@@ -303,7 +403,8 @@ class Tensor:
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            # a view: a first write copies it, a later one adds it in place
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
@@ -380,12 +481,15 @@ class Tensor:
             ) from None
 
         def backward(g):
+            # g has the batch axes of both operands, and so do both products
             if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a._accumulate(_unbroadcast(ga, a.shape))
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2),
+                               out=_empty(g.shape[:-1] + b.shape[-2:-1]))
+                a._accumulate(_unbroadcast(ga, a.shape), owned=True)
             if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.shape))
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g,
+                               out=_empty(g.shape[:-2] + (a.shape[-1], g.shape[-1])))
+                b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
         return _node(out_data, (a, b), backward)
 
@@ -475,7 +579,9 @@ def bias_act(x, b, slope=None):
     w, c = x.shape[-2], x.shape[-1]
     if b.shape != (c,):
         raise DimensionError(f"bias of shape {b.shape} does not match {c} channels")
-    out = (x.data.reshape(x.shape[:-2] + (w * c,)) + np.tile(b.data, w)).reshape(x.shape)
+    rows = x.shape[:-2] + (w * c,)
+    out = _empty(x.shape)
+    np.add(x.data.reshape(rows), np.tile(b.data, w), out=out.reshape(rows))
     if slope is not None:
         out = _leaky(out, slope, out=out)
 
@@ -512,14 +618,20 @@ def channel_scale(f, alpha):
     rows = lead + (h, w * c)
     gate = np.tile(alpha.data, w).reshape(lead + (1, w * c))
 
+    def scaled(a):
+        out = _empty(f.shape)
+        np.multiply(a.reshape(rows), gate, out=out.reshape(rows))
+        return out
+
     def backward(g):
         if alpha.requires_grad:
-            ga = _unbroadcast(g * f.data, lead + (1, 1, c)).reshape(alpha.shape)
+            prod = np.multiply(g, f.data, out=_empty(f.shape))
+            ga = _unbroadcast(prod, lead + (1, 1, c)).reshape(alpha.shape)
             alpha._accumulate(ga, owned=True)
         if f.requires_grad:
-            f._accumulate((g.reshape(rows) * gate).reshape(f.shape), owned=True)
+            f._accumulate(scaled(g), owned=True)
 
-    return _node((f.data.reshape(rows) * gate).reshape(f.shape), (f, alpha), backward)
+    return _node(scaled(f.data), (f, alpha), backward)
 
 
 # ----------------------------------------------------------------------
@@ -530,53 +642,103 @@ def channel_scale(f, alpha):
 _BLOCK = 2048
 
 
-def _flat_grid(a, lead, p, hp, wp):
-    """Copy (B, h, w, C) into a flat (lead + B*hp*wp, C) buffer.
+def _grid_rows(a, lead, p, hp, wp):
+    """rows(s0, s1): rows s0:s1 of a flat (lead + B*hp*wp, C) padded grid
+    of `a`, (B, h, w, C), built on demand and never whole.
 
-    Each image lands in its own hp x wp cell of rows at offset (p, p); the
-    cells are laid out back to back after `lead` rows. Everything outside
-    the images is zero. A C-contiguous source, as every `conv2d` output
-    and the elementwise ops on it are, copies as runs of contiguous rows.
-    `np.empty` reuses heap pages where `np.zeros` would map fresh ones, and
-    writing the zeros and the images separately touches each element once.
+    The grid holds `lead` zero rows, then each image in its own hp x wp
+    cell of rows at offset (p, p); the cells are laid out back to back,
+    and everything outside the images, rows past the grid included, is
+    zero. Each call builds only the
+    grid rows it returns, into one buffer that the next call reuses, so
+    a block's rows stay in cache while every tap reads them and the
+    padded copy costs no pass over memory. A C-contiguous source, as
+    every `conv2d` output and the elementwise ops on it are, copies as
+    runs of contiguous rows.
     """
     b, h, w, c = a.shape
-    buf = np.empty((lead + b * hp * wp, c))
-    buf[:lead] = 0.0
-    grid = buf[lead:].reshape(b, hp, wp, c)
-    grid[:, :p] = 0.0
-    grid[:, p + h:] = 0.0
-    grid[:, p:p + h, :p] = 0.0
-    grid[:, p:p + h, p + w:] = 0.0
-    grid[:, p:p + h, p:p + w] = a
-    return buf
+    buf = np.empty((0, wp, c))
+
+    def rows(s0, s1):
+        nonlocal buf
+        # the grid rows that hold s0:s1; those before row 0 are the lead
+        g0, g1 = (s0 - lead) // wp, -(-(s1 - lead) // wp)
+        if g1 - g0 > len(buf):
+            buf = np.empty((g1 - g0, wp, c))
+        cells = buf[:g1 - g0]
+        done = g0  # grid rows before this one are written
+        for img in range(max(g0, 0) // hp, min(-(-g1 // hp), b)):
+            top = img * hp + p
+            lo, hi = max(g0, top), min(g1, top + h)
+            if lo < hi:
+                cells[done - g0:lo - g0] = 0.0
+                rows_in = cells[lo - g0:hi - g0]
+                rows_in[:, :p] = 0.0
+                rows_in[:, p:p + w] = a[img, lo - top:hi - top]
+                rows_in[:, p + w:] = 0.0
+                done = hi
+        cells[done - g0:] = 0.0
+        first = s0 - lead - g0 * wp
+        return cells.reshape(-1, c)[first:first + s1 - s0]
+
+    return rows
 
 
-def _shifted_gemm(taps, offsets, src, out):
-    """out[q] = sum_t src[q + offsets[t]] @ taps[t], for every row q the
-    source covers; rows of `out` past that are left unwritten."""
-    n = src.shape[0] - offsets[-1]
-    tmp = np.empty((min(n, _BLOCK), taps.shape[2]))
-    for q0 in range(0, n, _BLOCK):
-        q1 = min(q0 + _BLOCK, n)
-        acc, part = out[q0:q1], tmp[:q1 - q0]
-        np.matmul(src[q0 + offsets[0]:q1 + offsets[0]], taps[0], out=acc)
+def _grid_store(dest, p, hp, wp):
+    """store(g0, block): copy the image part of whole grid rows g0 onward,
+    `block` read flat as (rows, C), into dest, (B, h, w, C), where each
+    image sits at offset (p, p) of its hp x wp cell. The inverse of
+    `_grid_rows`, a block at a time."""
+    b, h, w, c = dest.shape
+
+    def store(g0, block):
+        cells = block.reshape(-1, wp, c)
+        g1 = g0 + len(cells)
+        for img in range(g0 // hp, min(-(-g1 // hp), b)):
+            top = img * hp + p
+            lo, hi = max(g0, top), min(g1, top + h)
+            if lo < hi:
+                dest[img, lo - top:hi - top] = cells[lo - g0:hi - g0, p:p + w]
+
+    return store
+
+
+def _shifted_gemm(taps, offsets, rows, wp, n, out=None, store=None):
+    """Y[q] = sum_t X[q + offsets[t]] @ taps[t] for q < n, n a multiple
+    of wp, where rows(s0, s1) gives X[s0:s1], walked in blocks of whole
+    grid rows. Y is written into `out`, all n rows of it, or handed to
+    store(first grid row, block) a block at a time, in a buffer that the
+    next block reuses. Each row of Y is the same sum whatever the blocks,
+    so the result does not depend on them."""
+    step = max(1, _BLOCK // wp) * wp
+    part_buf = np.empty((min(n, step), taps.shape[2]))
+    block_buf = np.empty_like(part_buf) if out is None else None
+    for q0 in range(0, n, step):
+        q1 = min(q0 + step, n)
+        src = rows(q0, q1 + offsets[-1])
+        acc = out[q0:q1] if out is not None else block_buf[:q1 - q0]
+        part = part_buf[:q1 - q0]
+        np.matmul(src[offsets[0]:offsets[0] + q1 - q0], taps[0], out=acc)
         for w, o in zip(taps[1:], offsets[1:]):
-            np.matmul(src[q0 + o:q1 + o], w, out=part)
+            np.matmul(src[o:o + q1 - q0], w, out=part)
             acc += part
-    return out
+        if out is None:
+            store(q0 // wp, acc)
 
 
-def _tap_products(a, src, offsets):
-    """g[t] = a.T @ src[offsets[t]:offsets[t] + n] with n = a.shape[0]."""
-    n = a.shape[0]
-    g = np.zeros((len(offsets), a.shape[1], src.shape[1]))
-    part = np.empty(g.shape[1:])
+def _tap_products(a_rows, x_rows, n, offsets, shape):
+    """g[t] = A[:n].T @ X[offsets[t]:offsets[t] + n], of shape (taps,) +
+    `shape`, where a_rows(s0, s1) gives A[s0:s1] and x_rows X[s0:s1].
+    Each product sums over rows, so its blocks are fixed `_BLOCK` runs of
+    rows: other blocks would round the sums differently."""
+    g = np.zeros((len(offsets),) + shape)
+    part = np.empty(shape)
     for q0 in range(0, n, _BLOCK):
         q1 = min(q0 + _BLOCK, n)
-        at = a[q0:q1].T
+        at = a_rows(q0, q1).T
+        src = x_rows(q0, q1 + offsets[-1])
         for gt, o in zip(g, offsets):
-            np.matmul(at, src[q0 + o:q1 + o], out=part)
+            np.matmul(at, src[o:o + q1 - q0], out=part)
             gt += part
     return g
 
@@ -588,8 +750,8 @@ def conv2d(x, k, padding=1):
     square spatial size; `padding` must preserve H and W. Returns
     (..., H, W, C_out). Gradients are defined for both operands.
 
-    The input is padded once into a contiguous (B, Hp, Wp, C_in) buffer
-    and read flat as X, shape (L, C_in) with L = B*Hp*Wp. Output pixel
+    The input is read as its zero-padded (B, Hp, Wp, C_in) grid, flat as
+    X, shape (L, C_in) with L = B*Hp*Wp. Output pixel
     (b, r, c) is row q = b*Hp*Wp + r*Wp + c, and kernel tap (i, j) reads X
     at row q + o with o = i*Wp + j. So one GEMM per tap,
 
@@ -599,19 +761,25 @@ def conv2d(x, k, padding=1):
     each Hp x Wp cell of Y. Rows outside that corner, including the ones
     whose taps straddle two images, are computed and never read. The
     result is returned as the (B, H, W, C_out) view of Y, so the next
-    conv's padded copy is a run of row copies. The backward pass places
+    conv's padded rows are runs of row copies. The backward pass places
     the output gradient in the same corners with zeros elsewhere, dY, and
     runs the adjoint of each tap:
 
         gk[:, :, i, j] = dY[:M].T @ X[o:o+M]
         dX[o:o+M]     += dY[:M] @ K[:, :, i, j]
 
-    The zeros keep the unread rows out of both sums. dX is computed as the
-    forward sum with the kernel flipped, over dY preceded by L - M zero
-    rows, so every row of dX is written once. The tap matrices are copied
-    contiguous, and every other operand is a slice of rows that BLAS reads
-    in place, so no patch matrix is built; the rows are walked in blocks of
-    `_BLOCK` so each block's partial sums stay in cache.
+    The zeros keep the unread rows out of both sums. dX is computed as
+    the forward sum with the kernel flipped, over dY preceded by L - M
+    zero rows, so every row of dX is written once. The rows are walked in
+    blocks of about `_BLOCK`, and neither X nor dY is ever built whole:
+    each block builds the grid rows it reads (`_grid_rows`), which stay
+    in cache for every tap. So the backward rebuilds X's padded rows from
+    x's data, which the tape holds anyway, and no grid lives from the
+    forward to the backward. dX is not built whole either: each block's
+    rows inside the images go straight into x's contiguous gradient
+    (`_grid_store`). The tap matrices are copied contiguous, and every
+    other operand is a slice of rows that BLAS reads in place, so no
+    patch matrix is built either.
     """
     x, k = as_tensor(x), as_tensor(k)
     if k.ndim != 4:
@@ -638,23 +806,25 @@ def conv2d(x, k, padding=1):
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     span = offsets[-1]  # L - M
 
-    xf = _flat_grid(xd, 0, p, hp, wp)
     taps = np.ascontiguousarray(k.data.transpose(2, 3, 1, 0))
     taps = taps.reshape(kh * kw, cin, cout)
-    yf = _shifted_gemm(taps, offsets, xf, np.empty((n, cout)))
+    yf = _empty((n, cout))
+    _shifted_gemm(taps, offsets, _grid_rows(xd, 0, p, hp, wp), wp, n, out=yf)
     y = yf.reshape(b, hp, wp, cout)[:, :h, :w]
 
     def backward(g):
-        dyf = _flat_grid(g if batched else g[None], span, 0, hp, wp)
+        gd = g if batched else g[None]
         if k.requires_grad:
-            gk = _tap_products(dyf[span:n], xf, offsets)
+            gk = _tap_products(_grid_rows(gd, 0, 0, hp, wp), _grid_rows(xd, 0, p, hp, wp),
+                               n - span, offsets, (cout, cin))
             k._accumulate(gk.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
         if x.requires_grad:
             flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
             flipped = np.ascontiguousarray(flipped).reshape(kh * kw, cout, cin)
-            dxf = _shifted_gemm(flipped, offsets, dyf, np.empty((n, cin)))
-            gx = dxf.reshape(b, hp, wp, cin)[:, p:p + h, p:p + w]
-            x._accumulate(gx if batched else gx[0])
+            gx = _empty((b, h, w, cin))
+            _shifted_gemm(flipped, offsets, _grid_rows(gd, span, 0, hp, wp), wp, n,
+                          store=_grid_store(gx, p, hp, wp))
+            x._accumulate(gx if batched else gx[0], owned=True)
 
     return _node(y if batched else y[0], (x, k), backward)
 

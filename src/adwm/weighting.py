@@ -19,7 +19,7 @@ import numpy as np
 
 from .cacw import D_FRACTION, WEIGHT_GENERATORS, reduced_width
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
-from .tensor import _node, as_tensor, channel_scale, softmax, spatial_mean, stack
+from .tensor import _empty, _node, as_tensor, channel_scale, softmax, spatial_mean, stack
 
 
 @dataclass
@@ -131,17 +131,20 @@ def weighted_sum(maps, w=None):
         # order gradients accumulate into the maps during backward
         parents = (maps[0], w) + tuple(maps[1:])
 
-    data = maps[0].data * factors[0]
+    data = np.multiply(maps[0].data, factors[0], out=_empty(shape))
+    term = _empty(shape)
     for m, f in zip(maps[1:], factors[1:]):
-        data += m.data * f
+        data += np.multiply(m.data, f, out=term)
 
     def backward(g):
         for m, f in zip(maps, factors):
             if m.requires_grad:
-                m._accumulate(g * f)
+                m._accumulate(np.multiply(g, f, out=_empty(shape)), owned=True)
         if w is not None and w.requires_grad:
+            prod = _empty(shape)
             w._accumulate(np.stack(
-                [(g * m.data).sum(axis=(-3, -2, -1)) for m in maps], axis=-1
+                [np.multiply(g, m.data, out=prod).sum(axis=(-3, -2, -1))
+                 for m in maps], axis=-1
             ))
 
     return _node(data, parents, backward)

@@ -1,8 +1,12 @@
 import shutil
+import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
+
+from adwm import tensor
 
 _HYPOTHESIS_HOME = pytest.StashKey[str]()
 
@@ -18,3 +22,23 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     set_hypothesis_home_dir(None)
     shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
+
+
+@pytest.fixture
+def poisoned_workspace(monkeypatch):
+    """`tensor.workspace`, with every buffer `_empty` hands out pooled,
+    whatever its size, and filled with NaN first. An op that reads any
+    element of its buffer before writing it then shows NaN in its result,
+    and one handed a buffer still in use shows wrong bytes."""
+    monkeypatch.setattr(tensor, "_POOL_MIN", 1)
+    empty = tensor._empty
+
+    def nan_empty(shape):
+        out = empty(shape)
+        out.fill(np.nan)
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "adwm" and getattr(module, "_empty", None) is empty:
+            monkeypatch.setattr(module, "_empty", nan_empty)
+    return tensor.workspace

@@ -169,6 +169,58 @@ def test_eval_band_mismatch_is_usage_error(tmp_path, run_dir, capsys):
     assert "bands" in capsys.readouterr().err
 
 
+def counted_forwards(monkeypatch):
+    """Record every model forward the commands run from here on."""
+    calls = []
+    forward = PansharpenModel.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(PansharpenModel, "forward", counted)
+    return calls
+
+
+def test_eval_unwritable_report_exits_2_before_any_forward(tmp_path, run_dir,
+                                                           data_dir, capsys,
+                                                           monkeypatch):
+    calls = counted_forwards(monkeypatch)
+    report = tmp_path / "missing" / "r.csv"
+    rc = main(["eval", "--model", os.path.join(run_dir, "checkpoint_final.ckpt"),
+               "--data", data_dir, "--report", str(report), "--full-res"])
+    assert rc == 2
+    assert str(report) in capsys.readouterr().err
+    assert calls == []
+    assert not report.parent.exists()
+
+
+def test_train_unwritable_log_exits_2_before_any_step(tmp_path, data_dir, capsys,
+                                                      monkeypatch):
+    calls = counted_forwards(monkeypatch)
+    log = tmp_path / "missing" / "log.csv"
+    out = tmp_path / "run"
+    rc = main(["train", "--data", data_dir, "--variant", "adwm",
+               "--out", str(out), "--log", str(log), *TRAIN_FLAGS])
+    assert rc == 2
+    assert str(log) in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_log_or_report_naming_a_directory_exits_2(tmp_path, run_dir, data_dir,
+                                                  capsys):
+    rc = main(["eval", "--model", os.path.join(run_dir, "checkpoint_final.ckpt"),
+               "--data", data_dir, "--report", str(tmp_path)])
+    assert rc == 2
+    assert str(tmp_path) in capsys.readouterr().err
+    rc = main(["train", "--data", data_dir, "--out", str(tmp_path / "run"),
+               "--log", str(tmp_path), *TRAIN_FLAGS])
+    assert rc == 2
+    assert str(tmp_path) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_truncated_checkpoint_exits_2(tmp_path, data_dir, capsys):
     ckpt = tmp_path / "cut.ckpt"
     ckpt.write_bytes(b"ADWM\x01\x00")

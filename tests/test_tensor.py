@@ -8,8 +8,9 @@ from adwm import (
     ConfigurationError, DimensionError, Tensor, UsageError, concat, conv2d, gradcheck,
     softmax, spatial_mean, stack,
 )
+from adwm import tensor
 from adwm.backbone import upsample_bilinear
-from adwm.tensor import _node, bias_act, channel_scale
+from adwm.tensor import _POOL_MIN, _empty, _node, bias_act, channel_scale, workspace
 from adwm.weighting import weighted_sum
 
 
@@ -58,7 +59,8 @@ def conv2d_loops_adjoint(x, k, gy):
 # batch (None = unbatched), C_in, C_out, H, W, kernel size: batches of 1 and
 # 3, kernels 1x1, 3x3 and 5x5, single-row and single-column images, and
 # C_in != C_out; a shift error in the flat layout shows at batch boundaries.
-# The last case spans more than one row block of the shifted GEMMs.
+# The 27x29 case spans more than one row block of the shifted GEMMs, and
+# the 2100-wide one has padded rows longer than a whole block.
 CONV_CASES = [
     (None, 2, 3, 5, 4, 3),
     (1, 3, 2, 4, 6, 3),
@@ -70,6 +72,7 @@ CONV_CASES = [
     (3, 2, 3, 6, 5, 5),
     (1, 1, 1, 2, 7, 1),
     (3, 2, 1, 27, 29, 3),
+    (None, 1, 2, 2, 2100, 3),
 ]
 
 
@@ -208,6 +211,15 @@ def test_conv2d_matches_loop_oracle():
 
 
 def test_conv2d_gradients_match_loop_adjoint():
+    check_conv2d_gradients()
+
+
+def test_conv2d_gradients_match_loop_adjoint_in_poisoned_workspace(poisoned_workspace):
+    with poisoned_workspace():
+        check_conv2d_gradients()
+
+
+def check_conv2d_gradients():
     rng = np.random.default_rng(11)
     for case in CONV_CASES:
         x, k = _conv_case(rng, *case)
@@ -228,6 +240,15 @@ def test_conv2d_gradients_match_loop_adjoint():
 
 
 def test_conv2d_chain_matches_loop_oracle():
+    check_conv2d_chain()
+
+
+def test_conv2d_chain_matches_loop_oracle_in_poisoned_workspace(poisoned_workspace):
+    with poisoned_workspace():
+        check_conv2d_chain()
+
+
+def check_conv2d_chain():
     # the backbone's pattern: conv, bias, leaky ReLU, conv, so the second
     # conv reads the first one's strided output and the first one's
     # backward reads a gradient in the second one's layout
@@ -262,6 +283,20 @@ def test_conv2d_chain_matches_loop_oracle():
         for got, want in ((y.data, _hwc(y_want)), (xt.grad, _hwc(gx_want)), (k1t.grad, gk1_want),
                           (k2t.grad, gk2_want), (b1t.grad, gb1_want)):
             assert np.allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12), case
+
+
+@pytest.mark.parametrize("lead,p", [(0, 1), (0, 0), (9, 0), (0, 2), (5, 1)])
+def test_grid_rows_match_the_whole_padded_grid(lead, p):
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((3, 4, 7, 2))[:, :, 1:6]  # a strided source
+    hp, wp = 4 + 2 * p + 1, 5 + 2 * p + 2  # cells wider than the padding needs
+    cells = np.zeros((3, hp, wp, 2))
+    cells[:, p:p + 4, p:p + 5] = a
+    grid = np.concatenate([np.zeros((lead, 2)), cells.reshape(-1, 2)])
+    rows = tensor._grid_rows(a, lead, p, hp, wp)
+    for _ in range(200):
+        s0, s1 = sorted(rng.integers(0, len(grid) + 1, size=2))
+        assert rows(s0, s1).tobytes() == grid[s0:s1].tobytes(), (s0, s1)
 
 
 def test_conv2d_batched_matches_per_sample():
@@ -692,3 +727,99 @@ def test_seeded_graph_bit_identical():
     a, b = run(), run()
     for u, v in zip(a, b):
         assert np.array_equal(u, v)
+
+
+# ----------------------------------------------------------------------
+# workspace
+
+def test_workspace_never_hands_out_a_buffer_still_referenced():
+    n = _POOL_MIN
+    with workspace():
+        t = Tensor(_empty((n,)))
+        addr = t.data.ctypes.data
+        assert not any(np.shares_memory(_empty((n,)), t.data) for _ in range(3))
+        view = t.data[1::3]
+        del t
+        assert not any(np.shares_memory(_empty((n,)), view) for _ in range(3))
+        del view
+        # with nothing but the pool holding it, the buffer is free again
+        again = [_empty((n,)) for _ in range(2)]
+        assert addr in {b.ctypes.data for b in again}
+        assert len(tensor._open.pool.buffers) == 2
+
+
+def test_workspace_keeps_buffers_an_unswept_tape_still_holds():
+    rng = np.random.default_rng(40)
+    n = _POOL_MIN
+    want = rng.standard_normal(n)
+    with workspace():
+        a = Tensor(rng.standard_normal(n), requires_grad=True)
+        b = Tensor(_empty((n,)))
+        np.copyto(b.data, want)
+        y = a * b
+        addr = b.data.ctypes.data
+        del b  # only y's backward closure holds it now
+        taken = [_empty((n,)) for _ in range(4)]
+        assert all(t.ctypes.data != addr for t in taken)
+        for t in taken:
+            t.fill(np.nan)
+        y.sum().backward()
+    assert a.grad.tobytes() == want.tobytes()
+
+
+def test_nested_workspace_reuses_the_outer_pool():
+    assert tensor._open.pool is None
+    with workspace():
+        outer = tensor._open.pool
+        with workspace():
+            assert tensor._open.pool is outer
+            addr = _empty((_POOL_MIN,)).ctypes.data
+        assert tensor._open.pool is outer
+        assert _empty((_POOL_MIN,)).ctypes.data == addr
+    assert tensor._open.pool is None
+
+
+def test_workspace_closes_when_its_block_raises():
+    with pytest.raises(RuntimeError):
+        with workspace():
+            _empty((_POOL_MIN,))
+            raise RuntimeError("abort")
+    assert tensor._open.pool is None
+
+
+def test_small_requests_bypass_the_workspace():
+    with workspace():
+        small = _empty((_POOL_MIN - 1,))
+        assert small.base is None
+        assert tensor._open.pool.buffers == []
+        large = _empty((_POOL_MIN,))
+        assert large.base is tensor._open.pool.buffers[0]
+
+
+def test_workspace_serves_a_request_from_a_buffer_up_to_an_eighth_larger():
+    n = 8 * _POOL_MIN
+    with workspace():
+        addr = _empty((n + n // 8,)).ctypes.data
+        near = _empty((n,))
+        assert near.ctypes.data == addr and near.shape == (n,)
+        del near
+        assert _empty((n - 1,)).ctypes.data != addr
+        assert sorted(tensor._open.pool.sizes) == tensor._open.pool.sizes
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _node_cases()])
+def test_every_op_gives_the_same_bytes_in_a_poisoned_workspace(case,
+                                                               poisoned_workspace):
+    name, op, arrays, _ = next(c for c in _node_cases() if c[0] == case)
+
+    def run():
+        inputs = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+        out = op(*inputs)
+        weight = np.random.default_rng(41).standard_normal(out.shape)
+        (out * Tensor(weight)).sum().backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in inputs]
+
+    want = run()
+    with poisoned_workspace():
+        got = run()
+    assert got == want, name

@@ -4,7 +4,8 @@ import pytest
 from adwm.backbone import ModelConfig, PansharpenModel, load_checkpoint
 from adwm.data import SamplePair, generate_scene, wald_degrade
 from adwm.errors import ConfigurationError, DimensionError, NumericError
-from adwm.tensor import Tensor, gradcheck
+from adwm import tensor
+from adwm.tensor import _POOL_MIN, Tensor, gradcheck, workspace
 from adwm import trainer
 from adwm.trainer import (
     TrainConfig,
@@ -266,3 +267,72 @@ def test_evaluate_psnr_restores_grad_flags():
     v = evaluate_psnr(model, pairs)
     assert np.isfinite(v)
     assert [p.requires_grad for p in model.params()] == before
+
+
+# ----------------------------------------------------------------------
+# steps inside a workspace
+
+
+def seeded_steps(variant, generator, steps=3):
+    """Each step's loss and gradients, then the parameters, as bytes."""
+    pan, lrms, gt = trainer._assemble(make_pairs(2, H=32, W=32, c=4))
+    cfg = ModelConfig(bands=4, channels=16, blocks=2, variant=variant,
+                      generator=generator)
+    model = PansharpenModel(cfg, seed=3)
+    # a zero decoder would keep every gradient behind it zero on step 1
+    rng = np.random.default_rng(3)
+    model.dec_w.data[...] = 0.05 * rng.standard_normal(model.dec_w.data.shape)
+    params = model.params()
+    state = init_adam(params)
+    out = []
+    with trainer._grad_flags(params, True):
+        for _ in range(steps):
+            model.zero_grad()
+            loss = l1_loss(model.forward(pan, lrms), gt)
+            loss.backward()
+            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
+                     for p in params]
+            out += [loss.data.tobytes()] + [g.tobytes() for g in grads]
+            adam_step(params, grads, state, lr=2e-3)
+    return out + [p.data.tobytes() for p in params]
+
+
+ARMS = [("baseline", "cacw"), ("ifw", "cacw"), ("cfw", "cacw"), ("adwm", "cacw"),
+        ("adwm", "pool"), ("adwm", "attention"), ("adwm", "pca")]
+
+
+@pytest.mark.parametrize("variant,generator", ARMS)
+def test_steps_in_a_workspace_are_bitwise_those_outside(variant, generator):
+    want = seeded_steps(variant, generator)
+    with workspace():
+        got = seeded_steps(variant, generator)
+        # feature maps this size come from the pool
+        assert max(tensor._open.pool.sizes) >= 2 * 32 * 32 * 16 >= _POOL_MIN
+    assert got == want
+
+
+@pytest.mark.parametrize("variant,generator", ARMS)
+def test_steps_in_a_poisoned_workspace_are_bitwise_those_outside(
+        variant, generator, poisoned_workspace):
+    want = seeded_steps(variant, generator)
+    with poisoned_workspace():
+        got = seeded_steps(variant, generator)
+    assert got == want
+
+
+def test_nan_loss_closes_the_workspace(tmp_path, monkeypatch):
+    pools = []
+    loss = trainer.l1_loss
+
+    def recorded(pred, gt):
+        pools.append(tensor._open.pool)
+        return loss(pred, gt)
+
+    monkeypatch.setattr(trainer, "l1_loss", recorded)
+    pairs = make_pairs(4)
+    pairs[1].gt[0, 0, 0] = np.nan
+    with pytest.raises(NumericError):
+        train(tiny_model(), pairs, [], TrainConfig(epochs=1, batch_size=4),
+              out_dir=tmp_path)
+    assert len(pools) == 1 and pools[0] is not None
+    assert tensor._open.pool is None
