@@ -40,7 +40,6 @@ from .tensor import (
     softmax,
     spatial_mean,
     stack,
-    workspace,
 )
 from .trainer import TrainConfig, train
 from .weighting import adwm_param_count
@@ -179,23 +178,25 @@ def cmd_train(args):
     fracs = _fractions(args.d_frac)
     if len(fracs) != 1:
         raise UsageError(f"train takes one --d-frac value, got {args.d_frac!r}")
-    variants = VARIANTS if args.variant == "all" else [args.variant]
-    copy_log = args.log and args.variant != "all"
-    if copy_log:
+    if args.log and args.variant == "all":
+        raise UsageError(
+            "--log takes one variant's log; with --variant all each arm's "
+            "log is at OUT/<variant>/train_log.csv"
+        )
+    if args.log:
         _check_writable(args.log)
+    variants = VARIANTS if args.variant == "all" else [args.variant]
     dataset = _training_set(args)
-    # the runs of --variant all share one workspace
-    with workspace():
-        for variant in variants:
-            out_dir = (os.path.join(args.out, variant)
-                       if args.variant == "all" else args.out)
-            result, _ = _run_training(args, dataset, variant, out_dir,
-                                      fracs[0], args.generator)
-            print(f"{variant}: best_val_psnr={result.best_val_psnr:.4f} "
-                  f"final={result.final_path}")
-            if copy_log:
-                shutil.copyfile(result.log_path, args.log)
-                print(args.log)
+    for variant in variants:
+        out_dir = (os.path.join(args.out, variant)
+                   if args.variant == "all" else args.out)
+        result, _ = _run_training(args, dataset, variant, out_dir,
+                                  fracs[0], args.generator)
+        print(f"{variant}: best_val_psnr={result.best_val_psnr:.4f} "
+              f"final={result.final_path}")
+        if args.log:
+            shutil.copyfile(result.log_path, args.log)
+            print(args.log)
     return 0
 
 
@@ -308,23 +309,20 @@ def cmd_compare(args):
         "(covariance + mlp + gate + combine) at these dimensions",
         "method,d_frac,params,flops,psnr",
     ]
-    # one workspace for every run: each is short, so a pool per run would
-    # fault its pages in again for each one
-    with workspace():
-        for method in methods:
-            for frac in fracs:
-                run_dir = os.path.join(args.out, f"{method}_d{frac:g}")
-                result, model = _run_training(
-                    args, dataset, "adwm", run_dir, frac, method
-                )
-                params = adwm_param_count(model.config.weighting_config())
-                flops = diagnostics.count_flops(
-                    H, W, args.channels, args.blocks, d_fraction=frac
-                ).total
-                lines.append(
-                    f"{method},{frac:g},{params},{flops},{result.best_val_psnr:.10g}"
-                )
-                print(lines[-1])
+    for method in methods:
+        for frac in fracs:
+            run_dir = os.path.join(args.out, f"{method}_d{frac:g}")
+            result, model = _run_training(
+                args, dataset, "adwm", run_dir, frac, method
+            )
+            params = adwm_param_count(model.config.weighting_config())
+            flops = diagnostics.count_flops(
+                H, W, args.channels, args.blocks, d_fraction=frac
+            ).total
+            lines.append(
+                f"{method},{frac:g},{params},{flops},{result.best_val_psnr:.10g}"
+            )
+            print(lines[-1])
     csv_path = os.path.join(args.out, "comparison.csv")
     with open(csv_path, "w") as f:
         f.write("\n".join(lines) + "\n")
@@ -508,7 +506,7 @@ def build_parser():
                     help="train one variant or all four")
     p.add_argument("--variant", choices=VARIANT_CHOICES, default="adwm")
     p.add_argument("--out", help="run directory")
-    p.add_argument("--log", help="also copy the log CSV here")
+    p.add_argument("--log", help="also copy the log CSV here (one variant only)")
     p.add_argument("--generator", default=ModelConfig.generator,
                    choices=sorted(WEIGHT_GENERATORS))
     _add_common_train_flags(p)

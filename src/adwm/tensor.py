@@ -21,19 +21,10 @@ runs one flat loop over the merged W*C axis instead of a C-long inner
 loop. Leaky ReLU has one kernel, `_leaky`, shared by `Tensor.leaky_relu`
 and `bias_act`.
 
-Training allocates through `_empty` inside `workspace()`. While one is
-open, every request of at least `_POOL_MIN` elements is served from a
-pool of flat buffers: the smallest free one within an eighth above the
-size asked for. So each step reuses the pages of the step before,
-instead of faulting in fresh ones after the allocator trimmed the heap.
-A buffer is free when `sys.getrefcount` shows the pool's own reference
-alone. Every array handed out is a view, which references its buffer,
-so a buffer that a live Tensor, a view of it or a tape closure still
-holds is never handed out twice. `trainer.train` and the CLI commands
-that chain training runs open the workspace; evaluation does not, since
-a forward with no tape frees each intermediate as soon as its consumer
-exists. Every op writes all of a buffer before it reads any of it, so
-the bytes are those of fresh arrays.
+Every buffer that an op fills piecewise or reuses comes from `_empty`, a
+plain `np.empty`; the tests swap it for NaN-filled arrays to show that no
+op reads such a buffer before it writes it. A result that one ufunc
+writes whole is left to numpy to allocate.
 
 `conv2d` builds no patch matrix. It reads the batch as one flat padded
 (B*Hp*Wp, C_in) grid, where every kernel tap is a constant shift of
@@ -45,84 +36,15 @@ gradients are the same shifted GEMMs run as adjoints; the `conv2d`
 docstring has the index arithmetic.
 """
 
-import math
-import sys
-import threading
-from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
-
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, UsageError
 
 
-# ----------------------------------------------------------------------
-# buffer workspace
-
-# requests of at least this many elements come from an open workspace
-_POOL_MIN = 32768
-
-
-class _Pool:
-    """Flat float64 buffers, ascending by size, each free once nothing but
-    this pool references it."""
-
-    def __init__(self):
-        self.sizes = []
-        self.buffers = []
-        # what a free buffer's refcount reads from here; measured, since
-        # the interpreter decides how many references the call adds
-        self.free_refs = self._refs([np.empty(1)], 0)
-
-    @staticmethod
-    def _refs(buffers, i):
-        return sys.getrefcount(buffers[i])
-
-    def take(self, n):
-        """The smallest free buffer of n to n + n/8 elements, or a new one."""
-        lo = bisect_left(self.sizes, n)
-        for i in range(lo, bisect_right(self.sizes, n + n // 8)):
-            if self._refs(self.buffers, i) == self.free_refs:
-                return self.buffers[i]
-        buf = np.empty(n)
-        self.sizes.insert(lo, n)
-        self.buffers.insert(lo, buf)
-        return buf
-
-
-class _Open(threading.local):
-    pool = None
-
-
-_open = _Open()
-
-
-@contextmanager
-def workspace():
-    """Serve large `_empty` requests from one pool of reusable buffers.
-
-    Re-entrant: a nested entry keeps the pool already open. The pool and
-    every buffer only it holds are released when the outermost entry
-    exits, however it exits.
-    """
-    if _open.pool is not None:
-        yield
-        return
-    _open.pool = _Pool()
-    try:
-        yield
-    finally:
-        _open.pool = None
-
-
 def _empty(shape):
-    """An uninitialised float64 array of `shape`, from the open workspace
-    when it is large enough. Every caller writes all of it before reading."""
-    n = math.prod(shape)
-    pool = _open.pool
-    if pool is None or n < _POOL_MIN:
-        return np.empty(shape)
-    return pool.take(n)[:n].reshape(shape)
+    """An uninitialised float64 array of `shape`, for a buffer that its
+    caller fills piecewise or reuses."""
+    return np.empty(shape)
 
 
 def _unbroadcast(grad, shape):
@@ -159,7 +81,7 @@ def _leaky_grad(out, g, slope):
     """The gradient through `_leaky`, from its output: out > 0 exactly where
     pre > 0, and g * 1.0 == g, so this is `g * np.where(pre > 0, 1.0, slope)`
     byte for byte."""
-    grad = np.multiply(g, slope, out=_empty(g.shape))
+    grad = g * slope
     np.putmask(grad, out > 0, g)
     return grad
 
@@ -236,11 +158,7 @@ class Tensor:
         """
         if self.grad is None:
             if np.shape(g) == self.data.shape:
-                if not owned:
-                    copy = _empty(self.data.shape)
-                    np.copyto(copy, g)
-                    g = copy
-                self.grad = g
+                self.grad = g if owned else np.array(g, dtype=self.data.dtype, order="C")
             else:
                 self.grad = np.zeros_like(self.data)
                 self.grad += g
@@ -289,9 +207,9 @@ class Tensor:
     # elementwise arithmetic
 
     @staticmethod
-    def _broadcast_shape(a, b):
+    def _check_broadcast(a, b):
         try:
-            return np.broadcast_shapes(a.shape, b.shape)
+            np.broadcast_shapes(a.shape, b.shape)
         except ValueError:
             raise DimensionError(
                 f"shapes {a.shape} and {b.shape} do not broadcast"
@@ -299,7 +217,7 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        shape = self._broadcast_shape(self, other)
+        self._check_broadcast(self, other)
 
         def backward(g):
             if self.requires_grad:
@@ -307,28 +225,24 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.shape))
 
-        out = np.add(self.data, other.data, out=_empty(shape))
-        return _node(out, (self, other), backward)
+        return _node(self.data + other.data, (self, other), backward)
 
     def __mul__(self, other):
         other = as_tensor(other)
-        shape = self._broadcast_shape(self, other)
+        self._check_broadcast(self, other)
 
         def backward(g):
             # each product is fresh, and so is its sum when it is summed down
             if self.requires_grad:
-                prod = np.multiply(g, other.data, out=_empty(shape))
-                self._accumulate(_unbroadcast(prod, self.shape), owned=True)
+                self._accumulate(_unbroadcast(g * other.data, self.shape), owned=True)
             if other.requires_grad:
-                prod = np.multiply(g, self.data, out=_empty(shape))
-                other._accumulate(_unbroadcast(prod, other.shape), owned=True)
+                other._accumulate(_unbroadcast(g * self.data, other.shape), owned=True)
 
-        out = np.multiply(self.data, other.data, out=_empty(shape))
-        return _node(out, (self, other), backward)
+        return _node(self.data * other.data, (self, other), backward)
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        self._broadcast_shape(self, other)
+        self._check_broadcast(self, other)
 
         def backward(g):
             if self.requires_grad:
@@ -372,8 +286,9 @@ class Tensor:
     def sigmoid(self):
         # guard both tails so exp never overflows
         x = self.data
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        e = np.exp(-np.abs(x))
+        denom = 1.0 + e
+        s = np.where(x >= 0, 1.0 / denom, e / denom)
 
         def backward(g):
             self._accumulate(g * s * (1.0 - s))
@@ -391,10 +306,9 @@ class Tensor:
     def abs(self):
         def backward(g):
             # subgradient 0 at exact ties
-            grad = np.sign(self.data, out=_empty(self.shape))
-            self._accumulate(np.multiply(g, grad, out=grad), owned=True)
+            self._accumulate(g * np.sign(self.data), owned=True)
 
-        return _node(np.abs(self.data, out=_empty(self.shape)), (self,), backward)
+        return _node(np.abs(self.data), (self,), backward)
 
     # ------------------------------------------------------------------
     # reductions and shape ops
@@ -481,14 +395,12 @@ class Tensor:
             ) from None
 
         def backward(g):
-            # g has the batch axes of both operands, and so do both products
+            # each product is fresh, and so is its sum when it is summed down
             if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2),
-                               out=_empty(g.shape[:-1] + b.shape[-2:-1]))
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
                 a._accumulate(_unbroadcast(ga, a.shape), owned=True)
             if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g,
-                               out=_empty(g.shape[:-2] + (a.shape[-1], g.shape[-1])))
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
                 b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
         return _node(out_data, (a, b), backward)
@@ -625,8 +537,7 @@ def channel_scale(f, alpha):
 
     def backward(g):
         if alpha.requires_grad:
-            prod = np.multiply(g, f.data, out=_empty(f.shape))
-            ga = _unbroadcast(prod, lead + (1, 1, c)).reshape(alpha.shape)
+            ga = _unbroadcast(g * f.data, lead + (1, 1, c)).reshape(alpha.shape)
             alpha._accumulate(ga, owned=True)
         if f.requires_grad:
             f._accumulate(scaled(g), owned=True)
@@ -657,14 +568,14 @@ def _grid_rows(a, lead, p, hp, wp):
     runs of contiguous rows.
     """
     b, h, w, c = a.shape
-    buf = np.empty((0, wp, c))
+    buf = _empty((0, wp, c))
 
     def rows(s0, s1):
         nonlocal buf
         # the grid rows that hold s0:s1; those before row 0 are the lead
         g0, g1 = (s0 - lead) // wp, -(-(s1 - lead) // wp)
         if g1 - g0 > len(buf):
-            buf = np.empty((g1 - g0, wp, c))
+            buf = _empty((g1 - g0, wp, c))
         cells = buf[:g1 - g0]
         done = g0  # grid rows before this one are written
         for img in range(max(g0, 0) // hp, min(-(-g1 // hp), b)):
@@ -711,8 +622,8 @@ def _shifted_gemm(taps, offsets, rows, wp, n, out=None, store=None):
     next block reuses. Each row of Y is the same sum whatever the blocks,
     so the result does not depend on them."""
     step = max(1, _BLOCK // wp) * wp
-    part_buf = np.empty((min(n, step), taps.shape[2]))
-    block_buf = np.empty_like(part_buf) if out is None else None
+    part_buf = _empty((min(n, step), taps.shape[2]))
+    block_buf = _empty(part_buf.shape) if out is None else None
     for q0 in range(0, n, step):
         q1 = min(q0 + step, n)
         src = rows(q0, q1 + offsets[-1])
@@ -732,7 +643,7 @@ def _tap_products(a_rows, x_rows, n, offsets, shape):
     Each product sums over rows, so its blocks are fixed `_BLOCK` runs of
     rows: other blocks would round the sums differently."""
     g = np.zeros((len(offsets),) + shape)
-    part = np.empty(shape)
+    part = _empty(shape)
     for q0 in range(0, n, _BLOCK):
         q1 = min(q0 + _BLOCK, n)
         at = a_rows(q0, q1).T

@@ -15,7 +15,7 @@ import numpy as np
 from .backbone import save_checkpoint
 from .errors import ConfigurationError, DimensionError, NumericError
 from .metrics import psnr
-from .tensor import Tensor, as_tensor, workspace
+from .tensor import Tensor, as_tensor
 
 
 @dataclass
@@ -144,9 +144,8 @@ def train(model, train_pairs, val_pairs, cfg, out_dir):
     best = -np.inf
     history = []
 
-    # each epoch's row is flushed as it ends: a run that stops keeps them.
-    # Steps and validation forwards reuse one workspace's buffers.
-    with open(log_path, "w") as log, _grad_flags(params, True), workspace():
+    # each epoch's row is flushed as it ends: a run that stops keeps them
+    with open(log_path, "w") as log, _grad_flags(params, True):
         log.write("epoch,lr,train_l1,val_psnr\n")
         for epoch in range(1, cfg.epochs + 1):
             lr = lr_at(epoch, cfg)

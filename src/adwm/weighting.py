@@ -131,7 +131,7 @@ def weighted_sum(maps, w=None):
         # order gradients accumulate into the maps during backward
         parents = (maps[0], w) + tuple(maps[1:])
 
-    data = np.multiply(maps[0].data, factors[0], out=_empty(shape))
+    data = maps[0].data * factors[0]
     term = _empty(shape)
     for m, f in zip(maps[1:], factors[1:]):
         data += np.multiply(m.data, f, out=term)
@@ -139,7 +139,7 @@ def weighted_sum(maps, w=None):
     def backward(g):
         for m, f in zip(maps, factors):
             if m.requires_grad:
-                m._accumulate(np.multiply(g, f, out=_empty(shape)), owned=True)
+                m._accumulate(g * f, owned=True)
         if w is not None and w.requires_grad:
             prod = _empty(shape)
             w._accumulate(np.stack(

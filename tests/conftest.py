@@ -25,12 +25,11 @@ def pytest_unconfigure(config):
 
 
 @pytest.fixture
-def poisoned_workspace(monkeypatch):
-    """`tensor.workspace`, with every buffer `_empty` hands out pooled,
-    whatever its size, and filled with NaN first. An op that reads any
-    element of its buffer before writing it then shows NaN in its result,
-    and one handed a buffer still in use shows wrong bytes."""
-    monkeypatch.setattr(tensor, "_POOL_MIN", 1)
+def poisoned_empty(monkeypatch):
+    """A call that makes `_empty`, in `tensor` and in every adwm module that
+    imports it, fill each buffer with NaN, until the test ends. An op that
+    reads any element of its buffer before writing it then shows NaN in
+    its result."""
     empty = tensor._empty
 
     def nan_empty(shape):
@@ -38,7 +37,9 @@ def poisoned_workspace(monkeypatch):
         out.fill(np.nan)
         return out
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "adwm" and getattr(module, "_empty", None) is empty:
-            monkeypatch.setattr(module, "_empty", nan_empty)
-    return tensor.workspace
+    def poison():
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "adwm" and getattr(module, "_empty", None) is empty:
+                monkeypatch.setattr(module, "_empty", nan_empty)
+
+    return poison

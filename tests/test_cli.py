@@ -208,6 +208,19 @@ def test_train_unwritable_log_exits_2_before_any_step(tmp_path, data_dir, capsys
     assert not out.exists()
 
 
+def test_train_all_with_log_exits_2_before_reading_data(tmp_path, data_dir, capsys,
+                                                        monkeypatch):
+    reads = counted_reads(monkeypatch)
+    log = tmp_path / "log.csv"
+    out = tmp_path / "all"
+    rc = main(["train", "--data", data_dir, "--variant", "all",
+               "--out", str(out), "--log", str(log), *TRAIN_FLAGS])
+    assert rc == 2
+    assert "train_log.csv" in capsys.readouterr().err
+    assert reads == []
+    assert not out.exists() and not log.exists()
+
+
 def test_log_or_report_naming_a_directory_exits_2(tmp_path, run_dir, data_dir,
                                                   capsys):
     rc = main(["eval", "--model", os.path.join(run_dir, "checkpoint_final.ckpt"),

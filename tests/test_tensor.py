@@ -10,7 +10,7 @@ from adwm import (
 )
 from adwm import tensor
 from adwm.backbone import upsample_bilinear
-from adwm.tensor import _POOL_MIN, _empty, _node, bias_act, channel_scale, workspace
+from adwm.tensor import _node, bias_act, channel_scale
 from adwm.weighting import weighted_sum
 
 
@@ -214,9 +214,9 @@ def test_conv2d_gradients_match_loop_adjoint():
     check_conv2d_gradients()
 
 
-def test_conv2d_gradients_match_loop_adjoint_in_poisoned_workspace(poisoned_workspace):
-    with poisoned_workspace():
-        check_conv2d_gradients()
+def test_conv2d_gradients_match_loop_adjoint_in_poisoned_workspace(poisoned_empty):
+    poisoned_empty()
+    check_conv2d_gradients()
 
 
 def check_conv2d_gradients():
@@ -243,9 +243,9 @@ def test_conv2d_chain_matches_loop_oracle():
     check_conv2d_chain()
 
 
-def test_conv2d_chain_matches_loop_oracle_in_poisoned_workspace(poisoned_workspace):
-    with poisoned_workspace():
-        check_conv2d_chain()
+def test_conv2d_chain_matches_loop_oracle_in_poisoned_workspace(poisoned_empty):
+    poisoned_empty()
+    check_conv2d_chain()
 
 
 def check_conv2d_chain():
@@ -525,6 +525,12 @@ def test_channel_scale_shape_errors(f_shape, alpha_shape):
 def test_sigmoid_relu_points():
     assert Tensor(0.0).sigmoid().data == 0.5
     assert Tensor(-1.0).leaky_relu().data == -0.01
+    # the bytes of the expression that evaluates exp three times
+    x = np.concatenate([[800.0, -800.0, 0.0, -0.0],
+                        np.random.default_rng(42).standard_normal(64)])
+    want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert Tensor(x).sigmoid().data.tobytes() == want.tobytes()
 
 
 def test_non_broadcastable_shapes():
@@ -730,86 +736,10 @@ def test_seeded_graph_bit_identical():
 
 
 # ----------------------------------------------------------------------
-# workspace
-
-def test_workspace_never_hands_out_a_buffer_still_referenced():
-    n = _POOL_MIN
-    with workspace():
-        t = Tensor(_empty((n,)))
-        addr = t.data.ctypes.data
-        assert not any(np.shares_memory(_empty((n,)), t.data) for _ in range(3))
-        view = t.data[1::3]
-        del t
-        assert not any(np.shares_memory(_empty((n,)), view) for _ in range(3))
-        del view
-        # with nothing but the pool holding it, the buffer is free again
-        again = [_empty((n,)) for _ in range(2)]
-        assert addr in {b.ctypes.data for b in again}
-        assert len(tensor._open.pool.buffers) == 2
-
-
-def test_workspace_keeps_buffers_an_unswept_tape_still_holds():
-    rng = np.random.default_rng(40)
-    n = _POOL_MIN
-    want = rng.standard_normal(n)
-    with workspace():
-        a = Tensor(rng.standard_normal(n), requires_grad=True)
-        b = Tensor(_empty((n,)))
-        np.copyto(b.data, want)
-        y = a * b
-        addr = b.data.ctypes.data
-        del b  # only y's backward closure holds it now
-        taken = [_empty((n,)) for _ in range(4)]
-        assert all(t.ctypes.data != addr for t in taken)
-        for t in taken:
-            t.fill(np.nan)
-        y.sum().backward()
-    assert a.grad.tobytes() == want.tobytes()
-
-
-def test_nested_workspace_reuses_the_outer_pool():
-    assert tensor._open.pool is None
-    with workspace():
-        outer = tensor._open.pool
-        with workspace():
-            assert tensor._open.pool is outer
-            addr = _empty((_POOL_MIN,)).ctypes.data
-        assert tensor._open.pool is outer
-        assert _empty((_POOL_MIN,)).ctypes.data == addr
-    assert tensor._open.pool is None
-
-
-def test_workspace_closes_when_its_block_raises():
-    with pytest.raises(RuntimeError):
-        with workspace():
-            _empty((_POOL_MIN,))
-            raise RuntimeError("abort")
-    assert tensor._open.pool is None
-
-
-def test_small_requests_bypass_the_workspace():
-    with workspace():
-        small = _empty((_POOL_MIN - 1,))
-        assert small.base is None
-        assert tensor._open.pool.buffers == []
-        large = _empty((_POOL_MIN,))
-        assert large.base is tensor._open.pool.buffers[0]
-
-
-def test_workspace_serves_a_request_from_a_buffer_up_to_an_eighth_larger():
-    n = 8 * _POOL_MIN
-    with workspace():
-        addr = _empty((n + n // 8,)).ctypes.data
-        near = _empty((n,))
-        assert near.ctypes.data == addr and near.shape == (n,)
-        del near
-        assert _empty((n - 1,)).ctypes.data != addr
-        assert sorted(tensor._open.pool.sizes) == tensor._open.pool.sizes
-
+# NaN-poisoned buffers
 
 @pytest.mark.parametrize("case", [c[0] for c in _node_cases()])
-def test_every_op_gives_the_same_bytes_in_a_poisoned_workspace(case,
-                                                               poisoned_workspace):
+def test_every_op_gives_the_same_bytes_in_a_poisoned_workspace(case, poisoned_empty):
     name, op, arrays, _ = next(c for c in _node_cases() if c[0] == case)
 
     def run():
@@ -820,6 +750,5 @@ def test_every_op_gives_the_same_bytes_in_a_poisoned_workspace(case,
         return [out.data.tobytes()] + [t.grad.tobytes() for t in inputs]
 
     want = run()
-    with poisoned_workspace():
-        got = run()
-    assert got == want, name
+    poisoned_empty()
+    assert run() == want, name

@@ -4,8 +4,7 @@ import pytest
 from adwm.backbone import ModelConfig, PansharpenModel, load_checkpoint
 from adwm.data import SamplePair, generate_scene, wald_degrade
 from adwm.errors import ConfigurationError, DimensionError, NumericError
-from adwm import tensor
-from adwm.tensor import _POOL_MIN, Tensor, gradcheck, workspace
+from adwm.tensor import Tensor, gradcheck
 from adwm import trainer
 from adwm.trainer import (
     TrainConfig,
@@ -270,7 +269,7 @@ def test_evaluate_psnr_restores_grad_flags():
 
 
 # ----------------------------------------------------------------------
-# steps inside a workspace
+# steps with NaN-poisoned buffers
 
 
 def seeded_steps(variant, generator, steps=3):
@@ -302,37 +301,8 @@ ARMS = [("baseline", "cacw"), ("ifw", "cacw"), ("cfw", "cacw"), ("adwm", "cacw")
 
 
 @pytest.mark.parametrize("variant,generator", ARMS)
-def test_steps_in_a_workspace_are_bitwise_those_outside(variant, generator):
-    want = seeded_steps(variant, generator)
-    with workspace():
-        got = seeded_steps(variant, generator)
-        # feature maps this size come from the pool
-        assert max(tensor._open.pool.sizes) >= 2 * 32 * 32 * 16 >= _POOL_MIN
-    assert got == want
-
-
-@pytest.mark.parametrize("variant,generator", ARMS)
 def test_steps_in_a_poisoned_workspace_are_bitwise_those_outside(
-        variant, generator, poisoned_workspace):
+        variant, generator, poisoned_empty):
     want = seeded_steps(variant, generator)
-    with poisoned_workspace():
-        got = seeded_steps(variant, generator)
-    assert got == want
-
-
-def test_nan_loss_closes_the_workspace(tmp_path, monkeypatch):
-    pools = []
-    loss = trainer.l1_loss
-
-    def recorded(pred, gt):
-        pools.append(tensor._open.pool)
-        return loss(pred, gt)
-
-    monkeypatch.setattr(trainer, "l1_loss", recorded)
-    pairs = make_pairs(4)
-    pairs[1].gt[0, 0, 0] = np.nan
-    with pytest.raises(NumericError):
-        train(tiny_model(), pairs, [], TrainConfig(epochs=1, batch_size=4),
-              out_dir=tmp_path)
-    assert len(pools) == 1 and pools[0] is not None
-    assert tensor._open.pool is None
+    poisoned_empty()
+    assert seeded_steps(variant, generator) == want
