@@ -248,7 +248,7 @@ class PansharpenModel:
         features = []
         for blk in self.blocks:
             y = bias_act(conv2d(f, blk["w1"]), blk["b1"], LEAKY_SLOPE)
-            f = f + bias_act(conv2d(y, blk["w2"]), blk["b2"])
+            f = bias_act(conv2d(y, blk["w2"]), blk["b2"], residual=f)
             features.append(f)
 
         if self.config.variant == "baseline":

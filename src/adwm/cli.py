@@ -353,10 +353,12 @@ def _gradcheck_suite(seed, corrupt=False):
         ("conv2d", lambda: gradcheck(
             lambda x, k: conv2d(x, k).sum(), [t(5, 5, 2), fixed_k])),
         ("leaky_relu", lambda: gradcheck(lambda a: a.leaky_relu().sum(), t(4, 4))),
+        # bias_act writes over its input, so it gets a fresh copy of a
         ("bias_act", lambda: gradcheck(
-            lambda a, b: (bias_act(a, b, LEAKY_SLOPE) * a).sum(), [t(2, 3, 3, 2), t(2)])),
+            lambda a, b: (bias_act(a * 1.0, b, LEAKY_SLOPE) * a).sum(),
+            [t(2, 3, 3, 2), t(2)])),
         ("bias_act_linear", lambda: gradcheck(
-            lambda a, b: (bias_act(a, b) * a).sum(), [t(3, 3, 2), t(2)])),
+            lambda a, b: (bias_act(a * 1.0, b) * a).sum(), [t(3, 3, 2), t(2)])),
         ("channel_scale", lambda: gradcheck(
             lambda a, b: (channel_scale(a, b) * a).sum(), [t(2, 3, 3, 2), t(2, 2)])),
         ("sigmoid", lambda: gradcheck(lambda a: a.sigmoid().sum(), t(4, 4))),

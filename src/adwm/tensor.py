@@ -13,13 +13,14 @@ backbone's images are C-contiguous in that order, so no image op
 transposes them.
 
 Two fused ops make one tape node of what would be three or four generic
-ones. `bias_act(x, b, slope)` is a conv epilogue: a per-channel bias add,
-then optionally leaky ReLU. `channel_scale(f, alpha)` gates a map by
-per-channel weights. Each gives the bytes of the composition it replaces,
-forward and backward. The per-channel operand is tiled along W, so numpy
-runs one flat loop over the merged W*C axis instead of a C-long inner
-loop. Leaky ReLU has one kernel, `_leaky`, shared by `Tensor.leaky_relu`
-and `bias_act`.
+ones. `bias_act(x, b, slope, residual)` is a conv epilogue: a per-channel
+bias add, then optionally leaky ReLU or a residual add, written over x,
+so a conv and its epilogue keep one buffer on the tape.
+`channel_scale(f, alpha)` gates a map by per-channel weights. Each gives
+the bytes of the composition it replaces, forward and backward. The
+per-channel operand is tiled along W, so numpy runs one flat loop over
+the merged W*C axis instead of a C-long inner loop. Leaky ReLU has one
+kernel, `_leaky`, shared by `Tensor.leaky_relu` and `bias_act`.
 
 Every buffer that an op fills piecewise or reuses comes from `_empty`, a
 plain `np.empty`; the tests swap it for NaN-filled arrays to show that no
@@ -31,9 +32,10 @@ writes whole is left to numpy to allocate.
 rows, and adds up one GEMM per tap over row slices of that grid: the
 kn2row family of Anderson et al. 2017, "Low-memory GEMM-based
 convolution algorithms for deep neural networks", over an HWC layout.
-Each tap GEMM is a tall (rows, C_in) @ (C_in, C_out) product. Both
-gradients are the same shifted GEMMs run as adjoints; the `conv2d`
-docstring has the index arithmetic.
+Each tap GEMM is a tall (rows, C_in) @ (C_in, C_out) product, and the
+result is a C-contiguous array that owns its memory, which its epilogue
+then writes over. Both gradients are the same shifted GEMMs run as
+adjoints; the `conv2d` docstring has the index arithmetic.
 """
 
 import numpy as np
@@ -65,6 +67,11 @@ def _unbroadcast(grad, shape):
 LEAKY_SLOPE = 0.01
 
 
+def _check_slope(slope):
+    if not 0.0 <= slope <= 1.0:
+        raise ConfigurationError(f"leaky_relu slope must be in [0, 1], got {slope}")
+
+
 def _leaky(pre, slope, out=None):
     """Leaky ReLU's one kernel, into `out` (which may be `pre`) or a fresh array.
 
@@ -72,8 +79,7 @@ def _leaky(pre, slope, out=None):
     slope*pre elsewhere, signed zeros included: the bytes of
     `np.where(pre > 0, pre, slope * pre)`, without its slower select.
     """
-    if not 0.0 <= slope <= 1.0:
-        raise ConfigurationError(f"leaky_relu slope must be in [0, 1], got {slope}")
+    _check_slope(slope)
     return np.maximum(pre, slope * pre, out=out)
 
 
@@ -475,15 +481,26 @@ def stack(tensors, axis=0):
 # ----------------------------------------------------------------------
 # fused per-channel ops
 
-def bias_act(x, b, slope=None):
-    """x + b over the last axis, then leaky_relu(slope) unless slope is None.
+def bias_act(x, b, slope=None, residual=None):
+    """x + b over the last axis, then leaky_relu(slope) when a slope is
+    given, or + residual when a residual is, written over x.
 
-    x: (..., H, W, C) with at least 3 axes; b: (C,). One tape node with the
-    bytes of `x + b.reshape((1, 1, C))`, followed by `.leaky_relu(slope)`
-    when a slope is given, forward and backward. The bias is added tiled
+    x: (..., H, W, C) with at least 3 axes; b: (C,); residual: x's shape.
+    One tape node with the bytes of `x + b.reshape((1, 1, C))`, followed
+    by `.leaky_relu(slope)` or by `residual + ...`, forward and backward;
+    the residual add would overwrite what the activation's gradient reads,
+    so a call takes one of the two at most. The bias is added tiled
     along W over the merged W*C axis, which gives the same sums. Its
     gradient is summed as a (1, 1, C) operand's: the batch axis first and
     H, W second, which a plain (C,) operand would round differently.
+
+    The result shares x's buffer, so a conv and its epilogue keep one
+    map on the tape. So x must be a fresh result that nothing else reads,
+    such as a `conv2d` output or a sum, whose own backward never reads
+    it. A leaf that requires grad, data that is not a C-contiguous,
+    writable array owning its memory, or a residual that shares x's
+    memory raises `UsageError`. Every check runs before the first write,
+    so a call that raises leaves x as it was.
     """
     x, b = as_tensor(x), as_tensor(b)
     if x.ndim < 3:
@@ -491,13 +508,34 @@ def bias_act(x, b, slope=None):
     w, c = x.shape[-2], x.shape[-1]
     if b.shape != (c,):
         raise DimensionError(f"bias of shape {b.shape} does not match {c} channels")
-    rows = x.shape[:-2] + (w * c,)
-    out = _empty(x.shape)
-    np.add(x.data.reshape(rows), np.tile(b.data, w), out=out.reshape(rows))
     if slope is not None:
-        out = _leaky(out, slope, out=out)
+        _check_slope(slope)
+    out = x.data
+    if residual is not None:
+        if slope is not None:
+            raise UsageError("bias_act takes a slope or a residual, not both")
+        residual = as_tensor(residual)
+        if residual.shape != x.shape:
+            raise DimensionError(
+                f"residual of shape {residual.shape} does not match {x.shape}")
+        if np.may_share_memory(residual.data, out):
+            raise UsageError("bias_act's residual shares memory with the x it writes over")
+    if x.requires_grad and not x._parents:
+        raise UsageError("bias_act writes over x, which is a leaf that requires grad")
+    if not (out.flags.c_contiguous and out.flags.writeable and out.flags.owndata):
+        raise UsageError(
+            "bias_act writes over x, whose data must be a C-contiguous, "
+            "writable array that owns its memory")
+    rows = x.shape[:-2] + (w * c,)
+    np.add(out.reshape(rows), np.tile(b.data, w), out=out.reshape(rows))
+    if slope is not None:
+        _leaky(out, slope, out=out)
+    if residual is not None:
+        np.add(out, residual.data, out=out)
 
     def backward(g):
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(g)
         if slope is not None:
             g = _leaky_grad(out, g, slope)
         if b.requires_grad:
@@ -507,7 +545,8 @@ def bias_act(x, b, slope=None):
             # node's own gradient, which x must not alias
             x._accumulate(g, owned=slope is not None)
 
-    return _node(out, (x, b), backward)
+    parents = (x, b) if residual is None else (x, b, residual)
+    return _node(out, parents, backward)
 
 
 def channel_scale(f, alpha):
@@ -599,7 +638,9 @@ def _grid_store(dest, p, hp, wp):
     """store(g0, block): copy the image part of whole grid rows g0 onward,
     `block` read flat as (rows, C), into dest, (B, h, w, C), where each
     image sits at offset (p, p) of its hp x wp cell. The inverse of
-    `_grid_rows`, a block at a time."""
+    `_grid_rows`, a block at a time: `conv2d` stores its output with
+    p = 0 and its input gradient with p = padding, so neither grid is
+    ever built whole."""
     b, h, w, c = dest.shape
 
     def store(g0, block):
@@ -614,27 +655,25 @@ def _grid_store(dest, p, hp, wp):
     return store
 
 
-def _shifted_gemm(taps, offsets, rows, wp, n, out=None, store=None):
+def _shifted_gemm(taps, offsets, rows, wp, n, store):
     """Y[q] = sum_t X[q + offsets[t]] @ taps[t] for q < n, n a multiple
     of wp, where rows(s0, s1) gives X[s0:s1], walked in blocks of whole
-    grid rows. Y is written into `out`, all n rows of it, or handed to
-    store(first grid row, block) a block at a time, in a buffer that the
-    next block reuses. Each row of Y is the same sum whatever the blocks,
-    so the result does not depend on them."""
+    grid rows. Each block of Y is handed to store(first grid row, block)
+    in a buffer that the next block reuses. Each row of Y is the same sum
+    whatever the blocks, so the result does not depend on them."""
     step = max(1, _BLOCK // wp) * wp
     part_buf = _empty((min(n, step), taps.shape[2]))
-    block_buf = _empty(part_buf.shape) if out is None else None
+    block_buf = _empty(part_buf.shape)
     for q0 in range(0, n, step):
         q1 = min(q0 + step, n)
         src = rows(q0, q1 + offsets[-1])
-        acc = out[q0:q1] if out is not None else block_buf[:q1 - q0]
+        acc = block_buf[:q1 - q0]
         part = part_buf[:q1 - q0]
         np.matmul(src[offsets[0]:offsets[0] + q1 - q0], taps[0], out=acc)
         for w, o in zip(taps[1:], offsets[1:]):
             np.matmul(src[o:o + q1 - q0], w, out=part)
             acc += part
-        if out is None:
-            store(q0 // wp, acc)
+        store(q0 // wp, acc)
 
 
 def _tap_products(a_rows, x_rows, n, offsets, shape):
@@ -658,8 +697,9 @@ def conv2d(x, k, padding=1):
     """2-D cross-correlation with zero padding, as shifted GEMMs.
 
     x: (H, W, C_in) or (B, H, W, C_in); k: (C_out, C_in, kh, kw) with odd
-    square spatial size; `padding` must preserve H and W. Returns
-    (..., H, W, C_out). Gradients are defined for both operands.
+    square spatial size; `padding` must preserve H and W. Returns a
+    C-contiguous (..., H, W, C_out) result that owns its memory.
+    Gradients are defined for both operands.
 
     The input is read as its zero-padded (B, Hp, Wp, C_in) grid, flat as
     X, shape (L, C_in) with L = B*Hp*Wp. Output pixel
@@ -670,11 +710,12 @@ def conv2d(x, k, padding=1):
 
     covers the whole batch, and the output is the valid (H, W) corner of
     each Hp x Wp cell of Y. Rows outside that corner, including the ones
-    whose taps straddle two images, are computed and never read. The
-    result is returned as the (B, H, W, C_out) view of Y, so the next
-    conv's padded rows are runs of row copies. The backward pass places
-    the output gradient in the same corners with zeros elsewhere, dY, and
-    runs the adjoint of each tap:
+    whose taps straddle two images, are computed in a reused block buffer
+    and dropped. Each block's corner rows go straight into the result
+    (`_grid_store` at offset 0), so an epilogue can write over it and
+    the next conv's padded rows are runs of row copies. The backward
+    pass places the output gradient in the same corners with zeros
+    elsewhere, dY, and runs the adjoint of each tap:
 
         gk[:, :, i, j] = dY[:M].T @ X[o:o+M]
         dX[o:o+M]     += dY[:M] @ K[:, :, i, j]
@@ -719,9 +760,9 @@ def conv2d(x, k, padding=1):
 
     taps = np.ascontiguousarray(k.data.transpose(2, 3, 1, 0))
     taps = taps.reshape(kh * kw, cin, cout)
-    yf = _empty((n, cout))
-    _shifted_gemm(taps, offsets, _grid_rows(xd, 0, p, hp, wp), wp, n, out=yf)
-    y = yf.reshape(b, hp, wp, cout)[:, :h, :w]
+    y = _empty(x.shape[:-1] + (cout,))
+    _shifted_gemm(taps, offsets, _grid_rows(xd, 0, p, hp, wp), wp, n,
+                  _grid_store(y if batched else y[None], 0, hp, wp))
 
     def backward(g):
         gd = g if batched else g[None]
@@ -732,12 +773,12 @@ def conv2d(x, k, padding=1):
         if x.requires_grad:
             flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
             flipped = np.ascontiguousarray(flipped).reshape(kh * kw, cout, cin)
-            gx = _empty((b, h, w, cin))
+            gx = _empty(x.shape)
             _shifted_gemm(flipped, offsets, _grid_rows(gd, span, 0, hp, wp), wp, n,
-                          store=_grid_store(gx, p, hp, wp))
-            x._accumulate(gx if batched else gx[0], owned=True)
+                          _grid_store(gx if batched else gx[None], p, hp, wp))
+            x._accumulate(gx, owned=True)
 
-    return _node(y if batched else y[0], (x, k), backward)
+    return _node(y, (x, k), backward)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adwm import backbone
 from adwm.backbone import (
     CKPT_VERSION,
     ModelConfig,
@@ -295,9 +296,9 @@ def test_return_weights_structure():
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_features_stay_channels_last(batched):
-    # conv2d returns (.., H, W, C) views of its grid and the bias, leaky
-    # ReLU and residual ops produce C-contiguous maps from them, so IFW's
-    # observation matrix is a view rather than a copy
+    # conv2d returns C-contiguous (..., H, W, C) maps and each block's
+    # epilogue writes its bias, leaky ReLU and residual add over them, so
+    # IFW's observation matrix is a view rather than a copy
     rng = np.random.default_rng(13)
     lead = (3,) if batched else ()
     pan, lrms = rng.random(lead + (16, 16)), rng.random(lead + (4, 4, 2))
@@ -307,6 +308,48 @@ def test_features_stay_channels_last(batched):
         assert f.data.flags.c_contiguous
         obs = _channel_observations(f).data
         assert np.shares_memory(obs, f.data) and obs.strides[-1] == 8
+
+
+def _tape(loss):
+    """Every tensor reachable from `loss` through parent links."""
+    seen, todo = {}, [loss]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(t._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("variant", ["baseline", "adwm"])
+@pytest.mark.parametrize("batched", [False, True])
+def test_each_conv_shares_its_buffer_with_its_epilogue(variant, batched, monkeypatch):
+    # each conv's epilogue writes over the conv's result, so the tape keeps
+    # one map for both; the decoder's epilogue writes over `up + conv`
+    convs = []
+
+    def recording_conv2d(x, k, padding=1):
+        convs.append(conv2d(x, k, padding))
+        return convs[-1]
+
+    monkeypatch.setattr(backbone, "conv2d", recording_conv2d)
+    model = randomized(PansharpenModel(tiny_config(variant)), seed=5)
+    for p in model.params():
+        p.requires_grad = True
+    rng = np.random.default_rng(14)
+    lead = (3,) if batched else ()
+    out = model.forward(rng.random(lead + (8, 8)), rng.random(lead + (2, 2, 2)))
+    tape = _tape(out.abs().mean())
+
+    def consumer(t):
+        [c] = [n for n in tape if any(p is t for p in n._parents)]
+        return c
+
+    assert len(convs) == 2 * model.config.blocks + 2
+    for c in convs[:-1]:
+        assert c.data.flags.owndata and consumer(c).data is c.data
+    decoder_sum = consumer(convs[-1])
+    assert consumer(decoder_sum) is out and out.data is decoder_sum.data
 
 
 @pytest.mark.parametrize("variant", ["baseline", "ifw", "cfw", "adwm"])
@@ -334,8 +377,8 @@ def test_end_to_end_gradcheck(variant):
 
 def unfused_forward(model, pan, lrms):
     """`PansharpenModel.forward` written out with generic tape ops: the
-    bias adds, leaky ReLUs and channel gates that `bias_act` and
-    `channel_scale` fuse, and the `np.where` leaky kernel."""
+    bias adds, leaky ReLUs, residual adds and channel gates that
+    `bias_act` and `channel_scale` fuse, and the `np.where` leaky kernel."""
     up = upsample_bilinear(lrms, SCALE)
     x = concat([pan.reshape(pan.shape + (1,)), up], axis=-1)
     f = where_leaky(conv2d(x, model.enc_w) + model.enc_b.reshape((1, 1, -1)))

@@ -8,11 +8,12 @@ import struct
 import numpy as np
 import pytest
 
-from adwm import data
+from adwm import cli, data
 from adwm.backbone import PansharpenModel
 from adwm.cli import main
 from adwm.data import read_manifest
 from adwm.diagnostics import count_flops
+from adwm.tensor import Tensor, bias_act
 from adwm.weighting import AdwmConfig, adwm_param_count
 
 # small enough to train in seconds, big enough for window-32 metrics
@@ -512,6 +513,18 @@ def test_gradcheck_corrupt_fails_loudly(capsys):
     rc = main(["gradcheck", "--seed", "3", "--corrupt"])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_bias_act_on_a_grad_leaf_exits_2(monkeypatch, capsys):
+    # bias_act writes over its input; a leaf that requires grad is refused
+    # with a UsageError, which the CLI maps to exit 2
+    def suite(seed, corrupt=False):
+        leaf = Tensor(np.ones((2, 2, 2)), requires_grad=True)
+        return [("bias_act", bias_act(leaf, np.zeros(2)).data.sum())]
+
+    monkeypatch.setattr(cli, "_gradcheck_suite", suite)
+    assert main(["gradcheck", "--seed", "0"]) == 2
+    assert "leaf that requires grad" in capsys.readouterr().err
 
 
 def test_config_file_supplies_flags(tmp_path):

@@ -444,12 +444,95 @@ def test_bias_act_matches_composition_bitwise(shape, slope):
     # some pre-activations land exactly on zero: x = -b gives +0.0
     x[..., 1::2, :, :] = -b
     g = _signed_zeros(rng, shape)
+    # bias_act writes over its input, so it gets x * 1.0, an exact fresh copy
     (got, got_grads), (want, want_grads) = _run_both(
-        lambda x, b: bias_act(x, b, slope), lambda x, b: bias_act_oracle(x, b, slope),
-        [x, b], g)
+        lambda x, b: bias_act(x * 1.0, b, slope),
+        lambda x, b: bias_act_oracle(x, b, slope), [x, b], g)
     assert_bitwise(got, want, (shape, slope))
     for gg, wg in zip(got_grads, want_grads):
         assert_bitwise(gg, wg, (shape, slope))
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+@pytest.mark.parametrize("shape", FUSED_SHAPES)
+def test_bias_act_residual_matches_composition_bitwise(shape, poisoned, poisoned_empty):
+    # a block's epilogue: f + bias_act(conv, b), written over the conv
+    if poisoned:
+        poisoned_empty()
+    rng = np.random.default_rng(35)
+    x = _signed_zeros(rng, shape)
+    b = _signed_zeros(rng, shape[-1:])
+    f = _signed_zeros(rng, shape)
+    x[..., 1::2, :, :] = -b
+    # some sums land exactly on zero too
+    f[..., ::3, :] = -(x + b)[..., ::3, :]
+    g = _signed_zeros(rng, shape)
+    (got, got_grads), (want, want_grads) = _run_both(
+        lambda x, b, f: bias_act(x * 1.0, b, residual=f),
+        lambda x, b, f: f + bias_act_oracle(x, b), [x, b, f], g)
+    assert_bitwise(got, want, shape)
+    for gg, wg in zip(got_grads, want_grads):
+        assert_bitwise(gg, wg, shape)
+
+
+@pytest.mark.parametrize("slope, with_residual", [(None, False), (0.01, False),
+                                                  (None, True)])
+def test_bias_act_writes_over_its_input(slope, with_residual):
+    rng = np.random.default_rng(36)
+    x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True) * 1.0
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    f = Tensor(rng.standard_normal(x.shape)) if with_residual else None
+    want = bias_act_oracle(Tensor(x.data.copy()), b, slope).data
+    if with_residual:
+        want = f.data + want
+    buffer = x.data
+    out = bias_act(x, b, slope, residual=f)
+    assert out.data is buffer and x.data is buffer
+    assert_bitwise(out.data, want)
+
+
+def test_bias_act_rejects_a_grad_leaf():
+    x = Tensor(np.ones((2, 2, 2)), requires_grad=True)
+    with pytest.raises(UsageError, match="leaf"):
+        bias_act(x, np.zeros(2))
+    assert np.all(x.data == 1.0)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: a[:, ::2],                    # a strided view
+    lambda a: a.reshape(4, 2, 2),           # contiguous, but a view
+    lambda a: np.asfortranarray(a),         # owns its memory, not C order
+    _read_only,                             # owns its memory, C order, read-only
+])
+def test_bias_act_rejects_data_it_cannot_write_over(make):
+    a = make(np.arange(16.0).reshape(2, 4, 2) - 7.0)
+    before = a.copy()
+    with pytest.raises(UsageError, match="writ"):
+        bias_act(Tensor(a), np.zeros(2))
+    assert_bitwise(a, before)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    (lambda x: dict(b=np.zeros(3)), DimensionError),              # bias length is not C
+    (lambda x: dict(b=np.zeros(2), slope=1.5), ConfigurationError),
+    (lambda x: dict(b=np.zeros(2), slope=-0.1), ConfigurationError),
+    (lambda x: dict(b=np.zeros(2), residual=np.zeros((2, 3, 2))), DimensionError),
+    (lambda x: dict(b=np.zeros(2), residual=x), UsageError),      # residual is x
+    (lambda x: dict(b=np.zeros(2), residual=x.data[::-1]), UsageError),  # or shares it
+    (lambda x: dict(b=np.zeros(2), slope=0.01, residual=np.zeros(x.shape)), UsageError),
+])
+def test_bias_act_checks_before_it_writes(kwargs, error):
+    rng = np.random.default_rng(37)
+    x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True) * 1.0
+    before = x.data.copy()
+    with pytest.raises(error):
+        bias_act(x, **kwargs(x))
+    assert_bitwise(x.data, before)
 
 
 @pytest.mark.parametrize("shape", FUSED_SHAPES)
@@ -468,17 +551,19 @@ def test_channel_scale_matches_composition_bitwise(shape):
 def test_fused_ops_hand_their_input_a_fresh_gradient():
     # an input's first gradient is the op's own fresh array, never the
     # output's gradient: a later accumulation into it must not leak back.
-    # The tape reaches x * x after `out`, so the fused op writes x first.
+    # The tape reaches t * t after `out`, so the fused op writes t first.
+    # t = x * 1.0 is a fresh result, since bias_act writes over its input.
     rng = np.random.default_rng(33)
     x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
     b = Tensor(rng.standard_normal(2), requires_grad=True)
     for op in (lambda t: bias_act(t, b), lambda t: bias_act(t, b, 0.01),
                lambda t: channel_scale(t, b.reshape(1, 2) * np.ones((2, 1)))):
         x.zero_grad()
-        out = op(x)
-        (x * x + out * out).sum().backward()
-        assert x.grad is not out.grad
-        assert not np.shares_memory(x.grad, out.grad)
+        t = x * 1.0
+        out = op(t)
+        (t * t + out * out).sum().backward()
+        assert t.grad is not out.grad
+        assert not np.shares_memory(t.grad, out.grad)
 
 
 def test_leaky_relu_matches_where_kernel_bitwise():
@@ -592,6 +677,20 @@ def test_backward_releases_tape_without_gc():
     assert x.grad is not None and k.grad is not None
 
 
+# ops that write over their first input, which must be a fresh result
+IN_PLACE = ("bias_act", "bias_act_linear", "bias_act_residual")
+
+
+def _case_inputs(name, arrays, requires):
+    """Tensors over `arrays`, requiring grad where `requires` says; an op
+    that writes over its first input gets it as the fresh result t * 1.0
+    (exact), so the case's arrays stay as they are."""
+    inputs = [Tensor(x, requires_grad=r) for x, r in zip(arrays, requires)]
+    if name in IN_PLACE:
+        inputs[0] = inputs[0] * 1.0
+    return inputs
+
+
 def _node_cases():
     """(name, op, input arrays, tape parent order) for every op that builds
     its result through the tape's node constructor."""
@@ -619,6 +718,8 @@ def _node_cases():
         ("conv2d", lambda x, k: conv2d(x, k), [a(4, 4, 2), a(3, 2, 3, 3)], None),
         ("bias_act", lambda x, b: bias_act(x, b, 0.01), [a(2, 2, 3) - 1.0, a(3)], None),
         ("bias_act_linear", lambda x, b: bias_act(x, b), [a(2, 2, 3), a(3)], None),
+        ("bias_act_residual", lambda x, b, f: bias_act(x, b, residual=f),
+         [a(2, 2, 3), a(3), a(2, 2, 3)], None),
         ("channel_scale", lambda f, w: channel_scale(f, w), [a(2, 2, 2, 3), a(2, 3)],
          None),
         ("upsample_bilinear", lambda x: upsample_bilinear(x, 2), [a(2, 2, 3)], None),
@@ -633,12 +734,12 @@ def _node_cases():
 def test_results_outside_the_tape_keep_no_parents():
     for name, op, arrays, order in _node_cases():
         # constant inputs: the result is off the tape
-        out = op(*[Tensor(x) for x in arrays])
+        out = op(*_case_inputs(name, arrays, [False] * len(arrays)))
         assert not out.requires_grad, name
         assert out._parents == () and out._backward_fn is None, name
         # one grad-requiring input puts it on the tape over all its inputs
         for i in range(len(arrays)):
-            inputs = [Tensor(x, requires_grad=(j == i)) for j, x in enumerate(arrays)]
+            inputs = _case_inputs(name, arrays, [j == i for j in range(len(arrays))])
             out = op(*inputs)
             expected = tuple(inputs[j] for j in order or range(len(inputs)))
             assert out.requires_grad, (name, i)
@@ -700,10 +801,12 @@ def test_gradcheck_all_ops(seed):
         (lambda a: conv2d(a, fixed_k).sum(), [(4, 4, 2)]),
         (lambda a, b: conv2d(b, a).sum(), [(2, 3, 3, 3), (4, 4, 3)]),
         (lambda a, b: concat([a, b], axis=0).sum(), [(2, 3), (1, 3)]),
-        (lambda a, b: (bias_act(a, b, 0.01) * a).sum(), [(2, 3, 3, 2), (2,)]),
-        (lambda a, b: (bias_act(a, b) * a).sum(), [(3, 3, 2), (2,)]),
+        (lambda a, b: (bias_act(a * 1.0, b, 0.01) * a).sum(), [(2, 3, 3, 2), (2,)]),
+        (lambda a, b: (bias_act(a * 1.0, b) * a).sum(), [(3, 3, 2), (2,)]),
         (lambda a, b: (channel_scale(a, b) * a).sum(), [(2, 3, 3, 2), (2, 2)]),
         (lambda a, b: (stack([a, b], axis=0) * stack([b, a], axis=0)).sum(), [(2, 3), (2, 3)]),
+        (lambda a, b, c: (bias_act(a * 1.0, b, residual=c) * c).sum(),
+         [(2, 3, 3, 2), (2,), (2, 3, 3, 2)]),
     ]
     for fn, shapes in cases:
         # keep values away from leaky_relu/abs kinks and off softmax ties
@@ -743,7 +846,7 @@ def test_every_op_gives_the_same_bytes_in_a_poisoned_workspace(case, poisoned_em
     name, op, arrays, _ = next(c for c in _node_cases() if c[0] == case)
 
     def run():
-        inputs = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+        inputs = _case_inputs(name, [x.copy() for x in arrays], [True] * len(arrays))
         out = op(*inputs)
         weight = np.random.default_rng(41).standard_normal(out.shape)
         (out * Tensor(weight)).sum().backward()
