@@ -15,6 +15,10 @@ a feature stack, at n = C for channel gates and n = N for layer scores.
 
 All ops accept an optional leading batch axis; the documented contracts
 are the unbatched shapes.
+
+`centered_gram` is one tape node that keeps no centered copy of X: its
+backward rebuilds that copy from X's data, so X must not be written
+between the forward and the backward, as with every op.
 """
 
 import math
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError, NumericError
-from .tensor import Tensor, as_tensor, softmax
+from .tensor import Tensor, _node, as_tensor, softmax
 
 
 # default hidden-width fraction of every generator head, at both weighting levels
@@ -44,9 +48,34 @@ def centered_gram(X):
 
     The one centering-plus-Gram composition; the covariance and the
     attention scores differ only in how they scale it.
+
+    One tape node with the bytes of `Xc.T @ Xc`, Xc = `X - X.mean(axis=-2,
+    keepdims=True)`, forward and backward. The node keeps only the
+    (.., 1, n) negated mean: the backward rebuilds the centered copy from
+    X's data, which therefore must not be written between the forward
+    and the backward, as with every op. The backward then replays the
+    composition's own arithmetic in its order, and accumulates into X
+    twice, as the composition's add and sum nodes did, so that a gradient
+    X already holds rounds as it would there.
     """
-    centered = X - X.mean(axis=-2, keepdims=True)
-    return centered.transpose(_swap_last(X.ndim)) @ centered
+    X = as_tensor(X)
+    m = X.shape[-2]
+    swap = _swap_last(X.ndim)
+    neg = (X.data.sum(axis=-2, keepdims=True) * (1.0 / m)) * -1.0
+    xc = X.data + neg
+    gram = np.matmul(xc.transpose(swap), xc)
+
+    def backward(g):
+        xc = X.data + neg
+        ga = np.matmul(g, np.swapaxes(xc, -1, -2))
+        dc = np.matmul(np.swapaxes(xc.transpose(swap), -1, -2), g)
+        del xc
+        dc += ga.transpose(swap)
+        gsum = (dc.sum(axis=(X.ndim - 2,), keepdims=True) * -1.0) * (1.0 / m)
+        X._accumulate(dc, owned=True)
+        X._accumulate(np.broadcast_to(gsum, X.shape))
+
+    return _node(gram, (X,), backward)
 
 
 def compute_covariance(X):

@@ -292,13 +292,21 @@ def cmd_diagnose(args):
 
 def cmd_compare(args):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise UsageError(f"--methods names no weighting method, got {args.methods!r}")
     for m in methods:
         if m not in WEIGHT_GENERATORS:
             raise UsageError(
                 f"unknown weighting method {m!r}; "
                 f"choose from {sorted(WEIGHT_GENERATORS)}"
             )
+    if len(set(methods)) != len(methods):
+        raise UsageError(f"--methods names a method twice, got {args.methods!r}")
     fracs = _fractions(args.d_frac)
+    # each run's directory is named by the fraction's label
+    if len({f"{frac:g}" for frac in fracs}) != len(fracs):
+        raise UsageError(
+            f"--d-frac names one run directory twice, got {args.d_frac!r}")
     dataset = _training_set(args)
     H, W = dataset[0][0]["H"], dataset[0][0]["W"]
     os.makedirs(args.out, exist_ok=True)
@@ -332,7 +340,8 @@ def cmd_compare(args):
 
 def _gradcheck_suite(seed, corrupt=False):
     """Per-op finite-difference verification; returns [(name, err)]."""
-    from .cacw import CacwModule, cacw_forward, compute_covariance, normalize_covariance
+    from .cacw import (AttentionWeights, CacwModule, cacw_forward, centered_gram,
+                       compute_covariance, normalize_covariance)
     from .weighting import AdwmConfig, aggregate, make_adwm_modules
     from .backbone import upsample_bilinear
 
@@ -387,6 +396,8 @@ def _gradcheck_suite(seed, corrupt=False):
         ("correlation", lambda: gradcheck(
             lambda X: normalize_covariance(compute_covariance(X)).abs().sum(),
             t(8, 3))),
+        ("centered_gram", lambda: gradcheck(
+            lambda X: (centered_gram(X) * proj33).sum(), t(2, 8, 3))),
     ]
 
     results = []
@@ -401,6 +412,16 @@ def _gradcheck_suite(seed, corrupt=False):
     results.append((
         "weight_generator",
         float(gradcheck(lambda x, *_: cacw_forward(mod, x).sum(), probe)),
+    ))
+
+    # the Gram's second caller
+    att = AttentionWeights(4, seed=seed)
+    for p in att.params():
+        p.data[...] = 0.3 * rng.standard_normal(p.data.shape)
+    X = t(10, 4)
+    results.append((
+        "attention_weights",
+        float(gradcheck(lambda x, *_: att.forward(x).sum(), [X] + att.params())),
     ))
 
     wcfg = AdwmConfig(n_layers=2, channels=3)

@@ -7,6 +7,11 @@ and a closure that pushes its gradient back through `backward`; other
 results keep neither. `as_tensor` is the one coercion of raw arrays.
 Everything is float64, which keeps finite-difference checks tight.
 
+The sweep releases each intermediate's gradient as its node runs, so an
+op can hand that array to a parent as the parent's own gradient rather
+than a copy: after `Tensor.backward()` leaves keep their ``grad`` and
+intermediates have None.
+
 Shapes follow numpy. Image tensors are channels-last, (H, W, C), with an
 optional leading batch axis (B, H, W, C) accepted by the image ops. The
 backbone's images are C-contiguous in that order, so no image op
@@ -102,15 +107,24 @@ def _node(data, parents, backward):
 
     When some parent requires grad, the result links its parents and the
     sweep calls `backward(grad)` with its gradient, which accumulates into
-    each parent that requires grad. Otherwise the result keeps neither, so
-    a forward with no tape frees each intermediate once its consumer exists.
+    each parent that requires grad. The sweep first sets the result's
+    ``grad`` to None, so `backward` holds the only reference to that
+    array and may hand it to one parent as the parent's own
+    (`_accumulate(grad, owned=True)`), as PyTorch's AccumulateGrad does.
+    Otherwise the result keeps neither, so a forward with no tape frees
+    each intermediate once its consumer exists.
     """
     out = Tensor(data)
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True
             out._parents = tuple(parents)
-            out._backward_fn = lambda: backward(out.grad)
+
+            def release_and_push():
+                g, out.grad = out.grad, None
+                backward(g)
+
+            out._backward_fn = release_and_push
             break
     return out
 
@@ -157,10 +171,11 @@ class Tensor:
     def _accumulate(self, g, owned=False):
         """Add `g` into ``grad``.
 
-        An `owned` g is a fresh array that its op made for this tensor
-        alone and never reads again; its first write keeps it as the
-        gradient. Any other first write takes a straight copy: one memory
-        pass instead of the zeros-then-add two, and never aliases the source.
+        An `owned` g is an array that nothing else holds and its op never
+        reads again: a fresh one made for this tensor alone, or the op's
+        own released gradient; its first write keeps it as the gradient.
+        Any other first write takes a straight copy: one memory pass
+        instead of the zeros-then-add two, and never aliases the source.
         """
         if self.grad is None:
             if np.shape(g) == self.data.shape:
@@ -174,12 +189,15 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from a scalar output.
 
-        Populates ``grad`` on every tensor with ``requires_grad`` that
-        this output depends on. The tape is single-use: the sweep drops
-        each node's closure, parent links and its own reference as it
-        passes, so an intermediate and its gradient free by refcount as
-        soon as every consumer is done with them, without waiting for the
-        cyclic collector. Run a fresh forward pass for another gradient.
+        Populates ``grad`` on every leaf with ``requires_grad`` that this
+        output depends on. An intermediate's ``grad``, this output's
+        included, is None afterwards: its node releases it before pushing
+        it on, often as a parent's own gradient. The tape is single-use:
+        the sweep drops each node's closure, parent links and its own
+        reference as it passes, so an intermediate and its gradient free
+        by refcount as soon as every consumer is done with them, without
+        waiting for the cyclic collector. Run a fresh forward pass for
+        another gradient.
         """
         if self.data.shape != ():
             raise UsageError(
@@ -226,10 +244,17 @@ class Tensor:
         self._check_broadcast(self, other)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
+            # g is this node's released gradient: the first parent of its
+            # shape takes it, a second one a copy; a summed-down one is fresh
+            handed = False
+            for p in (self, other):
+                if not p.requires_grad:
+                    continue
+                if p.shape == g.shape:
+                    p._accumulate(g, owned=not handed)
+                    handed = True
+                else:
+                    p._accumulate(_unbroadcast(g, p.shape), owned=True)
 
         return _node(self.data + other.data, (self, other), backward)
 
@@ -252,10 +277,10 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.shape))
+                self._accumulate(_unbroadcast(g / other.data, self.shape), owned=True)
             if other.requires_grad:
                 other._accumulate(
-                    _unbroadcast(-g * self.data / other.data**2, other.shape)
+                    _unbroadcast(-g * self.data / other.data**2, other.shape), owned=True
                 )
 
         return _node(self.data / other.data, (self, other), backward)
@@ -297,7 +322,7 @@ class Tensor:
         s = np.where(x >= 0, 1.0 / denom, e / denom)
 
         def backward(g):
-            self._accumulate(g * s * (1.0 - s))
+            self._accumulate(g * s * (1.0 - s), owned=True)
 
         return _node(s, (self,), backward)
 
@@ -305,7 +330,7 @@ class Tensor:
         root = np.sqrt(self.data)
 
         def backward(g):
-            self._accumulate(g * 0.5 / root)
+            self._accumulate(g * 0.5 / root, owned=True)
 
         return _node(root, (self,), backward)
 
@@ -373,7 +398,7 @@ class Tensor:
         def backward(g):
             full = np.zeros_like(self.data)
             full[..., idx, idx] = g
-            self._accumulate(full)
+            self._accumulate(full, owned=True)
 
         return _node(self.data[..., idx, idx], (self,), backward)
 
@@ -431,7 +456,7 @@ def softmax(v, axis=-1):
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        v._accumulate(y * (g - dot))
+        v._accumulate(y * (g - dot), owned=True)
 
     return _node(y, (v,), backward)
 
@@ -541,9 +566,9 @@ def bias_act(x, b, slope=None, residual=None):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, (1, 1, c)).reshape(c), owned=True)
         if x.requires_grad:
-            # with an activation g is fresh; without one it is this
-            # node's own gradient, which x must not alias
-            x._accumulate(g, owned=slope is not None)
+            # with an activation g is fresh; without one it is this node's
+            # released gradient, read for the last time above
+            x._accumulate(g, owned=True)
 
     parents = (x, b) if residual is None else (x, b, residual)
     return _node(out, parents, backward)

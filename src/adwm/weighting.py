@@ -145,7 +145,7 @@ def weighted_sum(maps, w=None):
             w._accumulate(np.stack(
                 [np.multiply(g, m.data, out=prod).sum(axis=(-3, -2, -1))
                  for m in maps], axis=-1
-            ))
+            ), owned=True)
 
     return _node(data, parents, backward)
 

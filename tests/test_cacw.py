@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from adwm.cacw import (
     PcaWeights,
     PoolWeights,
     cacw_forward,
+    centered_gram,
     compute_covariance,
     generate_weights,
     normalize_covariance,
@@ -37,6 +41,12 @@ def covariance_loops(X):
                 acc += (X[r, i] - mu[i]) * (X[r, j] - mu[j])
             C[i, j] = acc / (m - 1)
     return C
+
+
+def centered_gram_oracle(X):
+    """The tape composition that `centered_gram` fuses into one node."""
+    centered = X - X.mean(axis=-2, keepdims=True)
+    return centered.transpose(tuple(range(X.ndim - 2)) + (X.ndim - 1, X.ndim - 2)) @ centered
 
 
 def mlp_rows_loops(module, corr):
@@ -97,6 +107,66 @@ def test_covariance_batched_matches_per_sample():
     C = compute_covariance(Tensor(X)).data
     for b in range(5):
         assert np.allclose(C[b], covariance_loops(X[b]), atol=1e-12)
+
+
+# unbatched, batched, and the fewest samples a covariance takes
+GRAM_SHAPES = [(7, 3), (2, 6, 4), (2, 3), (3, 2, 1)]
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+@pytest.mark.parametrize("second_consumer", [False, True])
+@pytest.mark.parametrize("shape", GRAM_SHAPES)
+def test_centered_gram_matches_composition_bitwise(shape, second_consumer, poisoned,
+                                                   poisoned_empty):
+    if poisoned:
+        poisoned_empty()
+    rng = np.random.default_rng(52)
+    x = rng.standard_normal(shape) * 3.0 + 1.0
+    x.flat[::4] = 0.0
+    g = Tensor(rng.standard_normal(shape[:-2] + (shape[-1], shape[-1])))
+    w = Tensor(rng.standard_normal(shape))
+    results = []
+    for gram in (centered_gram, centered_gram_oracle):
+        X = Tensor(x.copy(), requires_grad=True)
+        out = gram(X)
+        loss = (out * g).sum()
+        if second_consumer:
+            # the tape reaches X * w after the Gram, so X already holds a
+            # gradient when the Gram's backward adds into it
+            loss = loss + (X * w).sum()
+        loss.backward()
+        results.append((out.data, X.grad))
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), shape
+
+
+def test_centered_gram_keeps_no_centered_copy_on_the_tape(monkeypatch):
+    # the node holds X and a (1, n) mean; the (m, n) centered copy that
+    # the forward's product reads frees as soon as the op returns
+    seen = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        seen.extend(weakref.ref(t) for t in (a, b) if t.base is None)
+        return matmul(a, b, *args, **kwargs)
+
+    X = Tensor(np.random.default_rng(53).standard_normal((64, 4)), requires_grad=True)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        monkeypatch.setattr(np, "matmul", spy)
+        out = centered_gram(X)
+        monkeypatch.undo()
+        assert out.requires_grad and seen
+        assert all(ref() is None for ref in seen)
+        out.sum().backward()
+    finally:
+        if enabled:
+            gc.enable()
+    # the backward's rebuilt copy gives the composition's gradient
+    want = Tensor(X.data.copy(), requires_grad=True)
+    centered_gram_oracle(want).sum().backward()
+    assert X.grad.tobytes() == want.grad.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -311,6 +311,8 @@ def test_negative_seed_exits_2(tmp_path, data_dir, capsys, command):
 @pytest.mark.parametrize("command, frac", [
     ("compare", "abc"),
     ("compare", "0.5,"),
+    ("compare", "0.5,0.50"),        # two runs into one cacw_d0.5 directory
+    ("compare", "0.5,0.5000001"),   # so is any pair with one %g label
     ("train", "abc"),
     ("train", "0.5,1.0"),
 ])
@@ -491,6 +493,18 @@ def test_compare_reads_the_dataset_once(tmp_path, data_dir, monkeypatch):
     assert len(reads) == 3 * 3  # four runs share one read of three samples
 
 
+@pytest.mark.parametrize("methods", ["", " , ", "cacw,cacw", "pool, cacw,pool"])
+def test_compare_run_list_without_methods_or_with_a_repeat_exits_2(
+        tmp_path, data_dir, capsys, monkeypatch, methods):
+    reads = counted_reads(monkeypatch)
+    out = tmp_path / "o"
+    rc = main(["compare", "--data", data_dir, "--out", str(out),
+               "--methods", methods, *TRAIN_FLAGS])
+    assert rc == 2
+    assert "--methods" in capsys.readouterr().err
+    assert reads == [] and not out.exists()
+
+
 def test_compare_rejects_unknown_method(tmp_path, data_dir, capsys):
     rc = main(["compare-weighting", "--data", data_dir,
                "--out", str(tmp_path / "x"), "--methods", "magic"])
@@ -503,8 +517,8 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     for op in ("matmul:", "conv2d:", "bias_act:", "bias_act_linear:",
-               "channel_scale:", "softmax:", "dual_level_weighting:",
-               "model_end_to_end:"):
+               "channel_scale:", "softmax:", "centered_gram:", "attention_weights:",
+               "dual_level_weighting:", "model_end_to_end:"):
         assert op in out
     assert "all gradients verified" in out
 

@@ -10,6 +10,7 @@ from adwm import (
 )
 from adwm import tensor
 from adwm.backbone import upsample_bilinear
+from adwm.cacw import centered_gram
 from adwm.tensor import _node, bias_act, channel_scale
 from adwm.weighting import weighted_sum
 
@@ -549,21 +550,37 @@ def test_channel_scale_matches_composition_bitwise(shape):
 
 
 def test_fused_ops_hand_their_input_a_fresh_gradient():
-    # an input's first gradient is the op's own fresh array, never the
-    # output's gradient: a later accumulation into it must not leak back.
-    # The tape reaches t * t after `out`, so the fused op writes t first.
-    # t = x * 1.0 is a fresh result, since bias_act writes over its input.
+    # an op hands its inputs either fresh arrays or its own released
+    # gradient, which nothing else holds: a later accumulation into one
+    # input must land there alone. The tape reaches t * w and r * w after
+    # `out`, so the fused op writes the gradients of t and the residual r
+    # first, and those products then add into them; x's gradient must
+    # still be the composition's. t = x * 1.0 is a fresh result, since
+    # bias_act writes over its input (so nothing else may read t's data),
+    # and g * 1.0 is exact.
     rng = np.random.default_rng(33)
-    x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
-    b = Tensor(rng.standard_normal(2), requires_grad=True)
-    for op in (lambda t: bias_act(t, b), lambda t: bias_act(t, b, 0.01),
-               lambda t: channel_scale(t, b.reshape(1, 2) * np.ones((2, 1)))):
-        x.zero_grad()
-        t = x * 1.0
-        out = op(t)
-        (t * t + out * out).sum().backward()
-        assert t.grad is not out.grad
-        assert not np.shares_memory(t.grad, out.grad)
+    x0 = rng.standard_normal((2, 3, 4, 2))
+    b0 = rng.standard_normal(2)
+    w = Tensor(rng.standard_normal(x0.shape))
+    cases = [
+        (lambda t, b, r: bias_act(t, b), lambda t, b, r: bias_act_oracle(t, b)),
+        (lambda t, b, r: bias_act(t, b, 0.01), lambda t, b, r: bias_act_oracle(t, b, 0.01)),
+        (lambda t, b, r: bias_act(t, b, residual=r),
+         lambda t, b, r: r + bias_act_oracle(t, b)),
+        (lambda t, b, r: channel_scale(t, b.reshape(1, 2) * np.ones((2, 1))),
+         lambda t, b, r: channel_scale_oracle(t, b.reshape(1, 2) * np.ones((2, 1)))),
+    ]
+    for op, oracle in cases:
+        grads = []
+        for fn in (op, oracle):
+            x = Tensor(x0.copy(), requires_grad=True)
+            b = Tensor(b0.copy(), requires_grad=True)
+            t, r = x * 1.0, x * 2.0
+            out = fn(t, b, r)
+            (t * w + r * w + out * out).sum().backward()
+            grads.append((x.grad, b.grad))
+        for got, want in zip(*grads):
+            assert_bitwise(got, want)
 
 
 def test_leaky_relu_matches_where_kernel_bitwise():
@@ -682,13 +699,16 @@ IN_PLACE = ("bias_act", "bias_act_linear", "bias_act_residual")
 
 
 def _case_inputs(name, arrays, requires):
-    """Tensors over `arrays`, requiring grad where `requires` says; an op
-    that writes over its first input gets it as the fresh result t * 1.0
-    (exact), so the case's arrays stay as they are."""
-    inputs = [Tensor(x, requires_grad=r) for x, r in zip(arrays, requires)]
+    """(leaves, inputs): leaf Tensors over `arrays`, requiring grad where
+    `requires` says, and the op's inputs. Those are the leaves, except
+    that an op that writes over its first input gets it as the fresh
+    result t * 1.0 (exact), so the case's arrays stay as they are. The
+    sweep releases an intermediate's gradient, so read the leaves'."""
+    leaves = [Tensor(x, requires_grad=r) for x, r in zip(arrays, requires)]
+    inputs = list(leaves)
     if name in IN_PLACE:
         inputs[0] = inputs[0] * 1.0
-    return inputs
+    return leaves, inputs
 
 
 def _node_cases():
@@ -712,6 +732,7 @@ def _node_cases():
         ("transpose", lambda x: x.transpose(), [a(2, 3)], None),
         ("diagonal", lambda x: x.diagonal(), [a(3, 3)], None),
         ("matmul", lambda x, y: x @ y, [a(2, 3), a(3, 2)], None),
+        ("centered_gram", lambda x: centered_gram(x), [a(2, 4, 3)], None),
         ("softmax", lambda x: softmax(x), [a(4)], None),
         ("concat", lambda x, y: concat([x, y], axis=0), [a(2, 3), a(1, 3)], None),
         ("stack", lambda x, y: stack([x, y], axis=0), [a(2, 3), a(2, 3)], None),
@@ -734,12 +755,12 @@ def _node_cases():
 def test_results_outside_the_tape_keep_no_parents():
     for name, op, arrays, order in _node_cases():
         # constant inputs: the result is off the tape
-        out = op(*_case_inputs(name, arrays, [False] * len(arrays)))
+        out = op(*_case_inputs(name, arrays, [False] * len(arrays))[1])
         assert not out.requires_grad, name
         assert out._parents == () and out._backward_fn is None, name
         # one grad-requiring input puts it on the tape over all its inputs
         for i in range(len(arrays)):
-            inputs = _case_inputs(name, arrays, [j == i for j in range(len(arrays))])
+            leaves, inputs = _case_inputs(name, arrays, [j == i for j in range(len(arrays))])
             out = op(*inputs)
             expected = tuple(inputs[j] for j in order or range(len(inputs)))
             assert out.requires_grad, (name, i)
@@ -747,7 +768,7 @@ def test_results_outside_the_tape_keep_no_parents():
             assert all(p is q for p, q in zip(out._parents, expected)), (name, i)
             assert callable(out._backward_fn), (name, i)
             out.sum().backward()
-            for j, t in enumerate(inputs):
+            for j, t in enumerate(leaves):
                 assert (t.grad is not None) == (j == i), (name, i, j)
 
     # with no gradient to carry, an intermediate must free as soon as its
@@ -846,11 +867,12 @@ def test_every_op_gives_the_same_bytes_in_a_poisoned_workspace(case, poisoned_em
     name, op, arrays, _ = next(c for c in _node_cases() if c[0] == case)
 
     def run():
-        inputs = _case_inputs(name, [x.copy() for x in arrays], [True] * len(arrays))
+        leaves, inputs = _case_inputs(name, [x.copy() for x in arrays],
+                                      [True] * len(arrays))
         out = op(*inputs)
         weight = np.random.default_rng(41).standard_normal(out.shape)
         (out * Tensor(weight)).sum().backward()
-        return [out.data.tobytes()] + [t.grad.tobytes() for t in inputs]
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
 
     want = run()
     poisoned_empty()
