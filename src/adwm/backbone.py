@@ -34,7 +34,7 @@ import numpy as np
 from .cacw import D_FRACTION
 from .data import SCALE, TNSR_MAGIC, _read_u32, tensor_from_bytes, tensor_to_bytes
 from .errors import ConfigurationError, DimensionError, FormatError
-from .tensor import LEAKY_SLOPE, Tensor, _node, as_tensor, bias_act, concat, conv2d
+from .tensor import Tensor, _node, as_tensor, bias_act, concat, conv2d
 # ifw_apply and cfw_apply stay importable from here because the
 # perfbench span tracer patches them on this module as well; the model
 # reaches them through aggregate
@@ -244,10 +244,10 @@ class PansharpenModel:
         up = upsample_bilinear(lrms, SCALE)
         x = concat([pan.reshape(pan.shape + (1,)), up], axis=-1)
 
-        f = bias_act(conv2d(x, self.enc_w), self.enc_b, LEAKY_SLOPE)
+        f = bias_act(conv2d(x, self.enc_w), self.enc_b, leaky=True)
         features = []
         for blk in self.blocks:
-            y = bias_act(conv2d(f, blk["w1"]), blk["b1"], LEAKY_SLOPE)
+            y = bias_act(conv2d(f, blk["w1"]), blk["b1"], leaky=True)
             f = bias_act(conv2d(y, blk["w2"]), blk["b2"], residual=f)
             features.append(f)
 

@@ -32,6 +32,7 @@ from .tensor import Tensor, _node, as_tensor, softmax
 
 # default hidden-width fraction of every generator head, at both weighting levels
 D_FRACTION = 0.8
+CORRELATION_EPS = 1e-8  # variance floor of `normalize_covariance`
 
 
 def reduced_width(frac, n):
@@ -95,19 +96,19 @@ def compute_covariance(X):
     return (cov + cov.transpose(_swap_last(X.ndim))) * 0.5
 
 
-def normalize_covariance(C, eps=1e-8):
+def normalize_covariance(C):
     """Rescale a covariance to a correlation matrix.
 
-    C_ij / (sqrt(C_ii + eps) * sqrt(C_jj + eps)): unit diagonal for
-    variances well above eps, entries bounded by [-1, 1], zero-variance
-    features degrade gracefully to zero rows instead of dividing by zero.
+    C_ij / (sqrt(C_ii + eps) * sqrt(C_jj + eps)), eps = CORRELATION_EPS:
+    unit diagonal for variances well above eps, entries bounded by [-1, 1],
+    zero-variance features degrade to zero rows instead of dividing by zero.
     """
     C = as_tensor(C)
     if C.ndim < 2 or C.shape[-1] != C.shape[-2]:
         raise DimensionError(f"covariance must be square, got shape {C.shape}")
     n = C.shape[-1]
     batch = C.shape[:-2]
-    s = (C.diagonal() + eps).sqrt()
+    s = (C.diagonal() + CORRELATION_EPS).sqrt()
     denom = s.reshape(batch + (n, 1)) * s.reshape(batch + (1, n))
     return C / denom
 
@@ -271,7 +272,7 @@ class AttentionWeights(_MlpHead):
     def forward(self, X):
         X = self._observations(X)
         scores = centered_gram(X) * (1.0 / np.sqrt(X.shape[-2]))
-        return self._mlp_rows(softmax(scores, axis=-1))
+        return self._mlp_rows(softmax(scores))
 
 
 class PcaWeights(_MlpHead):

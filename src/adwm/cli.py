@@ -29,7 +29,6 @@ from .data import (
 from .errors import AdwmError, NumericError, UsageError
 from .metrics import evaluate_noreference, evaluate_reference, write_report_csv
 from .tensor import (
-    LEAKY_SLOPE,
     Tensor,
     _node,
     bias_act,
@@ -149,17 +148,21 @@ def _fractions(raw):
         raise UsageError(f"--d-frac takes comma-separated numbers, got {raw!r}") from None
 
 
-def _run_training(args, dataset, variant, out_dir, d_frac, generator):
+def _train_config(args):
+    """The command's TrainConfig, checked before the command reads any data."""
+    return TrainConfig(
+        epochs=args.epochs, lr0=args.lr0, batch_size=args.batch_size,
+        seed=args.seed, halve_every=args.halve_every,
+    )
+
+
+def _run_training(args, tcfg, dataset, variant, out_dir, d_frac, generator):
     rows, train_pairs, val_pairs = dataset
     cfg = ModelConfig(
         bands=rows[0]["c"], channels=args.channels, blocks=args.blocks,
         variant=variant, d_fraction=d_frac, generator=generator,
     )
     model = PansharpenModel(cfg, seed=args.seed)
-    tcfg = TrainConfig(
-        epochs=args.epochs, lr0=args.lr0, batch_size=args.batch_size,
-        seed=args.seed, halve_every=args.halve_every,
-    )
     return train(model, train_pairs, val_pairs, tcfg, out_dir), model
 
 
@@ -186,11 +189,12 @@ def cmd_train(args):
     if args.log:
         _check_writable(args.log)
     variants = VARIANTS if args.variant == "all" else [args.variant]
+    tcfg = _train_config(args)
     dataset = _training_set(args)
     for variant in variants:
         out_dir = (os.path.join(args.out, variant)
                    if args.variant == "all" else args.out)
-        result, _ = _run_training(args, dataset, variant, out_dir,
+        result, _ = _run_training(args, tcfg, dataset, variant, out_dir,
                                   fracs[0], args.generator)
         print(f"{variant}: best_val_psnr={result.best_val_psnr:.4f} "
               f"final={result.final_path}")
@@ -307,6 +311,7 @@ def cmd_compare(args):
     if len({f"{frac:g}" for frac in fracs}) != len(fracs):
         raise UsageError(
             f"--d-frac names one run directory twice, got {args.d_frac!r}")
+    tcfg = _train_config(args)
     dataset = _training_set(args)
     H, W = dataset[0][0]["H"], dataset[0][0]["W"]
     os.makedirs(args.out, exist_ok=True)
@@ -321,7 +326,7 @@ def cmd_compare(args):
         for frac in fracs:
             run_dir = os.path.join(args.out, f"{method}_d{frac:g}")
             result, model = _run_training(
-                args, dataset, "adwm", run_dir, frac, method
+                args, tcfg, dataset, "adwm", run_dir, frac, method
             )
             params = adwm_param_count(model.config.weighting_config())
             flops = diagnostics.count_flops(
@@ -364,10 +369,13 @@ def _gradcheck_suite(seed, corrupt=False):
         ("leaky_relu", lambda: gradcheck(lambda a: a.leaky_relu().sum(), t(4, 4))),
         # bias_act writes over its input, so it gets a fresh copy of a
         ("bias_act", lambda: gradcheck(
-            lambda a, b: (bias_act(a * 1.0, b, LEAKY_SLOPE) * a).sum(),
+            lambda a, b: (bias_act(a * 1.0, b, leaky=True) * a).sum(),
             [t(2, 3, 3, 2), t(2)])),
         ("bias_act_linear", lambda: gradcheck(
             lambda a, b: (bias_act(a * 1.0, b) * a).sum(), [t(3, 3, 2), t(2)])),
+        ("bias_act_residual", lambda: gradcheck(
+            lambda a, b, f: (bias_act(a * 1.0, b, residual=f) * f).sum(),
+            [t(2, 3, 3, 2), t(2), t(2, 3, 3, 2)])),
         ("channel_scale", lambda: gradcheck(
             lambda a, b: (channel_scale(a, b) * a).sum(), [t(2, 3, 3, 2), t(2, 2)])),
         ("sigmoid", lambda: gradcheck(lambda a: a.sigmoid().sum(), t(4, 4))),

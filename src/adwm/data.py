@@ -11,7 +11,9 @@ panchromatic band).
 
 File formats:
   TNSR  magic "TNSR", u32 version=1, u32 rank, u32 dims[rank], u8 dtype
-        (1 = float32, 2 = float64), payload little-endian row-major.
+        (1 = float32, 2 = float64), payload little-endian row-major. The
+        writer writes float64 only; the reader accepts both codes, since a
+        record may come from outside the program.
   manifest.txt  one line per sample, tab-separated: id seed H W c.
 """
 
@@ -30,7 +32,7 @@ from .tensor import Tensor
 TNSR_MAGIC = b"TNSR"
 TNSR_VERSION = 1
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
-_CODES_BY_NAME = {"f4": 1, "f8": 2}
+_F8_CODE = 2
 
 SCALE = 4  # resolution ratio: pan pixels per low-res pixel along each axis
 
@@ -45,20 +47,17 @@ def _read_u32(buf, off, field):
     return struct.unpack_from("<I", buf, off)[0]
 
 
-def tensor_to_bytes(t, dtype="f8"):
+def tensor_to_bytes(t):
     arr = t.data if isinstance(t, Tensor) else np.asarray(t)
     if arr.ndim == 0:
         raise FormatError("rank-0 tensors are not representable", offset=8)
-    if dtype not in _CODES_BY_NAME:
-        raise FormatError(f"unsupported dtype {dtype!r}")
-    code = _CODES_BY_NAME[dtype]
     head = bytearray()
     head += TNSR_MAGIC
     head += struct.pack("<I", TNSR_VERSION)
     head += struct.pack("<I", arr.ndim)
     head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    head += struct.pack("<B", code)
-    payload = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
+    head += struct.pack("<B", _F8_CODE)
+    payload = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[_F8_CODE]).tobytes()
     return bytes(head) + payload
 
 
@@ -111,9 +110,9 @@ def tensor_from_bytes(buf, offset=0):
     return Tensor(arr), offset + need
 
 
-def write_tensor(path, t, dtype="f8"):
+def write_tensor(path, t):
     with open(path, "wb") as f:
-        f.write(tensor_to_bytes(t, dtype=dtype))
+        f.write(tensor_to_bytes(t))
 
 
 def read_tensor(path):
@@ -218,27 +217,19 @@ def blur_bands(gt):
     return np.stack([_blur_reflect(arr[:, :, b], k1d) for b in range(arr.shape[2])], axis=2)
 
 
-def wald_degrade(gt, pan_weights=None):
+def wald_degrade(gt):
     """Ground truth -> (pan, lrms) simulated acquisition pair.
 
-    lrms is the blurred scene decimated SCALE-fold; pan is a fixed positive
-    spectral average of the unblurred scene (uniform weights by default).
+    lrms is the blurred scene decimated SCALE-fold; pan is the uniform
+    spectral average of the unblurred scene.
     """
     arr = gt.data if isinstance(gt, Tensor) else np.asarray(gt)
     if arr.ndim != 3:
         raise DimensionError(f"ground truth must be (H, W, c), got {arr.shape}")
     c = arr.shape[2]
-    if pan_weights is None:
-        pan_weights = np.full(c, 1.0 / c)
-    else:
-        pan_weights = np.asarray(pan_weights, dtype=np.float64)
-        if pan_weights.shape != (c,):
-            raise DimensionError(
-                f"pan weights shape {pan_weights.shape} does not match {c} bands"
-            )
     blurred = blur_bands(arr)
     lrms = blurred[::SCALE, ::SCALE, :]
-    pan = arr @ pan_weights
+    pan = arr @ np.full(c, 1.0 / c)
     return Tensor(pan), Tensor(lrms)
 
 

@@ -25,6 +25,8 @@ from .data import SCALE
 from .errors import ConfigurationError, DimensionError, UsageError
 
 _EPS = 1e-12
+PSNR_CAP = 100.0  # dB, the value of a perfect prediction
+WINDOW = 32  # Q-family window side, clamped to smaller images by the evaluators
 
 
 def _check_same_shape(a, b, what):
@@ -35,14 +37,15 @@ def _check_same_shape(a, b, what):
 # ----------------------------------------------------------------------
 # reference metrics
 
-def psnr(gt, pred, peak=1.0, cap=100.0):
+def psnr(gt, pred):
+    """PSNR in dB of images on [0, 1] (peak 1), capped at PSNR_CAP."""
     gt = np.asarray(gt, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     _check_same_shape(gt, pred, "psnr")
     mse = float(np.mean((gt - pred) ** 2))
     if mse == 0.0:
-        return float(cap)
-    return float(min(cap, 10.0 * np.log10(peak * peak / mse)))
+        return PSNR_CAP
+    return float(min(PSNR_CAP, 10.0 * np.log10(1.0 / mse)))
 
 
 def sam(gt, pred):
@@ -77,8 +80,8 @@ def _row_norms(a):
     return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
-def ergas(gt, pred, scale=SCALE):
-    """Relative global dimensionless error; zero band means are guarded."""
+def ergas(gt, pred):
+    """ERGAS at resolution ratio SCALE; zero band means are guarded."""
     gt = np.asarray(gt, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     _check_same_shape(gt, pred, "ergas")
@@ -87,7 +90,7 @@ def ergas(gt, pred, scale=SCALE):
     mu = gt.mean(axis=(0, 1))
     rmse2 = np.mean((gt - pred) ** 2, axis=(0, 1))
     denom = np.maximum(mu * mu, _EPS)
-    return float(100.0 / scale * np.sqrt(np.mean(rmse2 / denom)))
+    return float(100.0 / SCALE * np.sqrt(np.mean(rmse2 / denom)))
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +123,7 @@ def _q_map(ma, mb, va, vb, cov):
     return corr * lum, flat1 | flat2
 
 
-def q_index(a, b, window=32, with_flags=False):
+def q_index(a, b, window=WINDOW, with_flags=False):
     """Single-band universal quality index, mean over non-overlapping
     windows.
 
@@ -185,7 +188,7 @@ def _next_pow2(c):
     return p
 
 
-def q2n(gt, pred, window=32, with_flags=False):
+def q2n(gt, pred, window=WINDOW, with_flags=False):
     """Hypercomplex quality index: bands become components of one
     2^n-ary number per pixel, correlated per window in magnitude form.
 
@@ -266,9 +269,9 @@ def _band_pan_q(img, pan, window):
     return vals.mean(axis=0)
 
 
-def d_lambda(fused, lrms, p=1, window=32):
-    """Spectral distortion: how much the inter-band Q structure of the
-    fused image deviates from the low-resolution original."""
+def d_lambda(fused, lrms, window=WINDOW):
+    """Spectral distortion: the mean absolute deviation of the fused image's
+    inter-band Q values from the low-resolution original's."""
     fused = np.asarray(fused, dtype=np.float64)
     lrms = np.asarray(lrms, dtype=np.float64)
     if fused.ndim != 3 or lrms.ndim != 3:
@@ -283,13 +286,12 @@ def d_lambda(fused, lrms, p=1, window=32):
     qf = _band_pair_q(fused, _clamped_window(fused, window))
     ql = _band_pair_q(lrms, _clamped_window(lrms, window))
     pairs = np.triu_indices(c, 1)
-    diffs = np.abs(qf[pairs] - ql[pairs]) ** p
-    return float(np.mean(diffs) ** (1.0 / p))
+    return float(np.mean(np.abs(qf[pairs] - ql[pairs])))
 
 
-def d_s(fused, lrms, pan, pan_degraded, q=1, window=32):
-    """Spatial distortion: per-band Q against the panchromatic image at
-    both resolutions (pan_degraded must live on the low-res grid)."""
+def d_s(fused, lrms, pan, pan_degraded, window=WINDOW):
+    """Spatial distortion: mean absolute change of per-band Q against the
+    pan image between resolutions (pan_degraded on the low-res grid)."""
     fused = np.asarray(fused, dtype=np.float64)
     lrms = np.asarray(lrms, dtype=np.float64)
     pan = np.asarray(pan, dtype=np.float64)
@@ -309,8 +311,7 @@ def d_s(fused, lrms, pan, pan_degraded, q=1, window=32):
         raise DimensionError("fused and low-res band counts differ")
     qf = _band_pan_q(fused, pan, _clamped_window(fused, window))
     ql = _band_pan_q(lrms, pan_degraded, _clamped_window(lrms, window))
-    diffs = np.abs(qf - ql) ** q
-    return float(np.mean(diffs) ** (1.0 / q))
+    return float(np.mean(np.abs(qf - ql)))
 
 
 def hqnr(dl, ds):
@@ -321,18 +322,18 @@ def hqnr(dl, ds):
 # ----------------------------------------------------------------------
 # batch evaluation and reporting
 
-def evaluate_reference(gt, pred, window=32):
+def evaluate_reference(gt, pred):
     return {
         "psnr": psnr(gt, pred),
         "sam": sam(gt, pred),
-        "ergas": ergas(gt, pred, scale=SCALE),
-        "q2n": q2n(gt, pred, window=_clamped_window(np.asarray(gt), window)),
+        "ergas": ergas(gt, pred),
+        "q2n": q2n(gt, pred, window=_clamped_window(np.asarray(gt), WINDOW)),
     }
 
 
-def evaluate_noreference(fused, lrms, pan, pan_degraded, window=32):
-    dl = d_lambda(fused, lrms, window=window)
-    ds = d_s(fused, lrms, pan, pan_degraded, window=window)
+def evaluate_noreference(fused, lrms, pan, pan_degraded):
+    dl = d_lambda(fused, lrms)
+    ds = d_s(fused, lrms, pan, pan_degraded)
     return {"d_lambda": dl, "d_s": ds, "hqnr": hqnr(dl, ds)}
 
 

@@ -18,14 +18,15 @@ backbone's images are C-contiguous in that order, so no image op
 transposes them.
 
 Two fused ops make one tape node of what would be three or four generic
-ones. `bias_act(x, b, slope, residual)` is a conv epilogue: a per-channel
+ones. `bias_act(x, b, leaky, residual)` is a conv epilogue: a per-channel
 bias add, then optionally leaky ReLU or a residual add, written over x,
 so a conv and its epilogue keep one buffer on the tape.
 `channel_scale(f, alpha)` gates a map by per-channel weights. Each gives
 the bytes of the composition it replaces, forward and backward. The
 per-channel operand is tiled along W, so numpy runs one flat loop over
 the merged W*C axis instead of a C-long inner loop. Leaky ReLU has one
-kernel, `_leaky`, shared by `Tensor.leaky_relu` and `bias_act`.
+kernel, `_leaky`, shared by `Tensor.leaky_relu` and `bias_act`, and one
+negative slope, `LEAKY_SLOPE`.
 
 Every buffer that an op fills piecewise or reuses comes from `_empty`, a
 plain `np.empty`; the tests swap it for NaN-filled arrays to show that no
@@ -45,7 +46,7 @@ adjoints; the `conv2d` docstring has the index arithmetic.
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, UsageError
+from .errors import DimensionError, UsageError
 
 
 def _empty(shape):
@@ -72,27 +73,21 @@ def _unbroadcast(grad, shape):
 LEAKY_SLOPE = 0.01
 
 
-def _check_slope(slope):
-    if not 0.0 <= slope <= 1.0:
-        raise ConfigurationError(f"leaky_relu slope must be in [0, 1], got {slope}")
-
-
-def _leaky(pre, slope, out=None):
+def _leaky(pre, out=None):
     """Leaky ReLU's one kernel, into `out` (which may be `pre`) or a fresh array.
 
-    For 0 <= slope <= 1, max(pre, slope*pre) picks pre where pre > 0 and
-    slope*pre elsewhere, signed zeros included: the bytes of
+    LEAKY_SLOPE lies in [0, 1], so max(pre, slope*pre) picks pre where
+    pre > 0 and slope*pre elsewhere, signed zeros included: the bytes of
     `np.where(pre > 0, pre, slope * pre)`, without its slower select.
     """
-    _check_slope(slope)
-    return np.maximum(pre, slope * pre, out=out)
+    return np.maximum(pre, LEAKY_SLOPE * pre, out=out)
 
 
-def _leaky_grad(out, g, slope):
+def _leaky_grad(out, g):
     """The gradient through `_leaky`, from its output: out > 0 exactly where
     pre > 0, and g * 1.0 == g, so this is `g * np.where(pre > 0, 1.0, slope)`
     byte for byte."""
-    grad = g * slope
+    grad = g * LEAKY_SLOPE
     np.putmask(grad, out > 0, g)
     return grad
 
@@ -169,7 +164,7 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g, owned=False):
-        """Add `g` into ``grad``.
+        """Add `g`, an array of exactly this tensor's shape, into ``grad``.
 
         An `owned` g is an array that nothing else holds and its op never
         reads again: a fresh one made for this tensor alone, or the op's
@@ -178,11 +173,7 @@ class Tensor:
         instead of the zeros-then-add two, and never aliases the source.
         """
         if self.grad is None:
-            if np.shape(g) == self.data.shape:
-                self.grad = g if owned else np.array(g, dtype=self.data.dtype, order="C")
-            else:
-                self.grad = np.zeros_like(self.data)
-                self.grad += g
+            self.grad = g if owned else np.array(g, dtype=self.data.dtype, order="C")
         else:
             self.grad += g
 
@@ -291,26 +282,14 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __radd__(self, other):
-        return self + other
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
     # ------------------------------------------------------------------
     # nonlinearities
 
-    def leaky_relu(self, slope=LEAKY_SLOPE):
-        out = _leaky(self.data, slope)
+    def leaky_relu(self):
+        out = _leaky(self.data)
 
         def backward(g):
-            self._accumulate(_leaky_grad(out, g, slope), owned=True)
+            self._accumulate(_leaky_grad(out, g), owned=True)
 
         return _node(out, (self,), backward)
 
@@ -441,21 +420,18 @@ class Tensor:
 # free functions
 
 
-def softmax(v, axis=-1):
-    """Numerically stable softmax along `axis` (max subtraction).
-
-    The primary contract is a length-n vector; higher-rank inputs are
-    normalized along the given axis.
-    """
+def softmax(v):
+    """Numerically stable softmax along the last axis (max subtraction):
+    a length-n vector, or each last-axis row of a higher-rank input."""
     v = as_tensor(v)
     if v.size == 0:
         raise DimensionError("softmax of an empty tensor")
-    shifted = v.data - v.data.max(axis=axis, keepdims=True)
+    shifted = v.data - v.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         v._accumulate(y * (g - dot), owned=True)
 
     return _node(y, (v,), backward)
@@ -506,13 +482,13 @@ def stack(tensors, axis=0):
 # ----------------------------------------------------------------------
 # fused per-channel ops
 
-def bias_act(x, b, slope=None, residual=None):
-    """x + b over the last axis, then leaky_relu(slope) when a slope is
-    given, or + residual when a residual is, written over x.
+def bias_act(x, b, leaky=False, residual=None):
+    """x + b over the last axis, then leaky_relu() when `leaky` is set, or
+    + residual when a residual is given, written over x.
 
     x: (..., H, W, C) with at least 3 axes; b: (C,); residual: x's shape.
     One tape node with the bytes of `x + b.reshape((1, 1, C))`, followed
-    by `.leaky_relu(slope)` or by `residual + ...`, forward and backward;
+    by `.leaky_relu()` or by `residual + ...`, forward and backward;
     the residual add would overwrite what the activation's gradient reads,
     so a call takes one of the two at most. The bias is added tiled
     along W over the merged W*C axis, which gives the same sums. Its
@@ -533,12 +509,10 @@ def bias_act(x, b, slope=None, residual=None):
     w, c = x.shape[-2], x.shape[-1]
     if b.shape != (c,):
         raise DimensionError(f"bias of shape {b.shape} does not match {c} channels")
-    if slope is not None:
-        _check_slope(slope)
     out = x.data
     if residual is not None:
-        if slope is not None:
-            raise UsageError("bias_act takes a slope or a residual, not both")
+        if leaky:
+            raise UsageError("bias_act takes leaky or a residual, not both")
         residual = as_tensor(residual)
         if residual.shape != x.shape:
             raise DimensionError(
@@ -553,16 +527,16 @@ def bias_act(x, b, slope=None, residual=None):
             "writable array that owns its memory")
     rows = x.shape[:-2] + (w * c,)
     np.add(out.reshape(rows), np.tile(b.data, w), out=out.reshape(rows))
-    if slope is not None:
-        _leaky(out, slope, out=out)
+    if leaky:
+        _leaky(out, out=out)
     if residual is not None:
         np.add(out, residual.data, out=out)
 
     def backward(g):
         if residual is not None and residual.requires_grad:
             residual._accumulate(g)
-        if slope is not None:
-            g = _leaky_grad(out, g, slope)
+        if leaky:
+            g = _leaky_grad(out, g)
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, (1, 1, c)).reshape(c), owned=True)
         if x.requires_grad:
@@ -809,7 +783,10 @@ def conv2d(x, k, padding=1):
 # ----------------------------------------------------------------------
 # verification
 
-def gradcheck(fn, x, eps=1e-5):
+GRADCHECK_EPS = 1e-5  # the central-difference step
+
+
+def gradcheck(fn, x):
     """Compare analytic gradients of a scalar-valued `fn` to central differences.
 
     `x` is a Tensor or a sequence of Tensors; all of them are perturbed.
@@ -831,12 +808,12 @@ def gradcheck(fn, x, eps=1e-5):
         flat = t.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + GRADCHECK_EPS
             fp = float(fn(*xs).data)
-            flat[i] = orig - eps
+            flat[i] = orig - GRADCHECK_EPS
             fm = float(fn(*xs).data)
             flat[i] = orig
-            numeric = (fp - fm) / (2 * eps)
+            numeric = (fp - fm) / (2 * GRADCHECK_EPS)
             a = analytic[ti].reshape(-1)[i]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             worst = max(worst, err)

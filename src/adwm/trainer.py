@@ -29,8 +29,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr0 <= 0:
-            raise ConfigurationError(f"lr0 must be positive, got {self.lr0}")
+        if not (self.lr0 > 0 and np.isfinite(self.lr0)):
+            raise ConfigurationError(f"lr0 must be positive and finite, got {self.lr0}")
         if self.halve_every < 1:
             raise ConfigurationError(
                 f"halve_every must be >= 1, got {self.halve_every}"

@@ -180,7 +180,7 @@ def cfw_apply(generator, F, F_tilde):
 
     profiles = stack([spatial_mean(f) for f in F], axis=-1)  # (C, N) or (B, C, N)
     beta = generator.forward(profiles)                        # (N,) or (B, N)
-    return weighted_sum(F_tilde, softmax(beta, axis=-1)), beta
+    return weighted_sum(F_tilde, softmax(beta)), beta
 
 
 def aggregate(features, ifw=None, cfw=None):

@@ -222,6 +222,19 @@ def test_train_all_with_log_exits_2_before_reading_data(tmp_path, data_dir, caps
     assert not out.exists() and not log.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("lr0", ["nan", "inf"])
+def test_non_finite_lr0_exits_2_before_reading_data(tmp_path, data_dir, capsys,
+                                                    monkeypatch, command, lr0):
+    reads = counted_reads(monkeypatch)
+    rc = main([command, "--data", data_dir, "--out", str(tmp_path / "run"),
+               *TRAIN_FLAGS, "--lr0", lr0])
+    assert rc == 2
+    assert "lr0" in capsys.readouterr().err
+    assert reads == []
+    assert list(tmp_path.rglob("train_log.csv")) == []
+
+
 def test_log_or_report_naming_a_directory_exits_2(tmp_path, run_dir, data_dir,
                                                   capsys):
     rc = main(["eval", "--model", os.path.join(run_dir, "checkpoint_final.ckpt"),
@@ -517,8 +530,8 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     for op in ("matmul:", "conv2d:", "bias_act:", "bias_act_linear:",
-               "channel_scale:", "softmax:", "centered_gram:", "attention_weights:",
-               "dual_level_weighting:", "model_end_to_end:"):
+               "bias_act_residual:", "channel_scale:", "softmax:", "centered_gram:",
+               "attention_weights:", "dual_level_weighting:", "model_end_to_end:"):
         assert op in out
     assert "all gradients verified" in out
 

@@ -22,7 +22,7 @@ from adwm.data import (
     wald_degrade,
     write_tensor,
 )
-from adwm.errors import AdwmError, ConfigurationError, DimensionError, FormatError
+from adwm.errors import AdwmError, ConfigurationError, FormatError
 from adwm.tensor import Tensor
 
 
@@ -52,8 +52,9 @@ def test_roundtrip_file_bit_exact(tmp_path):
 
 
 def test_float32_payload_upcast():
+    # the writer writes float64 only; a float32 record comes from outside
     arr = np.array([[1.5, -2.25]])
-    buf = tensor_to_bytes(Tensor(arr), dtype="f4")
+    buf = tnsr_header(arr.shape, code=1) + arr.astype("<f4").tobytes()
     t, _ = tensor_from_bytes(buf)
     assert t.data.dtype == np.float64
     np.testing.assert_array_equal(t.data, arr)  # values exactly representable
@@ -209,15 +210,6 @@ def test_degrade_shapes_and_pan_average():
     assert pan.data.shape == (32, 64)
     assert lrms.data.shape == (8, 16, 4)
     np.testing.assert_allclose(pan.data, gt.data.mean(axis=2), atol=1e-12)
-
-
-def test_degrade_custom_pan_weights():
-    gt = generate_scene(0, 16, 16, 3)
-    w = np.array([0.5, 0.3, 0.2])
-    pan, _ = wald_degrade(gt, pan_weights=w)
-    np.testing.assert_allclose(pan.data, gt.data @ w, atol=1e-15)
-    with pytest.raises(DimensionError):
-        wald_degrade(gt, pan_weights=np.ones(4))
 
 
 def test_degrade_is_pure():

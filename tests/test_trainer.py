@@ -42,8 +42,9 @@ def tiny_model(variant="adwm", seed=0):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         TrainConfig(epochs=0)
-    with pytest.raises(ConfigurationError):
-        TrainConfig(epochs=1, lr0=0.0)
+    for lr0 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(epochs=1, lr0=lr0)
     with pytest.raises(ConfigurationError):
         TrainConfig(epochs=1, batch_size=0)
 
