@@ -278,7 +278,7 @@ def save_checkpoint(path, model):
     buf += blob
     buf += struct.pack("<I", len(params))
     for p in params:
-        buf += tensor_to_bytes(p)
+        buf += tensor_to_bytes(p.data)
     with open(path, "wb") as f:
         f.write(bytes(buf))
 
@@ -322,13 +322,13 @@ def load_checkpoint(path):
         rec_off = off
         if buf[off:off + 4] != TNSR_MAGIC:
             raise FormatError("expected a tensor record", offset=off)
-        t, off = tensor_from_bytes(buf, off)
-        if t.data.shape != p.data.shape:
+        arr, off = tensor_from_bytes(buf, off)
+        if arr.shape != p.data.shape:
             raise FormatError(
-                f"tensor shape {t.data.shape} does not match parameter "
+                f"tensor shape {arr.shape} does not match parameter "
                 f"shape {p.data.shape}", offset=rec_off,
             )
-        p.data[...] = t.data
+        p.data[...] = arr
     if off != len(buf):
         raise FormatError(f"{len(buf) - off} trailing bytes", offset=off)
     return model

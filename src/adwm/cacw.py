@@ -182,8 +182,6 @@ class CacwModule(_MlpHead):
     makes the output equivariant to feature permutations.
     """
 
-    method = "cacw"
-
     def forward(self, X):
         return cacw_forward(self, self._observations(X))
 
@@ -248,8 +246,6 @@ def pca_eigendecompose(C):
 class PoolWeights(_MlpHead):
     """Global-average-pooling generator: column means -> MLP n -> d -> n."""
 
-    method = "pool"
-
     def _head_widths(self):
         return self.n, self.n
 
@@ -267,8 +263,6 @@ class AttentionWeights(_MlpHead):
     generator.
     """
 
-    method = "attention"
-
     def forward(self, X):
         X = self._observations(X)
         scores = centered_gram(X) * (1.0 / np.sqrt(X.shape[-2]))
@@ -283,8 +277,6 @@ class PcaWeights(_MlpHead):
     eigenbasis is computed outside the tape: gradients reach the head
     only, the decomposition itself is treated as a constant per input.
     """
-
-    method = "pca"
 
     @property
     def k(self):

@@ -18,14 +18,7 @@ import numpy as np
 from . import diagnostics
 from .backbone import VARIANTS, ModelConfig, PansharpenModel, load_checkpoint
 from .cacw import WEIGHT_GENERATORS
-from .data import (
-    SCALE,
-    blur_bands,
-    build_dataset,
-    load_sample,
-    read_manifest,
-    split_ids,
-)
+from .data import build_dataset, degrade_bands, load_sample, read_manifest, split_ids
 from .errors import AdwmError, NumericError, UsageError
 from .metrics import evaluate_noreference, evaluate_reference, write_report_csv
 from .tensor import (
@@ -111,19 +104,6 @@ def _check_required(args):
 # ----------------------------------------------------------------------
 # shared helpers
 
-def _load_pairs(data_dir):
-    rows = read_manifest(data_dir)
-    return rows, [load_sample(data_dir, r["id"]) for r in rows]
-
-
-def _training_set(args):
-    """(manifest rows, train pairs, validation pairs), read once per command."""
-    rows, pairs = _load_pairs(args.data)
-    train_ids, val_ids = split_ids([p.id for p in pairs], args.test_count)
-    by_id = {p.id: p for p in pairs}
-    return rows, [by_id[i] for i in train_ids], [by_id[i] for i in val_ids]
-
-
 def _check_writable(path):
     """Raise the OSError that writing the file `path` would, before any work
     whose result goes there is done. Creates nothing."""
@@ -156,14 +136,25 @@ def _train_config(args):
     )
 
 
-def _run_training(args, tcfg, dataset, variant, out_dir, d_frac, generator):
-    rows, train_pairs, val_pairs = dataset
-    cfg = ModelConfig(
-        bands=rows[0]["c"], channels=args.channels, blocks=args.blocks,
-        variant=variant, d_fraction=d_frac, generator=generator,
-    )
-    model = PansharpenModel(cfg, seed=args.seed)
-    return train(model, train_pairs, val_pairs, tcfg, out_dir), model
+def _training_runs(args, runs):
+    """Check every run, then read the dataset once.
+
+    `runs` maps each run's output directory to its ModelConfig fields
+    besides bands, channels and blocks. Every config takes its band
+    count from manifest.txt and is built, and so checked, before any
+    sample is read. Returns (manifest rows, {run directory: ModelConfig},
+    train pairs, validation pairs).
+    """
+    rows = read_manifest(args.data)
+    configs = {
+        out_dir: ModelConfig(bands=rows[0]["c"], channels=args.channels,
+                             blocks=args.blocks, **fields)
+        for out_dir, fields in runs.items()
+    }
+    ids = [r["id"] for r in rows]
+    train_ids, val_ids = split_ids(ids, args.test_count)
+    pairs = {i: load_sample(args.data, i) for i in ids}
+    return rows, configs, [pairs[i] for i in train_ids], [pairs[i] for i in val_ids]
 
 
 # ----------------------------------------------------------------------
@@ -190,13 +181,15 @@ def cmd_train(args):
         _check_writable(args.log)
     variants = VARIANTS if args.variant == "all" else [args.variant]
     tcfg = _train_config(args)
-    dataset = _training_set(args)
-    for variant in variants:
-        out_dir = (os.path.join(args.out, variant)
-                   if args.variant == "all" else args.out)
-        result, _ = _run_training(args, tcfg, dataset, variant, out_dir,
-                                  fracs[0], args.generator)
-        print(f"{variant}: best_val_psnr={result.best_val_psnr:.4f} "
+    _, configs, train_pairs, val_pairs = _training_runs(args, {
+        os.path.join(args.out, v) if args.variant == "all" else args.out:
+            {"variant": v, "d_fraction": fracs[0], "generator": args.generator}
+        for v in variants
+    })
+    for out_dir, cfg in configs.items():
+        result = train(PansharpenModel(cfg, seed=args.seed), train_pairs,
+                       val_pairs, tcfg, out_dir)
+        print(f"{cfg.variant}: best_val_psnr={result.best_val_psnr:.4f} "
               f"final={result.final_path}")
         if args.log:
             shutil.copyfile(result.log_path, args.log)
@@ -204,28 +197,24 @@ def cmd_train(args):
     return 0
 
 
-def _pan_degraded(pan):
-    return blur_bands(pan[:, :, None])[::SCALE, ::SCALE, 0]
-
-
 def cmd_eval(args):
     _check_writable(args.report)
     model = load_checkpoint(args.model)
-    rows, pairs = _load_pairs(args.data)
+    rows = read_manifest(args.data)
     if rows[0]["c"] != model.config.bands:
         raise UsageError(
             f"dataset has {rows[0]['c']} bands but the checkpoint was "
             f"trained with {model.config.bands}"
         )
     report_rows = []
-    for s in pairs:
+    for row in rows:
+        s = load_sample(args.data, row["id"])
         pred = model.forward(s.pan, s.lrms).data
         m = {"id": s.id}
         m.update(evaluate_reference(s.gt, pred))
         if args.full_res:
-            m.update(
-                evaluate_noreference(pred, s.lrms, s.pan, _pan_degraded(s.pan))
-            )
+            pan_low = degrade_bands(s.pan[:, :, None])[:, :, 0]
+            m.update(evaluate_noreference(pred, s.lrms, s.pan, pan_low))
         report_rows.append(m)
     write_report_csv(
         args.report, report_rows,
@@ -312,9 +301,12 @@ def cmd_compare(args):
         raise UsageError(
             f"--d-frac names one run directory twice, got {args.d_frac!r}")
     tcfg = _train_config(args)
-    dataset = _training_set(args)
-    H, W = dataset[0][0]["H"], dataset[0][0]["W"]
-    os.makedirs(args.out, exist_ok=True)
+    rows, configs, train_pairs, val_pairs = _training_runs(args, {
+        os.path.join(args.out, f"{method}_d{frac:g}"):
+            {"variant": "adwm", "d_fraction": frac, "generator": method}
+        for method in methods for frac in fracs
+    })
+    H, W = rows[0]["H"], rows[0]["W"]
 
     lines = [
         "# params column counts the weighting modules only",
@@ -322,20 +314,16 @@ def cmd_compare(args):
         "(covariance + mlp + gate + combine) at these dimensions",
         "method,d_frac,params,flops,psnr",
     ]
-    for method in methods:
-        for frac in fracs:
-            run_dir = os.path.join(args.out, f"{method}_d{frac:g}")
-            result, model = _run_training(
-                args, tcfg, dataset, "adwm", run_dir, frac, method
-            )
-            params = adwm_param_count(model.config.weighting_config())
-            flops = diagnostics.count_flops(
-                H, W, args.channels, args.blocks, d_fraction=frac
-            ).total
-            lines.append(
-                f"{method},{frac:g},{params},{flops},{result.best_val_psnr:.10g}"
-            )
-            print(lines[-1])
+    for run_dir, cfg in configs.items():
+        result = train(PansharpenModel(cfg, seed=args.seed), train_pairs,
+                       val_pairs, tcfg, run_dir)
+        params = adwm_param_count(cfg.weighting_config())
+        flops = diagnostics.count_flops(
+            H, W, cfg.channels, cfg.blocks, d_fraction=cfg.d_fraction
+        ).total
+        lines.append(f"{cfg.generator},{cfg.d_fraction:g},{params},{flops},"
+                     f"{result.best_val_psnr:.10g}")
+        print(lines[-1])
     csv_path = os.path.join(args.out, "comparison.csv")
     with open(csv_path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -1,13 +1,18 @@
 """Synthetic dataset generation and bit-exact tensor file I/O.
 
+The data layer works on plain pixels: every function here takes and
+returns float64 numpy arrays. `adwm.tensor.Tensor` is the autodiff
+tape's type only; the model's forward and the trainer's batches put
+these arrays on the tape.
+
 Scenes are procedural stand-ins for satellite ground truth: random blobs,
 gratings, and rectangles, each with a spectral signature drawn from an
 AR(1) chain so adjacent bands are strongly correlated (the redundancy
 structure the weighting mechanism exploits). Degradation follows the
 reduced-resolution protocol: the scene is both the ground truth and the
-source of the simulated inputs (per-band Gaussian blur + SCALE-fold
-decimation for the low-res bands, a fixed spectral average for the
-panchromatic band).
+source of the simulated inputs (the sensor model `degrade_bands`,
+per-band Gaussian blur then SCALE-fold decimation, for the low-res
+bands; a fixed spectral average for the panchromatic band).
 
 File formats:
   TNSR  magic "TNSR", u32 version=1, u32 rank, u32 dims[rank], u8 dtype
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .tensor import Tensor
 
 TNSR_MAGIC = b"TNSR"
 TNSR_VERSION = 1
@@ -47,8 +51,8 @@ def _read_u32(buf, off, field):
     return struct.unpack_from("<I", buf, off)[0]
 
 
-def tensor_to_bytes(t):
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t)
+def tensor_to_bytes(arr):
+    arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim == 0:
         raise FormatError("rank-0 tensors are not representable", offset=8)
     head = bytearray()
@@ -64,8 +68,8 @@ def tensor_to_bytes(t):
 def tensor_from_bytes(buf, offset=0):
     """Decode one TNSR record starting at `offset`.
 
-    Returns (Tensor, next_offset). Raises FormatError carrying the byte
-    offset of whichever field is malformed or truncated.
+    Returns (float64 array, next_offset). Raises FormatError carrying
+    the byte offset of whichever field is malformed or truncated.
     """
     start = offset
     if len(buf) < offset + 4 or buf[offset:offset + 4] != TNSR_MAGIC:
@@ -107,21 +111,21 @@ def tensor_from_bytes(buf, offset=0):
         # an empty tensor whose other dims overflow numpy's index type
         raise FormatError(f"dims {dims} are not addressable",
                           offset=start + 12) from e
-    return Tensor(arr), offset + need
+    return arr, offset + need
 
 
-def write_tensor(path, t):
+def write_tensor(path, arr):
     with open(path, "wb") as f:
-        f.write(tensor_to_bytes(t))
+        f.write(tensor_to_bytes(arr))
 
 
 def read_tensor(path):
     with open(path, "rb") as f:
         buf = f.read()
-    t, end = tensor_from_bytes(buf)
+    arr, end = tensor_from_bytes(buf)
     if end != len(buf):
         raise FormatError(f"{len(buf) - end} trailing bytes after payload", offset=end)
-    return t
+    return arr
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +185,7 @@ def generate_scene(seed, H, W, c):
     hi = raw.max(axis=(0, 1), keepdims=True)
     span = np.where(hi - lo < 1e-12, 1.0, hi - lo)
     scene = 0.05 + 0.9 * (raw - lo) / span
-    return Tensor(np.clip(scene, 0.0, 1.0))
+    return np.clip(scene, 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -210,27 +214,32 @@ def _blur_reflect(band, k1d):
     return out
 
 
-def blur_bands(gt):
+def blur_bands(img):
     """Per-band Gaussian blur standing in for the sensor transfer function."""
-    arr = gt.data if isinstance(gt, Tensor) else np.asarray(gt)
+    arr = np.asarray(img, dtype=np.float64)
     k1d = _gaussian_kernel1d(_MTF_SIGMA, _MTF_SIZE)
     return np.stack([_blur_reflect(arr[:, :, b], k1d) for b in range(arr.shape[2])], axis=2)
+
+
+def degrade_bands(img):
+    """The sensor model: (H, W, c) -> (H/SCALE, W/SCALE, c), each band
+    blurred, then decimated SCALE-fold."""
+    return blur_bands(img)[::SCALE, ::SCALE, :]
 
 
 def wald_degrade(gt):
     """Ground truth -> (pan, lrms) simulated acquisition pair.
 
-    lrms is the blurred scene decimated SCALE-fold; pan is the uniform
+    lrms is the sensor model applied to the scene; pan is the uniform
     spectral average of the unblurred scene.
     """
-    arr = gt.data if isinstance(gt, Tensor) else np.asarray(gt)
+    arr = np.asarray(gt, dtype=np.float64)
     if arr.ndim != 3:
         raise DimensionError(f"ground truth must be (H, W, c), got {arr.shape}")
     c = arr.shape[2]
-    blurred = blur_bands(arr)
-    lrms = blurred[::SCALE, ::SCALE, :]
+    lrms = degrade_bands(arr)
     pan = arr @ np.full(c, 1.0 / c)
-    return Tensor(pan), Tensor(lrms)
+    return pan, lrms
 
 
 # ----------------------------------------------------------------------
@@ -323,9 +332,9 @@ def load_sample(data_dir, sample_id):
     try:
         return SamplePair(
             id=sample_id,
-            pan=read_tensor(os.path.join(sdir, "pan.tnsr")).data,
-            lrms=read_tensor(os.path.join(sdir, "lrms.tnsr")).data,
-            gt=read_tensor(os.path.join(sdir, "gt.tnsr")).data,
+            pan=read_tensor(os.path.join(sdir, "pan.tnsr")),
+            lrms=read_tensor(os.path.join(sdir, "lrms.tnsr")),
+            gt=read_tensor(os.path.join(sdir, "gt.tnsr")),
         )
     except FileNotFoundError as e:
         raise ConfigurationError(f"sample {sample_id} is missing {e.filename}") from None

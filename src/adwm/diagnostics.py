@@ -17,7 +17,7 @@ import numpy as np
 
 from .cacw import D_FRACTION, compute_covariance, pca_eigendecompose, reduced_width
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
-from .tensor import Tensor, as_tensor, softmax
+from .tensor import as_tensor, softmax
 from .weighting import _channel_observations
 
 # ----------------------------------------------------------------------
@@ -66,7 +66,7 @@ def layer_spectra(weights):
     out = []
     for i, f in enumerate(weights["features"]):
         cov = feature_covariance(f)
-        scree = scree_curve(Tensor(cov))
+        scree = scree_curve(cov)
         out.append({
             "layer": i,
             "scree": scree,

@@ -38,19 +38,21 @@ def _check_same_shape(a, b, what):
 # reference metrics
 
 def psnr(gt, pred):
-    """PSNR in dB of images on [0, 1] (peak 1), capped at PSNR_CAP."""
+    """PSNR in dB of images on [0, 1] (peak 1), capped at PSNR_CAP; a NaN
+    in either image gives NaN."""
     gt = np.asarray(gt, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     _check_same_shape(gt, pred, "psnr")
     mse = float(np.mean((gt - pred) ** 2))
     if mse == 0.0:
         return PSNR_CAP
-    return float(min(PSNR_CAP, 10.0 * np.log10(1.0 / mse)))
+    # np.minimum, unlike min, keeps a NaN
+    return float(np.minimum(PSNR_CAP, 10.0 * np.log10(1.0 / mse)))
 
 
 def sam(gt, pred):
     """Mean spectral angle in degrees; pixels with a zero-norm spectrum
-    in either image are skipped.
+    in either image are skipped, and a NaN pixel makes the mean NaN.
 
     The angle is evaluated as 2*atan2(|u-v|, |u+v|) on unit vectors,
     which equals arccos of the normalized inner product but stays exact
@@ -65,7 +67,8 @@ def sam(gt, pred):
     p = pred.reshape(-1, gt.shape[2])
     gn = _row_norms(g)
     pn = _row_norms(p)
-    keep = (gn > 0) & (pn > 0)
+    # a NaN norm is kept: only an exact zero has no direction
+    keep = (gn != 0) & (pn != 0)
     if not keep.all():
         if not keep.any():
             return 0.0
@@ -315,8 +318,9 @@ def d_s(fused, lrms, pan, pan_degraded, window=WINDOW):
 
 
 def hqnr(dl, ds):
-    """Product form: 1 at no distortion, 0 once either term saturates."""
-    return float(max(0.0, 1.0 - dl) * max(0.0, 1.0 - ds))
+    """Product form: 1 at no distortion, 0 once either term saturates,
+    NaN when either term is NaN."""
+    return float(np.maximum(0.0, 1.0 - dl) * np.maximum(0.0, 1.0 - ds))
 
 
 # ----------------------------------------------------------------------

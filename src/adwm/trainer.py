@@ -172,7 +172,7 @@ def train(model, train_pairs, val_pairs, cfg, out_dir):
                 total_n += gt.data.size
             train_l1 = total_abs / total_n
             val_psnr = evaluate_psnr(model, val_pairs) if val_pairs else float("nan")
-            if val_pairs and val_psnr > best:
+            if val_psnr > best:  # False for NaN, and so without val_pairs
                 best = val_psnr
                 save_checkpoint(best_path, model)
             history.append(
@@ -182,7 +182,9 @@ def train(model, train_pairs, val_pairs, cfg, out_dir):
             log.flush()
 
     save_checkpoint(final_path, model)
-    if not val_pairs or not os.path.exists(best_path):
+    # no epoch saved a best (no validation set, or no finite PSNR), so the
+    # final model is the best: a file left by an earlier run must not stand
+    if best == -np.inf:
         save_checkpoint(best_path, model)
         best = float("nan")
     return TrainResult(

@@ -159,15 +159,18 @@ def test_eval_full_res_adds_consistency_metrics(tmp_path, run_dir, data_dir):
         assert key in cols
 
 
-def test_eval_band_mismatch_is_usage_error(tmp_path, run_dir, capsys):
+def test_eval_band_mismatch_is_usage_error(tmp_path, run_dir, capsys, monkeypatch):
     other = tmp_path / "data3"
     assert main(["gen-data", "--out", str(other), "--count", "1",
                  "--size", "16", "16", "--bands", "3"]) == 0
+    reads = counted_reads(monkeypatch)
     ckpt = os.path.join(run_dir, "checkpoint_final.ckpt")
     rc = main(["eval", "--model", ckpt, "--data", str(other),
                "--report", str(tmp_path / "r.csv")])
     assert rc == 2
     assert "bands" in capsys.readouterr().err
+    # the manifest's band count is checked before any sample is read
+    assert reads == []
 
 
 def counted_forwards(monkeypatch):
@@ -335,6 +338,24 @@ def test_bad_d_frac_exits_2(tmp_path, data_dir, capsys, command, frac):
                "--d-frac", frac, *TRAIN_FLAGS])
     assert rc == 2
     assert "--d-frac" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--channels", "0"]),
+    ("train", ["--blocks", "0"]),
+    ("train", ["--d-frac", "3"]),
+    ("compare", ["--d-frac", "3"]),
+])
+def test_bad_model_setting_exits_2_before_reading_data(tmp_path, data_dir, capsys,
+                                                       monkeypatch, command, flags):
+    # only the band count needs the dataset, and it comes from the manifest
+    reads = counted_reads(monkeypatch)
+    out = tmp_path / "o"
+    rc = main([command, "--data", data_dir, "--out", str(out), *TRAIN_FLAGS, *flags])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert reads == []
     assert not out.exists()
 
 

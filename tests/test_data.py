@@ -1,3 +1,4 @@
+import ast
 import os
 import struct
 
@@ -11,6 +12,7 @@ from adwm.data import (
     SamplePair,
     blur_bands,
     build_dataset,
+    degrade_bands,
     generate_scene,
     load_dataset,
     load_sample,
@@ -22,6 +24,7 @@ from adwm.data import (
     wald_degrade,
     write_tensor,
 )
+from adwm import data
 from adwm.errors import AdwmError, ConfigurationError, FormatError
 from adwm.tensor import Tensor
 
@@ -34,20 +37,20 @@ def test_roundtrip_bytes_identity():
     rng = np.random.default_rng(0)
     for shape in [(3,), (2, 5), (4, 3, 2), (1, 1, 1, 1)]:
         arr = rng.standard_normal(shape)
-        t, end = tensor_from_bytes(tensor_to_bytes(Tensor(arr)))
-        assert t.data.shape == shape
-        np.testing.assert_array_equal(t.data, arr)
+        t, end = tensor_from_bytes(tensor_to_bytes(arr))
+        assert t.shape == shape
+        np.testing.assert_array_equal(t, arr)
 
 
 def test_roundtrip_file_bit_exact(tmp_path):
     arr = np.random.default_rng(1).standard_normal((5, 7))
     p = tmp_path / "a.tnsr"
-    write_tensor(p, Tensor(arr))
+    write_tensor(p, arr)
     back = read_tensor(p)
-    assert back.data.tobytes() == arr.tobytes()
+    assert back.tobytes() == arr.tobytes()
     # writing the same tensor twice gives identical files
     p2 = tmp_path / "b.tnsr"
-    write_tensor(p2, Tensor(arr))
+    write_tensor(p2, arr)
     assert p.read_bytes() == p2.read_bytes()
 
 
@@ -56,12 +59,12 @@ def test_float32_payload_upcast():
     arr = np.array([[1.5, -2.25]])
     buf = tnsr_header(arr.shape, code=1) + arr.astype("<f4").tobytes()
     t, _ = tensor_from_bytes(buf)
-    assert t.data.dtype == np.float64
-    np.testing.assert_array_equal(t.data, arr)  # values exactly representable
+    assert t.dtype == np.float64
+    np.testing.assert_array_equal(t, arr)  # values exactly representable
 
 
 def test_header_layout():
-    buf = tensor_to_bytes(Tensor(np.zeros((2, 3))))
+    buf = tensor_to_bytes(np.zeros((2, 3)))
     assert buf[:4] == b"TNSR"
     assert struct.unpack_from("<I", buf, 4)[0] == 1        # version
     assert struct.unpack_from("<I", buf, 8)[0] == 2        # rank
@@ -72,11 +75,11 @@ def test_header_layout():
 
 def test_rank0_rejected():
     with pytest.raises(FormatError):
-        tensor_to_bytes(Tensor(np.float64(3.0)))
+        tensor_to_bytes(np.float64(3.0))
 
 
 def test_bad_magic_offset():
-    buf = b"XXXX" + tensor_to_bytes(Tensor(np.zeros(3)))[4:]
+    buf = b"XXXX" + tensor_to_bytes(np.zeros(3))[4:]
     with pytest.raises(FormatError) as e:
         tensor_from_bytes(buf)
     assert e.value.offset == 0
@@ -84,7 +87,7 @@ def test_bad_magic_offset():
 
 
 def test_bad_version_offset():
-    buf = bytearray(tensor_to_bytes(Tensor(np.zeros(3))))
+    buf = bytearray(tensor_to_bytes(np.zeros(3)))
     struct.pack_into("<I", buf, 4, 99)
     with pytest.raises(FormatError) as e:
         tensor_from_bytes(bytes(buf))
@@ -92,7 +95,7 @@ def test_bad_version_offset():
 
 
 def test_truncated_payload_offset():
-    buf = tensor_to_bytes(Tensor(np.zeros((2, 2))))
+    buf = tensor_to_bytes(np.zeros((2, 2)))
     with pytest.raises(FormatError) as e:
         tensor_from_bytes(buf[:-5])
     # payload starts right after 4+4+4+8+1 = 21 header bytes
@@ -112,7 +115,7 @@ def test_dims_overflow_is_format_error():
             tensor_from_bytes(tnsr_header(dims))
         assert e.value.offset in (12, 12 + 4 * len(dims) + 1)
     t, end = tensor_from_bytes(tnsr_header((0, 3)))
-    assert t.data.shape == (0, 3) and end == 21
+    assert t.shape == (0, 3) and end == 21
 
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
@@ -141,9 +144,25 @@ def test_any_u32_dims_parse_or_format_error(dims, code, payload):
     _parses_or_format_error(tnsr_header(dims, code) + payload)
 
 
+def test_data_layer_is_off_the_tape():
+    # the data layer takes and returns arrays; the model builds its tape
+    with open(data.__file__) as f:
+        tree = ast.parse(f.read())
+    modules = [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    modules += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                for a in n.names]
+    assert [m for m in modules if m.split(".")[-1] == "tensor"] == []
+    # a stray Tensor is not read as a 0-d object array
+    arr = np.zeros((4, 4, 2))
+    for fn in (tensor_to_bytes, blur_bands, wald_degrade):
+        fn(arr)
+        with pytest.raises(TypeError):
+            fn(Tensor(arr))
+
+
 def test_trailing_garbage_rejected(tmp_path):
     p = tmp_path / "x.tnsr"
-    p.write_bytes(tensor_to_bytes(Tensor(np.zeros(2))) + b"\x00")
+    p.write_bytes(tensor_to_bytes(np.zeros(2)) + b"\x00")
     with pytest.raises(FormatError):
         read_tensor(p)
 
@@ -155,11 +174,11 @@ def test_trailing_garbage_rejected(tmp_path):
 def test_scene_shape_range_determinism():
     a = generate_scene(7, 32, 48, 4)
     b = generate_scene(7, 32, 48, 4)
-    assert a.data.shape == (32, 48, 4)
-    assert a.data.min() >= 0.0 and a.data.max() <= 1.0
-    np.testing.assert_array_equal(a.data, b.data)
+    assert a.shape == (32, 48, 4)
+    assert a.min() >= 0.0 and a.max() <= 1.0
+    np.testing.assert_array_equal(a, b)
     c = generate_scene(8, 32, 48, 4)
-    assert not np.array_equal(a.data, c.data)
+    assert not np.array_equal(a, c)
 
 
 def test_scene_dims_must_divide_by_four():
@@ -171,7 +190,7 @@ def test_scene_dims_must_divide_by_four():
 def test_adjacent_band_correlation_over_100_seeds():
     # empirical floor measured at 0.70 across seeds 0..99; the contract is 0.5
     for seed in range(100):
-        flat = generate_scene(seed, 32, 32, 4).data.reshape(-1, 4)
+        flat = generate_scene(seed, 32, 32, 4).reshape(-1, 4)
         cc = np.corrcoef(flat.T)
         for i in range(3):
             assert cc[i, i + 1] > 0.5, f"seed {seed}, bands {i},{i+1}: {cc[i, i+1]}"
@@ -204,20 +223,29 @@ def test_blur_matches_direct_convolution():
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
+def test_degrade_bands_is_blur_then_decimation():
+    rng = np.random.default_rng(4)
+    img = rng.random((16, 12, 3))
+    low = degrade_bands(img)
+    assert low.shape == (16 // SCALE, 12 // SCALE, 3)
+    np.testing.assert_array_equal(low, blur_bands(img)[::SCALE, ::SCALE])
+    np.testing.assert_array_equal(wald_degrade(img)[1], low)
+
+
 def test_degrade_shapes_and_pan_average():
     gt = generate_scene(11, 32, 64, 4)
     pan, lrms = wald_degrade(gt)
-    assert pan.data.shape == (32, 64)
-    assert lrms.data.shape == (8, 16, 4)
-    np.testing.assert_allclose(pan.data, gt.data.mean(axis=2), atol=1e-12)
+    assert pan.shape == (32, 64)
+    assert lrms.shape == (8, 16, 4)
+    np.testing.assert_allclose(pan, gt.mean(axis=2), atol=1e-12)
 
 
 def test_degrade_is_pure():
     gt = generate_scene(5, 16, 16, 4)
     p1, l1 = wald_degrade(gt)
     p2, l2 = wald_degrade(gt)
-    np.testing.assert_array_equal(p1.data, p2.data)
-    np.testing.assert_array_equal(l1.data, l2.data)
+    np.testing.assert_array_equal(p1, p2)
+    np.testing.assert_array_equal(l1, l2)
 
 
 def test_lrms_band_means_close_to_gt():
@@ -225,8 +253,8 @@ def test_lrms_band_means_close_to_gt():
     for seed in range(10):
         gt = generate_scene(seed, 64, 64, 4)
         _, lrms = wald_degrade(gt)
-        gm = gt.data.mean(axis=(0, 1))
-        lm = lrms.data.mean(axis=(0, 1))
+        gm = gt.mean(axis=(0, 1))
+        lm = lrms.mean(axis=(0, 1))
         assert np.all(np.abs(lm - gm) <= 0.02 * np.abs(gm))
 
 
@@ -247,9 +275,9 @@ def test_build_dataset_layout_and_roundtrip(tmp_path):
         s = load_sample(tmp_path, row["id"])
         gt = generate_scene(row["seed"], 16, 16, 4)
         pan, lrms = wald_degrade(gt)
-        np.testing.assert_array_equal(s.gt, gt.data)
-        np.testing.assert_array_equal(s.pan, pan.data)
-        np.testing.assert_array_equal(s.lrms, lrms.data)
+        np.testing.assert_array_equal(s.gt, gt)
+        np.testing.assert_array_equal(s.pan, pan)
+        np.testing.assert_array_equal(s.lrms, lrms)
 
 
 def test_build_dataset_deterministic(tmp_path):

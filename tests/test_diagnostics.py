@@ -25,8 +25,7 @@ from adwm.weighting import AdwmConfig, aggregate, make_adwm_modules
 def make_pair(seed=0, H=16, W=16, c=2):
     gt = generate_scene(seed, H, W, c)
     pan, lrms = wald_degrade(gt)
-    return SamplePair(id=f"sample_{seed:05d}", pan=pan.data, lrms=lrms.data,
-                      gt=gt.data)
+    return SamplePair(id=f"sample_{seed:05d}", pan=pan, lrms=lrms, gt=gt)
 
 
 def trained_like_model(variant="adwm", C=4, N=2, seed=0):

@@ -339,6 +339,8 @@ def test_hqnr_fixed_points():
     assert hqnr(0.7, 1.0) == 0.0
     assert abs(hqnr(0.2, 0.5) - 0.4) < 1e-12
     assert hqnr(1.5, 0.2) == 0.0  # clamped, never negative
+    # the clamp keeps a NaN term, as the min and max builtins would not
+    assert np.isnan(hqnr(np.nan, 0.0)) and np.isnan(hqnr(1.5, np.nan))
 
 
 # ----------------------------------------------------------------------
@@ -644,6 +646,25 @@ def test_evaluate_noreference_keys():
     m = evaluate_noreference(fused, lrms, rng.random((32, 32)), rng.random((8, 8)))
     assert set(m) == {"d_lambda", "d_s", "hqnr"}
     assert abs(m["hqnr"] - hqnr(m["d_lambda"], m["d_s"])) < 1e-15
+
+
+@pytest.mark.parametrize("where", ["all", "one_pixel"])
+def test_nan_prediction_scores_nan(where):
+    # a NaN prediction is never perfect: min(cap, nan) is the cap, and a
+    # NaN spectrum is not a zero-norm one
+    rng = np.random.default_rng(26)
+    gt = rng.random((32, 32, 4)) + 0.1
+    pred = gt.copy()
+    if where == "all":
+        pred[...] = np.nan
+    else:
+        pred[5, 7, 2] = np.nan
+    m = evaluate_reference(gt, pred)
+    m.update(evaluate_noreference(pred, rng.random((8, 8, 4)),
+                                  rng.random((32, 32)), rng.random((8, 8))))
+    assert set(m) == {"psnr", "sam", "ergas", "q2n", "d_lambda", "d_s", "hqnr"}
+    for k, v in m.items():
+        assert np.isnan(v), f"{k}={v}"
 
 
 def test_report_csv_layout(tmp_path):

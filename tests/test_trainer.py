@@ -22,8 +22,7 @@ def make_pairs(n, seed0=0, H=16, W=16, c=2):
     for i in range(n):
         gt = generate_scene(seed0 + i, H, W, c)
         pan, lrms = wald_degrade(gt)
-        out.append(SamplePair(id=f"sample_{i:05d}", pan=pan.data,
-                              lrms=lrms.data, gt=gt.data))
+        out.append(SamplePair(id=f"sample_{i:05d}", pan=pan, lrms=lrms, gt=gt))
     return out
 
 
@@ -219,6 +218,22 @@ def test_nan_loss_aborts_with_batch_id(tmp_path):
     # the abort hands the parameters back outside the tape
     assert not any(p.requires_grad for p in model.params())
     assert not model.forward(pairs[0].pan, pairs[0].lrms).requires_grad
+
+
+def test_nan_validation_keeps_no_stale_best(tmp_path):
+    # a best checkpoint from an earlier run sits in the output directory,
+    # and no epoch gives a finite validation PSNR
+    stale = tmp_path / "checkpoint_best.ckpt"
+    stale.write_bytes(b"from an earlier run")
+    pairs = make_pairs(5)
+    pairs[4].lrms[1, 2, 0] = np.nan
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=0)
+    res = train(tiny_model(seed=8), pairs[:4], pairs[4:], cfg, out_dir=tmp_path)
+    assert len(res.history) == 2
+    assert all(np.isnan(h["val_psnr"]) for h in res.history)
+    assert np.isnan(res.best_val_psnr)
+    with open(res.best_path, "rb") as f, open(res.final_path, "rb") as g:
+        assert f.read() == g.read()
 
 
 def test_log_streams_one_row_per_finished_epoch(tmp_path, monkeypatch):
