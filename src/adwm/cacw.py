@@ -209,34 +209,37 @@ def cacw_forward(module, X):
 
 @dataclass
 class PcaResult:
-    eigenvalues: np.ndarray   # sorted descending
-    eigenvectors: np.ndarray  # orthonormal columns, eigenvectors[:, i] <-> eigenvalues[i]
+    eigenvalues: np.ndarray   # (..., n), sorted descending
+    eigenvectors: np.ndarray  # (..., n, n), orthonormal columns, [..., :, i] <-> eigenvalues[..., i]
 
     def basis(self, k):
-        if k > self.eigenvectors.shape[1]:
+        """The top k eigenvectors of each matrix, (..., n, k), C-contiguous."""
+        if k > self.eigenvectors.shape[-1]:
             raise DimensionError(
-                f"requested basis size {k} exceeds dimension {self.eigenvectors.shape[1]}"
+                f"requested basis size {k} exceeds dimension {self.eigenvectors.shape[-1]}"
             )
-        return self.eigenvectors[:, :k]
+        return np.ascontiguousarray(self.eigenvectors[..., :k])
 
 
 def pca_eigendecompose(C):
-    """Symmetric eigendecomposition, eigenvalues sorted descending.
+    """Symmetric eigendecomposition of each matrix of an (..., n, n)
+    stack, eigenvalues sorted descending.
 
     Each eigenvector's largest-magnitude component is made positive, so
-    the result is deterministic up to ties.
+    the result is deterministic up to ties. One batched `np.linalg.eigh`
+    call gives each matrix the bytes that a call on it alone gives.
     """
     C = C.data if isinstance(C, Tensor) else np.asarray(C, dtype=np.float64)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise DimensionError(f"eigendecomposition needs a square matrix, got {C.shape}")
+    if C.ndim < 2 or C.shape[-1] != C.shape[-2]:
+        raise DimensionError(f"eigendecomposition needs square matrices, got {C.shape}")
     if not np.all(np.isfinite(C)):
         raise NumericError("eigendecomposition of a matrix with non-finite entries")
-    lam, V = np.linalg.eigh((C + C.T) / 2.0)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    V = V[:, order]
-    top = np.argmax(np.abs(V), axis=0)
-    V = V * np.where(V[top, np.arange(V.shape[1])] < 0, -1.0, 1.0)
+    lam, V = np.linalg.eigh((C + np.swapaxes(C, -1, -2)) / 2.0)
+    order = np.argsort(-lam, axis=-1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=-1)
+    V = np.take_along_axis(V, order[..., None, :], axis=-1)
+    top = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
+    V = V * np.where(top < 0, -1.0, 1.0)
     return PcaResult(lam, V)
 
 
@@ -287,9 +290,7 @@ class PcaWeights(_MlpHead):
 
     def forward(self, X):
         cov = compute_covariance(self._observations(X)).data
-        flat = cov.reshape((-1,) + cov.shape[-2:])
-        basis = np.stack([pca_eigendecompose(c).basis(self.k) for c in flat])
-        return self._mlp_rows(Tensor(basis.reshape(cov.shape[:-2] + basis.shape[-2:])))
+        return self._mlp_rows(Tensor(pca_eigendecompose(cov).basis(self.k)))
 
 
 WEIGHT_GENERATORS = {

@@ -10,7 +10,11 @@ Everything is float64, which keeps finite-difference checks tight.
 The sweep releases each intermediate's gradient as its node runs, so an
 op can hand that array to a parent as the parent's own gradient rather
 than a copy: after `Tensor.backward()` leaves keep their ``grad`` and
-intermediates have None.
+intermediates have None. An op may also hand a parent a gradient as two
+factors, a shared array and a scale (`_accumulate_product`): a node the
+sweep has yet to reach keeps them, and forms their product when the
+sweep reaches it or when a second gradient arrives for it, so the bytes
+are those of handing over the product at once.
 
 Shapes follow numpy. Image tensors are channels-last, (H, W, C), with an
 optional leading batch axis (B, H, W, C) accepted by the image ops. The
@@ -24,7 +28,11 @@ so a conv and its epilogue keep one buffer on the tape.
 `channel_scale(f, alpha)` gates a map by per-channel weights. Each gives
 the bytes of the composition it replaces, forward and backward. The
 per-channel operand is tiled along W, so numpy runs one flat loop over
-the merged W*C axis instead of a C-long inner loop. Leaky ReLU has one
+the merged W*C axis instead of a C-long inner loop. A gated map is kept
+as its two factors, f's data and the tiled weights, and never stored
+whole: its ``data`` forms the map afresh on each read, so a write to
+that array is lost, and `_formed(buf)` forms it into a caller's buffer.
+Leaky ReLU has one
 kernel, `_leaky`, shared by `Tensor.leaky_relu` and `bias_act`, and one
 negative slope, `LEAKY_SLOPE`.
 
@@ -100,24 +108,25 @@ def as_tensor(x):
 def _node(data, parents, backward):
     """The result of an op over `parents`; the one route onto the tape.
 
+    `data` is the result's array, or the result itself when it is a
+    Tensor that keeps its data as factors (`channel_scale`'s gated map).
     When some parent requires grad, the result links its parents and the
     sweep calls `backward(grad)` with its gradient, which accumulates into
-    each parent that requires grad. The sweep first sets the result's
-    ``grad`` to None, so `backward` holds the only reference to that
-    array and may hand it to one parent as the parent's own
-    (`_accumulate(grad, owned=True)`), as PyTorch's AccumulateGrad does.
-    Otherwise the result keeps neither, so a forward with no tape frees
-    each intermediate once its consumer exists.
+    each parent that requires grad. The sweep first takes the result's
+    gradient from it (`_release_grad`), so `backward` holds the only
+    reference to that array and may hand it to one parent as the parent's
+    own (`_accumulate(grad, owned=True)`), as PyTorch's AccumulateGrad
+    does. Otherwise the result keeps neither, so a forward with no tape
+    frees each intermediate once its consumer exists.
     """
-    out = Tensor(data)
+    out = data if isinstance(data, Tensor) else Tensor(data)
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True
             out._parents = tuple(parents)
 
             def release_and_push():
-                g, out.grad = out.grad, None
-                backward(g)
+                backward(out._release_grad())
 
             out._backward_fn = release_and_push
             break
@@ -128,14 +137,18 @@ class Tensor:
     """A numpy array plus optional participation in the gradient tape."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "__weakref__")
+                 "_grad_factors", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
+        self._off_tape(requires_grad)
+
+    def _off_tape(self, requires_grad=False):
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward_fn = None
+        self._grad_factors = None
 
     # ------------------------------------------------------------------
     # plumbing
@@ -154,7 +167,7 @@ class Tensor:
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
+        return f"Tensor(shape={self.shape}{flag})"
 
     def detach(self):
         """A view of the same data, cut off from the tape."""
@@ -162,6 +175,13 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
+        self._grad_factors = None
+
+    def _formed(self, buf):
+        """This tensor's data. A tensor that keeps its data as factors
+        forms it into `buf`, a float64 array of its shape, and returns
+        `buf`; any other returns ``data`` and leaves `buf` as it was."""
+        return self.data
 
     def _accumulate(self, g, owned=False):
         """Add `g`, an array of exactly this tensor's shape, into ``grad``.
@@ -172,10 +192,38 @@ class Tensor:
         Any other first write takes a straight copy: one memory pass
         instead of the zeros-then-add two, and never aliases the source.
         """
+        if self._grad_factors is not None:
+            self.grad = self._release_grad()
         if self.grad is None:
-            self.grad = g if owned else np.array(g, dtype=self.data.dtype, order="C")
+            self.grad = g if owned else np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
+
+    def _accumulate_product(self, g, factor):
+        """Add `g * factor` into ``grad``, with the bytes of
+        `_accumulate(g * factor, owned=True)`.
+
+        `g` may be shared with other tensors, so nothing writes to it. A
+        node that the sweep has yet to reach, and that holds no gradient
+        yet, keeps the two factors instead of their product. It forms the
+        product when the sweep reaches it (`_release_grad`), or when a
+        second contribution arrives (`_accumulate`), so contributions add
+        up in the order they arrive. So a sum that hands its gradient to N
+        maps this way never holds their N products at once.
+        """
+        if self.grad is None and self._grad_factors is None and self._backward_fn is not None:
+            self._grad_factors = (g, factor)
+        else:
+            self._accumulate(g * factor, owned=True)
+
+    def _release_grad(self):
+        """Take this node's gradient from it, formed if it is held as factors."""
+        if self._grad_factors is not None:
+            g, factor = self._grad_factors
+            self._grad_factors = None
+            return g * factor
+        g, self.grad = self.grad, None
+        return g
 
     def backward(self):
         """Reverse-mode sweep from a scalar output.
@@ -548,6 +596,46 @@ def bias_act(x, b, leaky=False, residual=None):
     return _node(out, parents, backward)
 
 
+class _GatedMap(Tensor):
+    """`channel_scale`'s result, kept as its two factors: the map's data
+    and the gate tiled along W. ``data`` forms the product afresh on each
+    read, so a write to that array is lost; `_formed(buf)` forms it into
+    a caller's buffer instead."""
+
+    __slots__ = ("_src", "_gate")
+
+    def __init__(self, src, gate):
+        self._src, self._gate = src, gate
+        self._off_tape()
+
+    @property
+    def data(self):
+        return self._formed(np.empty(self._src.shape))
+
+    @property
+    def shape(self):
+        return self._src.shape
+
+    @property
+    def ndim(self):
+        return self._src.ndim
+
+    @property
+    def size(self):
+        return self._src.size
+
+    def _formed(self, buf):
+        return _gate_rows(self._src, self._gate, buf)
+
+
+def _gate_rows(a, gate, out):
+    """a * gate into out, both of a's shape (..., H, W, C), with the
+    (..., 1, W*C) gate read over the merged W*C axis."""
+    rows = a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
+    np.multiply(a.reshape(rows), gate, out=out.reshape(rows))
+    return out
+
+
 def channel_scale(f, alpha):
     """Scale each channel of a map by its own weight.
 
@@ -557,6 +645,13 @@ def channel_scale(f, alpha):
     forward and backward: the weights are tiled along W over the merged
     W*C axis, and their gradient is summed as that (..., 1, 1, C)
     operand's.
+
+    The node stores no product: it keeps f's data and the tiled weights,
+    and its ``data`` forms the gated map afresh on each read, so a write
+    to that array is lost. A consumer that reads the map once per pass,
+    as `weighting.weighted_sum` does, forms it into a buffer of its own
+    with `_formed`. So f's data must not be written while the node is
+    read, as with every op's inputs between the forward and the backward.
     """
     f, alpha = as_tensor(f), as_tensor(alpha)
     if f.ndim < 3 or alpha.shape != f.shape[:-3] + f.shape[-1:]:
@@ -565,22 +660,16 @@ def channel_scale(f, alpha):
         )
     lead = f.shape[:-3]
     h, w, c = f.shape[-3:]
-    rows = lead + (h, w * c)
     gate = np.tile(alpha.data, w).reshape(lead + (1, w * c))
-
-    def scaled(a):
-        out = _empty(f.shape)
-        np.multiply(a.reshape(rows), gate, out=out.reshape(rows))
-        return out
 
     def backward(g):
         if alpha.requires_grad:
             ga = _unbroadcast(g * f.data, lead + (1, 1, c)).reshape(alpha.shape)
             alpha._accumulate(ga, owned=True)
         if f.requires_grad:
-            f._accumulate(scaled(g), owned=True)
+            f._accumulate(_gate_rows(g, gate, _empty(f.shape)), owned=True)
 
-    return _node(scaled(f.data), (f, alpha), backward)
+    return _node(_GatedMap(f.data, gate), (f, alpha), backward)
 
 
 # ----------------------------------------------------------------------

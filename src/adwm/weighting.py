@@ -11,6 +11,18 @@ aggregates the gated maps with softmax layer weights.
 `aggregate` is the one entry point over a feature stack; `ifw_apply`
 and `cfw_apply` are its two levels. Everything accepts channels-last
 (H, W, C) features or (B, H, W, C) batches.
+
+No gated map is stored whole. `tensor.channel_scale` keeps each as its
+feature map and tiled gate, and its ``data`` forms the map afresh on
+each read, so a write to that array is lost. `weighted_sum` forms each
+gated map into one reused buffer as it sums. Its backward first forms
+them again, one at a time, for the layer weights' gradient, then hands
+each map the sum's released gradient and that map's layer factor: the
+map's node multiplies them when the sweep reaches it, so the N
+per-layer gradients never exist at once. The handed gradient is shared
+and nothing writes to it; a map that gets a second gradient, from
+another consumer or a second place in the sum, forms its product then,
+so gradients add up in the order and with the bytes of stored maps.
 """
 
 from dataclasses import dataclass
@@ -107,7 +119,8 @@ def weighted_sum(maps, w=None):
 
     maps: N tensors of one shape, (H, W, C) or (B, H, W, C). w: layer
     weights of shape (N,) or (B, N), or None for the uniform 1/N, which
-    makes this the plain mean of the stack.
+    makes this the plain mean of the stack. A gated map is formed into a
+    scratch buffer each time it is read, never stored (module docstring).
     """
     maps = [as_tensor(m) for m in maps]
     n = len(maps)
@@ -131,21 +144,23 @@ def weighted_sum(maps, w=None):
         # order gradients accumulate into the maps during backward
         parents = (maps[0], w) + tuple(maps[1:])
 
-    data = maps[0].data * factors[0]
-    term = _empty(shape)
+    scratch = _empty(shape)
+    data = maps[0]._formed(scratch) * factors[0]
     for m, f in zip(maps[1:], factors[1:]):
-        data += np.multiply(m.data, f, out=term)
+        data += np.multiply(m._formed(scratch), f, out=scratch)
 
     def backward(g):
-        for m, f in zip(maps, factors):
-            if m.requires_grad:
-                m._accumulate(g * f, owned=True)
         if w is not None and w.requires_grad:
             prod = _empty(shape)
             w._accumulate(np.stack(
-                [np.multiply(g, m.data, out=prod).sum(axis=(-3, -2, -1))
+                [np.multiply(g, m._formed(prod), out=prod).sum(axis=(-3, -2, -1))
                  for m in maps], axis=-1
             ), owned=True)
+        # each map forms its g * f when the sweep reaches it, so the N
+        # products never exist at once; g is shared and never written
+        for m, f in zip(maps, factors):
+            if m.requires_grad:
+                m._accumulate_product(g, f)
 
     return _node(data, parents, backward)
 

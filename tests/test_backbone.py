@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -421,6 +423,40 @@ def test_forward_and_gradients_match_unfused_model_bitwise(variant, batched):
         runs.append([loss.data, out.data, lt.grad] + [p.grad for p in model.params()])
     for i, (got, want) in enumerate(zip(*runs)):
         assert_bitwise(got, want, (variant, i))
+
+
+def _forward_memory(variant, grad):
+    """(bytes held, peak bytes) of one batched forward, by tracemalloc,
+    over what was allocated before it."""
+    model = PansharpenModel(ModelConfig(bands=2, channels=8, blocks=4, variant=variant),
+                            seed=1)
+    for p in model.params():
+        p.requires_grad = grad
+    rng = np.random.default_rng(0)
+    pan, lrms = Tensor(rng.random((2, 64, 64))), Tensor(rng.random((2, 16, 16, 2)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = model.forward(pan, lrms)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad == grad
+    return held - base, peak - base
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_gated_maps_are_never_stored_whole(grad):
+    # adwm differs from cfw by its N channel gates; a gated map is kept as
+    # the feature map and its tiled gate, so neither the tape after a
+    # forward nor a no-grad forward's peak holds N more feature maps
+    feature_map = 2 * 64 * 64 * 8 * 8
+    adwm, cfw = _forward_memory("adwm", grad), _forward_memory("cfw", grad)
+    if grad:
+        assert adwm[0] - cfw[0] < feature_map, (adwm, cfw)
+    else:
+        assert adwm[1] - cfw[1] < feature_map, (adwm, cfw)
 
 
 def test_checkpoint_roundtrip(tmp_path):

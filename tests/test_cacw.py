@@ -336,6 +336,68 @@ def test_eigendecompose_rejects_non_finite():
             pca_eigendecompose(C)
 
 
+def eigendecompose_oracle(C):
+    """One matrix at a time, as `pca_eigendecompose` ran before it took stacks."""
+    lam, V = np.linalg.eigh((C + C.T) / 2.0)
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
+    V = V[:, order]
+    top = np.argmax(np.abs(V), axis=0)
+    V = V * np.where(V[top, np.arange(V.shape[1])] < 0, -1.0, 1.0)
+    return lam, V
+
+
+@pytest.mark.parametrize("lead", [(16,), (2, 3)])
+@pytest.mark.parametrize("n", [4, 16])
+def test_eigendecompose_stack_matches_each_matrix_bitwise(lead, n):
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        A = rng.standard_normal(lead + (n + 3, n))
+        C = np.matmul(np.swapaxes(A, -1, -2), A) / (n + 2)
+        # a rank-one matrix: its n - 1 zero eigenvalues tie up to rounding
+        C[(0,) * len(lead)] = np.outer(A[(0,) * len(lead)][0], A[(0,) * len(lead)][0])
+        res = pca_eigendecompose(C)
+        assert res.eigenvalues.shape == lead + (n,)
+        assert res.eigenvectors.shape == lead + (n, n)
+        for idx in np.ndindex(*lead):
+            lam, V = eigendecompose_oracle(C[idx])
+            assert res.eigenvalues[idx].tobytes() == lam.tobytes(), idx
+            assert res.eigenvectors[idx].tobytes() == V.tobytes(), idx
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_pca_weights_decompose_once_per_forward(lead, monkeypatch):
+    # one stacked call gives the bytes of the per-sample loop it replaced
+    from adwm import cacw
+
+    rng = np.random.default_rng(16)
+    gen = PcaWeights(n=5, seed=3)
+    gen.W2.data[...] = rng.standard_normal(gen.W2.shape)
+    X = rng.standard_normal(lead + (20, 5))
+    g = rng.standard_normal(lead + (5,))
+    calls = []
+    eig = cacw.pca_eigendecompose
+    monkeypatch.setattr(cacw, "pca_eigendecompose", lambda C: calls.append(C.shape) or eig(C))
+
+    def per_sample(X):
+        cov = compute_covariance(X).data
+        flat = cov.reshape((-1,) + cov.shape[-2:])
+        basis = np.stack([eigendecompose_oracle(c)[1][:, :gen.k] for c in flat])
+        return gen._mlp_rows(Tensor(basis.reshape(cov.shape[:-2] + basis.shape[-2:])))
+
+    results = []
+    for forward in (gen.forward, per_sample):
+        for p in gen.params():
+            p.requires_grad = True
+            p.zero_grad()
+        out = forward(Tensor(X))
+        (out * Tensor(g)).sum().backward()
+        results.append([out.data] + [p.grad for p in gen.params()])
+    assert calls == [lead + (5, 5)]
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_pca_project_full_basis_preserves_variance():
     rng = np.random.default_rng(12)
     for _ in range(10):

@@ -547,6 +547,116 @@ def test_channel_scale_matches_composition_bitwise(shape):
         assert_bitwise(gg, wg, shape)
 
 
+def stored_weighted_sum(maps, w=None):
+    """`weighted_sum` as it was when every map was stored whole and its
+    backward built all N map gradients at once, verbatim but for `np.empty`."""
+    n = len(maps)
+    shape = maps[0].shape
+    if w is None:
+        factors = [1.0 / n] * n
+        parents = tuple(maps)
+    else:
+        lead = w.shape[:-1] + (1, 1, 1)
+        factors = [w.data[..., k].reshape(lead) for k in range(n)]
+        parents = (maps[0], w) + tuple(maps[1:])
+
+    data = maps[0].data * factors[0]
+    term = np.empty(shape)
+    for m, f in zip(maps[1:], factors[1:]):
+        data += np.multiply(m.data, f, out=term)
+
+    def backward(g):
+        for m, f in zip(maps, factors):
+            if m.requires_grad:
+                m._accumulate(g * f, owned=True)
+        if w is not None and w.requires_grad:
+            prod = np.empty(shape)
+            w._accumulate(np.stack(
+                [np.multiply(g, m.data, out=prod).sum(axis=(-3, -2, -1))
+                 for m in maps], axis=-1
+            ), owned=True)
+
+    return _node(data, parents, backward)
+
+
+# which gated maps the sum reads, and whether one of them has a second
+# consumer that the sweep reaches before or after the sum
+HANDOVER_CASES = ["plain", "second_consumer_first", "second_consumer_after",
+                  "repeated_map"]
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+@pytest.mark.parametrize("with_w", [False, True])
+@pytest.mark.parametrize("case", HANDOVER_CASES)
+@pytest.mark.parametrize("shape", [(5, 4, 3), (2, 5, 4, 3)])
+def test_weighted_sum_of_gated_maps_matches_stored_maps_bitwise(
+        shape, case, with_w, poisoned, poisoned_empty, monkeypatch):
+    # weighted_sum hands each gated map its released gradient and its
+    # layer factor, to be multiplied when the sweep reaches the gate; the
+    # oracle stores every gated map whole and builds every product at once
+    if poisoned:
+        poisoned_empty()
+    rng = np.random.default_rng(38)
+    n = 3
+    fs = [_signed_zeros(rng, shape) for _ in range(n)]
+    alphas = [_signed_zeros(rng, shape[:-3] + shape[-1:]) for _ in range(n)]
+    w0 = rng.random(shape[:-3] + (n,))
+    g = _signed_zeros(rng, shape)
+    v = _signed_zeros(rng, shape)
+    handed = []
+    product = Tensor._accumulate_product
+
+    def recorded(self, grad, factor):
+        handed.append((grad, grad.copy()))
+        product(self, grad, factor)
+
+    monkeypatch.setattr(Tensor, "_accumulate_product", recorded)
+    results = []
+    for scale, wsum in ((channel_scale, weighted_sum),
+                        (channel_scale_oracle, stored_weighted_sum)):
+        leaves = ([Tensor(a.copy(), requires_grad=True) for a in fs + alphas]
+                  + [Tensor(w0.copy(), requires_grad=True)])
+        ts, als, w = leaves[:n], leaves[n:2 * n], leaves[-1]
+        gated = [scale(t, a) for t, a in zip(ts, als)]
+        stack_ = [gated[0], gated[1], gated[0]] if case == "repeated_map" else gated
+        out = wsum(stack_, w if with_w else None)
+        loss = (out * Tensor(g)).sum()
+        if case == "second_consumer_first":
+            # the sweep reaches gated[1] * v before the sum
+            loss = loss + (gated[1] * Tensor(v)).sum()
+        elif case == "second_consumer_after":
+            loss = (gated[1] * Tensor(v)).sum() + loss
+        loss.backward()
+        results.append([out.data] + [t.grad for t in leaves])
+    assert handed and all(got.tobytes() == kept.tobytes() for got, kept in handed)
+    # the repeated stack leaves the third map unread, and a sum without
+    # w gives it no gradient
+    unread = {n - 1, 2 * n - 1} if case == "repeated_map" else set()
+    for i, (got, want) in enumerate(zip(*results)):
+        if i - 1 in unread or (i == len(results[0]) - 1 and not with_w):
+            assert got is None and want is None, i
+        else:
+            assert_bitwise(got, want, (shape, case, with_w, i))
+
+
+def test_gated_map_keeps_its_factors():
+    rng = np.random.default_rng(39)
+    f = Tensor(rng.standard_normal((2, 5, 4, 3)))
+    alpha = Tensor(rng.standard_normal((2, 3)))
+    gated = channel_scale(f, alpha)
+    want = channel_scale_oracle(f, alpha).data
+    assert gated.shape == f.shape and gated.ndim == 4 and gated.size == f.size
+    # each read forms the map afresh, so a write to one read is lost
+    first = gated.data
+    assert_bitwise(first, want)
+    first[...] = 0.0
+    assert_bitwise(gated.data, want)
+    assert gated.data is not gated.data
+    # the node holds f's data, not a copy of it, and no product
+    assert not any(np.shares_memory(a, want) for a in (gated._src, gated._gate))
+    assert gated._src is f.data and gated._gate.size == 2 * 4 * 3
+
+
 def test_fused_ops_hand_their_input_a_fresh_gradient():
     # an op hands its inputs either fresh arrays or its own released
     # gradient, which nothing else holds: a later accumulation into one
