@@ -16,6 +16,13 @@ point of the weighting stack: one channel-gate generator per block,
 built for n = channels, and one layer-score generator built for
 n = blocks.
 
+`forward` drops each map as soon as its last reader has run: the input
+grid after the encoder conv, each block's inner map after the block's
+second conv, and the feature stack after aggregation (detached first
+when the weights are returned). With a tape this frees nothing, since
+the tape holds what the backward reads; without one, a forward holds
+the N maps that aggregation reads and the map it is making.
+
 Checkpoint file, format 3: magic "ADWM", u32 format version, u32 config
 length, config JSON (the ModelConfig fields, d_fraction among them and
 no scale, plus seed; sorted keys), u32 tensor count, then one TNSR
@@ -244,21 +251,30 @@ class PansharpenModel:
         up = upsample_bilinear(lrms, SCALE)
         x = concat([pan.reshape(pan.shape + (1,)), up], axis=-1)
 
+        # each local goes as soon as its last reader has run: without a
+        # tape nothing else holds a map, so it frees there
         f = bias_act(conv2d(x, self.enc_w), self.enc_b, leaky=True)
+        del x
         features = []
         for blk in self.blocks:
             y = bias_act(conv2d(f, blk["w1"]), blk["b1"], leaky=True)
             f = bias_act(conv2d(y, blk["w2"]), blk["b2"], residual=f)
+            del y
             features.append(f)
+        del f
 
         if self.config.variant == "baseline":
             fused, alphas, beta = features[-1], None, None
         else:
             fused, alphas, beta = aggregate(features, self.ifw, self.cfw)
+        weights = None
+        if return_weights:
+            weights = {"alpha": alphas, "beta": beta,
+                       "features": [f.detach() for f in features]}
+        del features
         hhat = bias_act(up + conv2d(fused, self.dec_w), self.dec_b)
         if return_weights:
-            return hhat, {"alpha": alphas, "beta": beta,
-                          "features": [f.detach() for f in features]}
+            return hhat, weights
         return hhat
 
 

@@ -17,8 +17,10 @@ All ops accept an optional leading batch axis; the documented contracts
 are the unbatched shapes.
 
 `centered_gram` is one tape node that keeps no centered copy of X: its
-backward rebuilds that copy from X's data, so X must not be written
-between the forward and the backward, as with every op.
+backward rebuilds that copy from X's data, one (m, n) item at a time
+into one reused buffer, so X must not be written between the forward
+and the backward, as with every op, and the only X-sized array the
+backward makes is the gradient it hands to X.
 """
 
 import math
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError, NumericError
-from .tensor import Tensor, _node, as_tensor, softmax
+from .tensor import Tensor, _empty, _node, as_tensor, softmax
 
 
 # default hidden-width fraction of every generator head, at both weighting levels
@@ -55,23 +57,30 @@ def centered_gram(X):
     (.., 1, n) negated mean: the backward rebuilds the centered copy from
     X's data, which therefore must not be written between the forward
     and the backward, as with every op. The backward then replays the
-    composition's own arithmetic in its order, and accumulates into X
-    twice, as the composition's add and sum nodes did, so that a gradient
-    X already holds rounds as it would there.
+    composition's own arithmetic in its order, one (m, n) item at a time
+    and each GEMM the one the batched product makes for that item, and
+    accumulates into X twice, as the composition's add and sum nodes did,
+    so that a gradient X already holds rounds as it would there.
     """
     X = as_tensor(X)
-    m = X.shape[-2]
+    m, n = X.shape[-2:]
     swap = _swap_last(X.ndim)
     neg = (X.data.sum(axis=-2, keepdims=True) * (1.0 / m)) * -1.0
     xc = X.data + neg
     gram = np.matmul(xc.transpose(swap), xc)
 
     def backward(g):
-        xc = X.data + neg
-        ga = np.matmul(g, np.swapaxes(xc, -1, -2))
-        dc = np.matmul(np.swapaxes(xc.transpose(swap), -1, -2), g)
-        del xc
-        dc += ga.transpose(swap)
+        # one (m, n) item at a time, each GEMM the one the batched product
+        # makes for that item: xc rebuilt, dc = xc @ g, ga = g @ xc^T, and
+        # dc += ga^T, so only dc is X-sized
+        dc = _empty(X.shape)
+        xc = _empty((m, n))
+        ga = _empty((n, m))
+        for i in np.ndindex(X.shape[:-2]):
+            np.add(X.data[i], neg[i], out=xc)
+            np.matmul(xc, g[i], out=dc[i])
+            np.matmul(g[i], xc.T, out=ga)
+            dc[i] += ga.T
         gsum = (dc.sum(axis=(X.ndim - 2,), keepdims=True) * -1.0) * (1.0 / m)
         X._accumulate(dc, owned=True)
         X._accumulate(np.broadcast_to(gsum, X.shape))

@@ -31,10 +31,12 @@ per-channel operand is tiled along W, so numpy runs one flat loop over
 the merged W*C axis instead of a C-long inner loop. A gated map is kept
 as its two factors, f's data and the tiled weights, and never stored
 whole: its ``data`` forms the map afresh on each read, so a write to
-that array is lost, and `_formed(buf)` forms it into a caller's buffer.
-Leaky ReLU has one
-kernel, `_leaky`, shared by `Tensor.leaky_relu` and `bias_act`, and one
-negative slope, `LEAKY_SLOPE`.
+that array is lost, and `_formed(buf, item, rows)` forms it, or one
+item's block of image rows, into a caller's buffer. Its backward sums
+the weights' gradient one item at a time, through one item-sized
+scratch, and gates its own released gradient in place for f.
+Leaky ReLU has one kernel, `_leaky`, shared by `Tensor.leaky_relu` and
+`bias_act`, and one negative slope, `LEAKY_SLOPE`.
 
 Every buffer that an op fills piecewise or reuses comes from `_empty`, a
 plain `np.empty`; the tests swap it for NaN-filled arrays to show that no
@@ -49,7 +51,9 @@ convolution algorithms for deep neural networks", over an HWC layout.
 Each tap GEMM is a tall (rows, C_in) @ (C_in, C_out) product, and the
 result is a C-contiguous array that owns its memory, which its epilogue
 then writes over. Both gradients are the same shifted GEMMs run as
-adjoints; the `conv2d` docstring has the index arithmetic.
+adjoints; the `conv2d` docstring has the index arithmetic. Its input
+gradient goes into x's gradient a block at a time: into a fresh array,
+or added into the one x already holds, so no whole dX exists beside it.
 """
 
 import numpy as np
@@ -177,11 +181,14 @@ class Tensor:
         self.grad = None
         self._grad_factors = None
 
-    def _formed(self, buf):
-        """This tensor's data. A tensor that keeps its data as factors
-        forms it into `buf`, a float64 array of its shape, and returns
-        `buf`; any other returns ``data`` and leaves `buf` as it was."""
-        return self.data
+    def _formed(self, buf, item=(), rows=slice(None)):
+        """This tensor's data, or its part ``data[item][rows]``. A tensor
+        that keeps its data as factors forms that part into `buf`, a
+        float64 array of the part's shape, and returns `buf`; any other
+        returns a view of ``data`` and leaves `buf` as it was. Of a map
+        (B, H, W, C), item (b,) and a slice of rows name image rows of
+        one map; a gated map takes no other parts."""
+        return self.data[item][rows]
 
     def _accumulate(self, g, owned=False):
         """Add `g`, an array of exactly this tensor's shape, into ``grad``.
@@ -192,12 +199,18 @@ class Tensor:
         Any other first write takes a straight copy: one memory pass
         instead of the zeros-then-add two, and never aliases the source.
         """
-        if self._grad_factors is not None:
-            self.grad = self._release_grad()
-        if self.grad is None:
+        if self._held_grad() is None:
             self.grad = g if owned else np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
+
+    def _held_grad(self):
+        """The gradient this tensor holds, formed if it is held as factors,
+        or None: an array of its shape that an op may add into in place,
+        with the bytes of `_accumulate`'s `grad += g`."""
+        if self._grad_factors is not None:
+            self.grad = self._release_grad()
+        return self.grad
 
     def _accumulate_product(self, g, factor):
         """Add `g * factor` into ``grad``, with the bytes of
@@ -624,16 +637,8 @@ class _GatedMap(Tensor):
     def size(self):
         return self._src.size
 
-    def _formed(self, buf):
-        return _gate_rows(self._src, self._gate, buf)
-
-
-def _gate_rows(a, gate, out):
-    """a * gate into out, both of a's shape (..., H, W, C), with the
-    (..., 1, W*C) gate read over the merged W*C axis."""
-    rows = a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
-    np.multiply(a.reshape(rows), gate, out=out.reshape(rows))
-    return out
+    def _formed(self, buf, item=(), rows=slice(None)):
+        return np.multiply(self._src[item][rows], self._gate[item], out=buf)
 
 
 def channel_scale(f, alpha):
@@ -642,7 +647,8 @@ def channel_scale(f, alpha):
     f: (..., H, W, C) with at least 3 axes; alpha: f's leading axes plus
     (C,), so (C,) for one map and (B, C) for a batch. One tape node with
     the bytes of `f * alpha.reshape(alpha.shape[:-1] + (1, 1, C))`,
-    forward and backward: the weights are tiled along W over the merged
+    forward and backward: the weights are tiled along W, as a
+    (..., 1, W, C) operand whose W and C axes numpy reads as one merged
     W*C axis, and their gradient is summed as that (..., 1, 1, C)
     operand's.
 
@@ -660,16 +666,25 @@ def channel_scale(f, alpha):
         )
     lead = f.shape[:-3]
     h, w, c = f.shape[-3:]
-    gate = np.tile(alpha.data, w).reshape(lead + (1, w * c))
+    fd = f.data
+    gate = np.tile(alpha.data, w).reshape(lead + (1, w, c))
 
     def backward(g):
         if alpha.requires_grad:
-            ga = _unbroadcast(g * f.data, lead + (1, 1, c)).reshape(alpha.shape)
+            # each map's (1, 1, C) sum on its own: the rows a batched sum
+            # adds, in its order, through one map-sized scratch
+            ga = _empty(alpha.shape)
+            prod = _empty((h, w, c))
+            for i in np.ndindex(lead):
+                np.multiply(g[i], fd[i], out=prod)
+                prod.sum(axis=(0, 1), out=ga[i])
             alpha._accumulate(ga, owned=True)
         if f.requires_grad:
-            f._accumulate(_gate_rows(g, gate, _empty(f.shape)), owned=True)
+            # g is this node's released gradient, read for the last time
+            # above, so it is gated in place
+            f._accumulate(np.multiply(g, gate, out=g), owned=True)
 
-    return _node(_GatedMap(f.data, gate), (f, alpha), backward)
+    return _node(_GatedMap(fd, gate), (f, alpha), backward)
 
 
 # ----------------------------------------------------------------------
@@ -722,13 +737,13 @@ def _grid_rows(a, lead, p, hp, wp):
     return rows
 
 
-def _grid_store(dest, p, hp, wp):
+def _grid_store(dest, p, hp, wp, add=False):
     """store(g0, block): copy the image part of whole grid rows g0 onward,
     `block` read flat as (rows, C), into dest, (B, h, w, C), where each
-    image sits at offset (p, p) of its hp x wp cell. The inverse of
-    `_grid_rows`, a block at a time: `conv2d` stores its output with
-    p = 0 and its input gradient with p = padding, so neither grid is
-    ever built whole."""
+    image sits at offset (p, p) of its hp x wp cell, or with `add` add it
+    to what dest holds. The inverse of `_grid_rows`, a block at a time:
+    `conv2d` stores its output with p = 0 and its input gradient with
+    p = padding, so neither grid is ever built whole."""
     b, h, w, c = dest.shape
 
     def store(g0, block):
@@ -738,7 +753,11 @@ def _grid_store(dest, p, hp, wp):
             top = img * hp + p
             lo, hi = max(g0, top), min(g1, top + h)
             if lo < hi:
-                dest[img, lo - top:hi - top] = cells[lo - g0:hi - g0, p:p + w]
+                part = cells[lo - g0:hi - g0, p:p + w]
+                if add:
+                    dest[img, lo - top:hi - top] += part
+                else:
+                    dest[img, lo - top:hi - top] = part
 
     return store
 
@@ -817,9 +836,11 @@ def conv2d(x, k, padding=1):
     x's data, which the tape holds anyway, and no grid lives from the
     forward to the backward. dX is not built whole either: each block's
     rows inside the images go straight into x's contiguous gradient
-    (`_grid_store`). The tap matrices are copied contiguous, and every
-    other operand is a slice of rows that BLAS reads in place, so no
-    patch matrix is built either.
+    (`_grid_store`), or, when x already holds a gradient, are added into
+    it there: the elementwise add `_accumulate` would make of a whole dX,
+    which is therefore never built. The tap matrices are copied
+    contiguous, and every other operand is a slice of rows that BLAS
+    reads in place, so no patch matrix is built either.
     """
     x, k = as_tensor(x), as_tensor(k)
     if k.ndim != 4:
@@ -861,10 +882,15 @@ def conv2d(x, k, padding=1):
         if x.requires_grad:
             flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
             flipped = np.ascontiguousarray(flipped).reshape(kh * kw, cout, cin)
-            gx = _empty(x.shape)
+            # a gradient x already holds takes each block's dX as it comes,
+            # the elementwise add that `_accumulate` would make of a whole dX
+            held = x._held_grad()
+            gx = _empty(x.shape) if held is None else held
             _shifted_gemm(flipped, offsets, _grid_rows(gd, span, 0, hp, wp), wp, n,
-                          _grid_store(gx if batched else gx[None], p, hp, wp))
-            x._accumulate(gx, owned=True)
+                          _grid_store(gx if batched else gx[None], p, hp, wp,
+                                      add=held is not None))
+            if held is None:
+                x._accumulate(gx, owned=True)
 
     return _node(y, (x, k), backward)
 

@@ -14,9 +14,12 @@ and `cfw_apply` are its two levels. Everything accepts channels-last
 
 No gated map is stored whole. `tensor.channel_scale` keeps each as its
 feature map and tiled gate, and its ``data`` forms the map afresh on
-each read, so a write to that array is lost. `weighted_sum` forms each
-gated map into one reused buffer as it sums. Its backward first forms
-them again, one at a time, for the layer weights' gradient, then hands
+each read, so a write to that array is lost. `weighted_sum` sums in
+blocks of image rows, about `tensor._BLOCK` pixels each, and forms each
+gated map's block into one block-sized buffer as it sums, so no
+map-sized scratch exists beside the result. Its backward first forms
+the maps again, one batch item of one map at a time, for the layer
+weights' gradient, then hands
 each map the sum's released gradient and that map's layer factor: the
 map's node multiplies them when the sweep reaches it, so the N
 per-layer gradients never exist at once. The handed gradient is shared
@@ -31,7 +34,7 @@ import numpy as np
 
 from .cacw import D_FRACTION, WEIGHT_GENERATORS, reduced_width
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
-from .tensor import _empty, _node, as_tensor, channel_scale, softmax, spatial_mean, stack
+from .tensor import _BLOCK, _empty, _node, as_tensor, channel_scale, softmax, spatial_mean, stack
 
 
 @dataclass
@@ -130,32 +133,45 @@ def weighted_sum(maps, w=None):
     for m in maps:
         if m.shape != shape:
             raise DimensionError(f"stack features disagree in shape: {m.shape} vs {shape}")
+    if len(shape) < 3:
+        raise DimensionError(f"weighted sum needs maps of shape (..., H, W, C), got {shape}")
+    lead, h = shape[:-3], shape[-3]
     if w is None:
-        factors = [1.0 / n] * n
+        factors = [np.full(lead + (1, 1, 1), 1.0 / n)] * n
         parents = tuple(maps)
     else:
-        if len(shape) < 3 or w.shape != shape[:-3] + (n,):
+        if w.shape != shape[:-3] + (n,):
             raise DimensionError(
                 f"weights {w.shape} do not match {n} maps of shape {shape}"
             )
-        lead = w.shape[:-1] + (1, 1, 1)
-        factors = [w.data[..., k].reshape(lead) for k in range(n)]
+        factors = [w.data[..., k].reshape(lead + (1, 1, 1)) for k in range(n)]
         # the tape reaches w right after the first map, which fixes the
         # order gradients accumulate into the maps during backward
         parents = (maps[0], w) + tuple(maps[1:])
 
-    scratch = _empty(shape)
-    data = maps[0]._formed(scratch) * factors[0]
-    for m, f in zip(maps[1:], factors[1:]):
-        data += np.multiply(m._formed(scratch), f, out=scratch)
+    # image rows per block: about _BLOCK pixels, so a block stays in cache
+    step = max(1, _BLOCK // shape[-2])
+    data = _empty(shape)
+    scratch = _empty((min(step, h),) + shape[-2:])
+    for i in np.ndindex(lead):
+        for h0 in range(0, h, step):
+            rows = slice(h0, h0 + step)
+            out = data[i][rows]
+            buf = scratch[:len(out)]
+            np.multiply(maps[0]._formed(buf, i, rows), factors[0][i], out=out)
+            for m, f in zip(maps[1:], factors[1:]):
+                out += np.multiply(m._formed(buf, i, rows), f[i], out=buf)
 
     def backward(g):
         if w is not None and w.requires_grad:
-            prod = _empty(shape)
-            w._accumulate(np.stack(
-                [np.multiply(g, m._formed(prod), out=prod).sum(axis=(-3, -2, -1))
-                 for m in maps], axis=-1
-            ), owned=True)
+            # one map's (H, W, C) product at a time, summed whole as the
+            # batched sum sums each map
+            gw = _empty(w.shape)
+            prod = _empty(shape[-3:])
+            for i in np.ndindex(lead):
+                for k, m in enumerate(maps):
+                    gw[i + (k,)] = np.multiply(g[i], m._formed(prod, i), out=prod).sum()
+            w._accumulate(gw, owned=True)
         # each map forms its g * f when the sweep reaches it, so the N
         # products never exist at once; g is shared and never written
         for m, f in zip(maps, factors):

@@ -109,8 +109,9 @@ def test_covariance_batched_matches_per_sample():
         assert np.allclose(C[b], covariance_loops(X[b]), atol=1e-12)
 
 
-# unbatched, batched, and the fewest samples a covariance takes
-GRAM_SHAPES = [(7, 3), (2, 6, 4), (2, 3), (3, 2, 1)]
+# unbatched, batched, and the fewest samples a covariance takes; then
+# larger items, which the backward walks one at a time, and two batch axes
+GRAM_SHAPES = [(7, 3), (2, 6, 4), (2, 3), (3, 2, 1), (64, 4), (3, 50, 16), (2, 2, 9, 3)]
 
 
 @pytest.mark.parametrize("poisoned", [False, True])

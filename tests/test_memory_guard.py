@@ -1,0 +1,105 @@
+"""Memory guards: the backwards that run over whole feature maps, and the
+no-grad forward, measured with tracemalloc (numpy reports its buffers to it).
+
+A map-sized op's backward may allocate the gradient it produces, and
+otherwise only per-item or per-block scratch. Each test states its bound
+in units of X, the op's map-sized input, at a batched shape where one
+item is a small part of X.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from adwm.backbone import ModelConfig, PansharpenModel
+from adwm.cacw import centered_gram
+from adwm.tensor import Tensor, channel_scale, conv2d
+from adwm.weighting import weighted_sum
+
+
+def _traced(fn):
+    """(before, peak, after): traced bytes when fn starts, at its peak and
+    when it returns, counting only what fn allocates."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return before, peak, after
+
+
+def _run_backward(node, g):
+    """Push g through node's own backward, and through nothing else."""
+    node.grad = g
+    return _traced(node._backward_fn)
+
+
+def test_centered_gram_backward_holds_one_item_beside_its_gradient():
+    rng = np.random.default_rng(70)
+    X = Tensor(rng.standard_normal((8, 512, 4)), requires_grad=True)
+    node = centered_gram(X)
+    before, peak, after = _run_backward(node, rng.standard_normal((8, 4, 4)))
+    # what stays is X's gradient; beside it only an item's centered copy
+    # and its g @ xc^T, never a whole one
+    assert after - before >= X.data.nbytes
+    assert peak - after < X.data.nbytes
+
+
+def test_channel_scale_backward_allocates_under_one_map():
+    rng = np.random.default_rng(71)
+    f = Tensor(rng.standard_normal((8, 32, 32, 4)), requires_grad=True)
+    alpha = Tensor(rng.standard_normal((8, 4)), requires_grad=True)
+    node = channel_scale(f, alpha)
+    g = rng.standard_normal(f.shape)
+    before, peak, _ = _run_backward(node, g)
+    # f's gradient is the released g, gated in place, and alpha's is
+    # summed one item at a time
+    assert peak - before < f.data.nbytes
+    assert f.grad is g
+
+
+def test_weighted_sum_backward_holds_one_item_beside_its_gradients():
+    rng = np.random.default_rng(72)
+    maps = [Tensor(rng.standard_normal((8, 32, 32, 4)), requires_grad=True)
+            for _ in range(3)]
+    w = Tensor(rng.dirichlet(np.ones(3), size=8), requires_grad=True)
+    node = weighted_sum(maps, w)
+    before, peak, after = _run_backward(node, rng.standard_normal(maps[0].shape))
+    # what stays is each map's gradient and w's; the products that w's
+    # gradient sums take one item's scratch
+    assert after - before >= 3 * maps[0].data.nbytes
+    assert peak - after < maps[0].data.nbytes
+
+
+def test_conv2d_adds_into_a_held_gradient_without_a_whole_dx():
+    rng = np.random.default_rng(73)
+    x = Tensor(rng.standard_normal((4, 64, 64, 4)), requires_grad=True)
+    k = Tensor(rng.standard_normal((4, 4, 3, 3)), requires_grad=True)
+    held = rng.standard_normal(x.shape)
+    x.grad = held
+    node = conv2d(x, k, padding=1)
+    before, peak, _ = _run_backward(node, rng.standard_normal(x.shape))
+    # x's gradient takes each block's dX where it lies
+    assert peak - before < x.data.nbytes
+    assert x.grad is held
+
+
+def test_no_grad_forward_holds_the_stack_and_one_map_more():
+    # aggregate reads all N block outputs, so a forward must hold them,
+    # the map it is making, the upsampled bands and the conv's block
+    # buffers. The input grid, each block's inner map and the stack are
+    # dropped once read: before they were, this shape peaked at 8.27 maps
+    b, size, bands, c, n = 4, 64, 4, 8, 4
+    rng = np.random.default_rng(74)
+    model = PansharpenModel(ModelConfig(bands=bands, channels=c, blocks=n,
+                                        variant="adwm"), seed=0)
+    pan = rng.random((b, size, size))
+    lrms = rng.random((b, size // 4, size // 4, bands))
+    fmap = b * size * size * c * 8
+    out = []
+    before, peak, _ = _traced(lambda: out.append(model.forward(pan, lrms)))
+    assert out[0].shape == (b, size, size, bands)
+    assert peak - before < (n + 2) * fmap + fmap * bands // c

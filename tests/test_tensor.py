@@ -8,7 +8,7 @@ from adwm import (
     DimensionError, Tensor, UsageError, concat, conv2d, gradcheck,
     softmax, spatial_mean, stack,
 )
-from adwm import tensor
+from adwm import tensor, weighting
 from adwm.backbone import ModelConfig, PansharpenModel, upsample_bilinear
 from adwm.cacw import centered_gram
 from adwm.tensor import _node, bias_act, channel_scale
@@ -637,6 +637,127 @@ def test_weighted_sum_of_gated_maps_matches_stored_maps_bitwise(
             assert got is None and want is None, i
         else:
             assert_bitwise(got, want, (shape, case, with_w, i))
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+@pytest.mark.parametrize("needs", ["f", "alpha", "both"])
+@pytest.mark.parametrize("shape", FUSED_SHAPES + [(3, 17, 16, 5)])
+def test_channel_scale_gradients_match_composition_bitwise(shape, needs, poisoned,
+                                                           poisoned_empty):
+    # alpha's gradient is summed one map at a time, and f's is the
+    # released gradient gated in place
+    if poisoned:
+        poisoned_empty()
+    rng = np.random.default_rng(40)
+    f = _signed_zeros(rng, shape)
+    alpha = _signed_zeros(rng, shape[:-3] + shape[-1:])
+    g = _signed_zeros(rng, shape)
+    results = []
+    for scale in (channel_scale, channel_scale_oracle):
+        ft = Tensor(f.copy(), requires_grad=needs != "alpha")
+        at = Tensor(alpha.copy(), requires_grad=needs != "f")
+        out = scale(ft, at)
+        (out * Tensor(g)).sum().backward()
+        results.append((out.data, ft.grad, at.grad))
+    for got, want in zip(*results):
+        if want is None:
+            assert got is None
+        else:
+            assert_bitwise(got, want, (shape, needs))
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_channel_scale_gates_its_released_gradient_in_place(layout):
+    # in whatever layout the gradient arrives
+    rng = np.random.default_rng(41)
+    f = Tensor(rng.standard_normal((2, 5, 4, 3)), requires_grad=True)
+    alpha = Tensor(rng.standard_normal((2, 3)))
+    g = layout(rng.standard_normal(f.shape))
+    want = channel_scale_oracle(Tensor(g.copy()), alpha).data
+    node = channel_scale(f, alpha)
+    node.grad = g
+    node._backward_fn()
+    assert f.grad is g
+    assert_bitwise(f.grad, want)
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+@pytest.mark.parametrize("held", ["array", "factors"])
+@pytest.mark.parametrize("shape", [(6, 5, 3), (2, 6, 5, 3)])
+def test_conv2d_adds_dx_into_a_held_gradient_bitwise(shape, held, poisoned,
+                                                     poisoned_empty, monkeypatch):
+    # conv2d adds each block of dX into a gradient that x already holds,
+    # as an array or as the factors a weighted sum handed it. The oracle
+    # runs the conv over x * 1.0, whose own gradient is the whole dX, and
+    # the product node adds dX * 1.0 (dX exactly) into x, as `_accumulate`
+    # did with the whole dX that conv2d built before
+    if poisoned:
+        poisoned_empty()
+    rng = np.random.default_rng(42)
+    x0 = _signed_zeros(rng, shape)
+    k0 = rng.standard_normal((4, shape[-1], 3, 3))
+    g = _signed_zeros(rng, shape[:-1] + (4,))
+    u, v = _signed_zeros(rng, shape), _signed_zeros(rng, shape)
+    seen = []
+    held_grad = Tensor._held_grad
+
+    def spy(self):
+        seen.append((self, self._grad_factors is not None, self.grad is not None))
+        return held_grad(self)
+
+    monkeypatch.setattr(Tensor, "_held_grad", spy)
+    results = []
+    for conv_input in (lambda x: x, lambda x: x * 1.0):
+        seen.clear()
+        t = Tensor(x0.copy(), requires_grad=True)
+        k = Tensor(k0.copy(), requires_grad=True)
+        x = t if held == "array" else t * 1.0
+        loss = (conv2d(conv_input(x), k, padding=1) * Tensor(g)).sum()
+        if held == "array":
+            # the sweep reaches x * v before the conv
+            loss = loss + (x * Tensor(v)).sum()
+        else:
+            # and the weighted sum, which hands x its gradient as factors
+            loss = loss + (weighted_sum([x, Tensor(u)]) * Tensor(v)).sum()
+        loss.backward()
+        results.append((t.grad, k.grad, [(f, a) for s, f, a in seen if s is x]))
+    # the conv, the last to ask, found x's gradient held as the case says
+    assert results[0][2][-1] == ((True, False) if held == "factors" else (False, True))
+    for got, want in zip(results[0][:2], results[1][:2]):
+        assert_bitwise(got, want, (shape, held))
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+@pytest.mark.parametrize("with_w", [False, True])
+@pytest.mark.parametrize("shape", [(7, 4, 3), (2, 7, 4, 3)])
+def test_weighted_sum_in_row_blocks_matches_stored_maps_bitwise(
+        shape, with_w, poisoned, poisoned_empty, monkeypatch):
+    # 8 pixels a block: two of the 7 image rows, and one in the last block
+    monkeypatch.setattr(weighting, "_BLOCK", 8)
+    if poisoned:
+        poisoned_empty()
+    rng = np.random.default_rng(43)
+    n = 3
+    fs = [_signed_zeros(rng, shape) for _ in range(n)]
+    alphas = [_signed_zeros(rng, shape[:-3] + shape[-1:]) for _ in range(n)]
+    w0 = rng.random(shape[:-3] + (n,))
+    g = _signed_zeros(rng, shape)
+    results = []
+    for scale, wsum in ((channel_scale, weighted_sum),
+                        (channel_scale_oracle, stored_weighted_sum)):
+        leaves = ([Tensor(a.copy(), requires_grad=True) for a in fs + alphas]
+                  + [Tensor(w0.copy(), requires_grad=True)])
+        ts, als, w = leaves[:n], leaves[n:2 * n], leaves[-1]
+        # gated maps, which each block forms, and a plain one it reads
+        maps = [scale(ts[0], als[0]), ts[1] * 1.0, scale(ts[2], als[2])]
+        out = wsum(maps, w if with_w else None)
+        (out * Tensor(g)).sum().backward()
+        results.append([out.data] + [t.grad for t in leaves])
+    for i, (got, want) in enumerate(zip(*results)):
+        if want is None:
+            assert got is None, i
+        else:
+            assert_bitwise(got, want, (shape, with_w, i))
 
 
 def test_gated_map_keeps_its_factors():
