@@ -90,6 +90,9 @@ class ModelConfig:
                 f"unknown variant {self.variant!r}; choose from {VARIANTS}"
             )
         self.weighting_config()  # checks channels, d_fraction and generator
+        if self.variant in ("cfw", "adwm") and self.channels < 2:
+            raise ConfigurationError(f"variant {self.variant} weighs layers with the channels "
+                                     f"as samples: channels must be >= 2, got {self.channels}")
 
     def weighting_config(self):
         return AdwmConfig(

@@ -238,7 +238,7 @@ def pca_eigendecompose(C):
     the result is deterministic up to ties. One batched `np.linalg.eigh`
     call gives each matrix the bytes that a call on it alone gives.
     """
-    C = C.data if isinstance(C, Tensor) else np.asarray(C, dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64)
     if C.ndim < 2 or C.shape[-1] != C.shape[-2]:
         raise DimensionError(f"eigendecomposition needs square matrices, got {C.shape}")
     if not np.all(np.isfinite(C)):

@@ -18,7 +18,7 @@ import numpy as np
 from . import diagnostics
 from .backbone import VARIANTS, ModelConfig, PansharpenModel, load_checkpoint
 from .cacw import WEIGHT_GENERATORS
-from .data import build_dataset, degrade_bands, load_sample, read_manifest, split_ids
+from .data import build_dataset, degrade_bands, load_sample, read_manifest
 from .errors import AdwmError, NumericError, UsageError
 from .metrics import evaluate_noreference, evaluate_reference, write_report_csv
 from .tensor import (
@@ -33,7 +33,9 @@ from .tensor import (
     spatial_mean,
     stack,
 )
-from .trainer import TrainConfig, train
+# train stays importable from here because the perfbench span tracer
+# patches it on this module as well; the commands train through train_runs
+from .trainer import RUN_SETTINGS, TrainConfig, train, train_runs  # noqa: F401
 from .weighting import adwm_param_count
 
 VARIANT_CHOICES = VARIANTS + ("all",)
@@ -128,33 +130,10 @@ def _fractions(raw):
         raise UsageError(f"--d-frac takes comma-separated numbers, got {raw!r}") from None
 
 
-def _train_config(args):
-    """The command's TrainConfig, checked before the command reads any data."""
-    return TrainConfig(
-        epochs=args.epochs, lr0=args.lr0, batch_size=args.batch_size,
-        seed=args.seed, halve_every=args.halve_every,
-    )
-
-
-def _training_runs(args, runs):
-    """Check every run, then read the dataset once.
-
-    `runs` maps each run's output directory to its ModelConfig fields
-    besides bands, channels and blocks. Every config takes its band
-    count from manifest.txt and is built, and so checked, before any
-    sample is read. Returns (manifest rows, {run directory: ModelConfig},
-    train pairs, validation pairs).
-    """
-    rows = read_manifest(args.data)
-    configs = {
-        out_dir: ModelConfig(bands=rows[0]["c"], channels=args.channels,
-                             blocks=args.blocks, **fields)
-        for out_dir, fields in runs.items()
-    }
-    ids = [r["id"] for r in rows]
-    train_ids, val_ids = split_ids(ids, args.test_count)
-    pairs = {i: load_sample(args.data, i) for i in ids}
-    return rows, configs, [pairs[i] for i in train_ids], [pairs[i] for i in val_ids]
+def _train_runs(args, runs):
+    """train_runs over the command's dataset and shared settings."""
+    return train_runs(args.data, args.test_count, runs,
+                      {name: getattr(args, name) for name in RUN_SETTINGS})
 
 
 # ----------------------------------------------------------------------
@@ -180,15 +159,13 @@ def cmd_train(args):
     if args.log:
         _check_writable(args.log)
     variants = VARIANTS if args.variant == "all" else [args.variant]
-    tcfg = _train_config(args)
-    _, configs, train_pairs, val_pairs = _training_runs(args, {
+    runs = {
         os.path.join(args.out, v) if args.variant == "all" else args.out:
-            {"variant": v, "d_fraction": fracs[0], "generator": args.generator}
+            ({"variant": v, "d_fraction": fracs[0], "generator": args.generator},
+             args.seed)
         for v in variants
-    })
-    for out_dir, cfg in configs.items():
-        result = train(PansharpenModel(cfg, seed=args.seed), train_pairs,
-                       val_pairs, tcfg, out_dir)
+    }
+    for cfg, result in _train_runs(args, runs):
         print(f"{cfg.variant}: best_val_psnr={result.best_val_psnr:.4f} "
               f"final={result.final_path}")
         if args.log:
@@ -300,23 +277,21 @@ def cmd_compare(args):
     if len({f"{frac:g}" for frac in fracs}) != len(fracs):
         raise UsageError(
             f"--d-frac names one run directory twice, got {args.d_frac!r}")
-    tcfg = _train_config(args)
-    rows, configs, train_pairs, val_pairs = _training_runs(args, {
+    runs = {
         os.path.join(args.out, f"{method}_d{frac:g}"):
-            {"variant": "adwm", "d_fraction": frac, "generator": method}
+            ({"variant": "adwm", "d_fraction": frac, "generator": method}, args.seed)
         for method in methods for frac in fracs
-    })
-    H, W = rows[0]["H"], rows[0]["W"]
+    }
 
+    # the flops column counts at the dataset's pan size
+    H, W = (read_manifest(args.data)[0][k] for k in ("H", "W"))
     lines = [
         "# params column counts the weighting modules only",
         "# flops column is the dual-level weighting multiply count "
         "(covariance + mlp + gate + combine) at these dimensions",
         "method,d_frac,params,flops,psnr",
     ]
-    for run_dir, cfg in configs.items():
-        result = train(PansharpenModel(cfg, seed=args.seed), train_pairs,
-                       val_pairs, tcfg, run_dir)
+    for cfg, result in _train_runs(args, runs):
         params = adwm_param_count(cfg.weighting_config())
         flops = diagnostics.count_flops(
             H, W, cfg.channels, cfg.blocks, d_fraction=cfg.d_fraction

@@ -290,8 +290,8 @@ def read_manifest(data_dir):
 
     Each id must be one plain path component, so a sample never resolves
     outside `data_dir`. Bytes that are not UTF-8, a line without exactly
-    five fields, a non-integer number field or an id that is not a plain
-    component raise FormatError.
+    five fields, a non-integer number field, an id that is not a plain
+    component or an id that an earlier line lists raise FormatError.
     """
     manifest = os.path.join(data_dir, "manifest.txt")
     if not os.path.isfile(manifest):
@@ -304,6 +304,7 @@ def read_manifest(data_dir):
         raise FormatError(f"manifest.txt is not UTF-8: {e.reason}",
                           offset=e.start) from None
     rows = []
+    line_of = {}  # sample id -> the line that lists it
     # newline=None splits lines as reading the file in text mode does
     for no, line in enumerate(io.StringIO(text, newline=None), 1):
         parts = line.rstrip("\n").split("\t")
@@ -319,6 +320,10 @@ def read_manifest(data_dir):
             raise FormatError(
                 f"manifest line {no}: seed, H, W and c must be integers, got {parts[1:]!r}"
             ) from None
+        if parts[0] in line_of:
+            raise FormatError(f"manifest line {no}: sample id {parts[0]!r} "
+                              f"repeats line {line_of[parts[0]]}")
+        line_of[parts[0]] = no
         rows.append({"id": parts[0], "seed": seed, "H": H, "W": W, "c": c})
     if not rows:
         raise ConfigurationError(f"manifest.txt under {data_dir} lists no samples")

@@ -23,10 +23,9 @@ import platform
 
 import numpy as np
 
-from .backbone import ModelConfig, PansharpenModel
 from .cli import main as cli_main
-from .data import build_dataset, load_dataset, split_ids
-from .trainer import TrainConfig, train
+from .data import build_dataset
+from .trainer import PROTOCOL, RUN_SETTINGS, train_runs
 
 # OpenBLAS's name for the kernel it chose, by build flavour
 _CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
@@ -37,17 +36,11 @@ _CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_coren
 ARMS = (("baseline", "cacw"), ("ifw", "cacw"), ("cfw", "cacw"), ("adwm", "cacw"),
         ("adwm", "pool"), ("adwm", "attention"), ("adwm", "pca"))
 
-# the ablation protocol's shape (B=16, 64x64, 4 bands, C=16, N=4), two
-# steps of one epoch on a 40-sample slice; eval and diagnose read 2 more
-DATA_SEED = 11
-SAMPLES = 40
-VAL_SAMPLES = 8
+# the ablation protocol at its shape (B=16, 64x64, 4 bands, C=16, N=4),
+# on 40 samples with 8 held out, for one epoch: two steps per arm; eval
+# and diagnose read 2 more samples
+WORKLOAD = {**PROTOCOL, "count": 40, "test_count": 8, "epochs": 1}
 EVAL_SAMPLES = 2
-SIZE = 64
-BANDS = 4
-CHANNELS = 16
-BLOCKS = 4
-BATCH = 16
 
 
 def _blas():
@@ -118,30 +111,27 @@ def fingerprint(work_dir, arms=ARMS):
     """{path: SHA-256 hex} of every file a fixed workload writes under
     `work_dir`, which must be empty or absent.
 
-    Each (variant, generator) in `arms` trains one epoch of two steps at
-    the ablation protocol's shape, seed 0, into `<variant>_<generator>/`.
+    Each (variant, generator) in `arms` trains through
+    `trainer.train_runs`, with WORKLOAD's settings and seed 0, into
+    `<variant>_<generator>/`.
     When the adwm/cacw arm is among them, `eval --full-res` and
     `diagnose` then read its final checkpoint. The commands run with
     relative paths from `work_dir`, so the report's metadata and every
     hash are the same wherever `work_dir` is.
     """
+    w = WORKLOAD
     os.makedirs(work_dir, exist_ok=True)
     written = []
     with _cwd(work_dir):
-        build_dataset(DATA_SEED, SAMPLES, SIZE, SIZE, BANDS, "data")
-        pairs = load_dataset("data")
-        train_ids, val_ids = split_ids([p.id for p in pairs], VAL_SAMPLES)
-        by_id = {p.id: p for p in pairs}
-        for variant, generator in arms:
-            out = f"{variant}_{generator}"
-            model = PansharpenModel(
-                ModelConfig(bands=BANDS, channels=CHANNELS, blocks=BLOCKS,
-                            variant=variant, generator=generator), seed=0)
-            result = train(model, [by_id[i] for i in train_ids], [by_id[i] for i in val_ids],
-                           TrainConfig(epochs=1, batch_size=BATCH, seed=0), out)
+        build_dataset(w["data_seed"], w["count"], w["H"], w["W"], w["bands"], "data")
+        runs = {f"{variant}_{generator}": ({"variant": variant, "generator": generator}, 0)
+                for variant, generator in arms}
+        for _, result in train_runs("data", w["test_count"], runs,
+                                    {name: w[name] for name in RUN_SETTINGS}):
             written += [result.final_path, result.log_path]
         if ("adwm", "cacw") in arms:
-            build_dataset(DATA_SEED + 1, EVAL_SAMPLES, SIZE, SIZE, BANDS, "eval_data")
+            build_dataset(w["data_seed"] + 1, EVAL_SAMPLES, w["H"], w["W"], w["bands"],
+                          "eval_data")
             ckpt = os.path.join("adwm_cacw", "checkpoint_final.ckpt")
             _cli("eval", "--model", ckpt, "--data", "eval_data",
                  "--report", "report.csv", "--full-res")

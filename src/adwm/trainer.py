@@ -4,6 +4,9 @@ Everything downstream of (seed, config, data) is deterministic: the same
 run produces byte-identical logs and checkpoints. Loss must stay finite;
 a NaN aborts with the offending epoch/batch identified rather than
 silently poisoning the parameters.
+
+`train_runs` is the one route from a dataset directory to trained runs,
+for the CLI, the byte guard and the ablation protocol (`PROTOCOL`).
 """
 
 import os
@@ -12,10 +15,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import save_checkpoint
+from .backbone import ModelConfig, PansharpenModel, save_checkpoint
+from .data import load_sample, read_manifest, split_ids
 from .errors import ConfigurationError, DimensionError, NumericError
 from .metrics import psnr
 from .tensor import Tensor, as_tensor
+
+
+# The four-variant ablation behind acceptance criterion 8: each variant
+# trains once per seed on one dataset. Its numbers are cached in
+# tests/_ablation/result.json, which is reused while the protocol stored
+# there equals this dict.
+PROTOCOL = {
+    "data_seed": 11,
+    "count": 544,
+    "H": 64,
+    "W": 64,
+    "bands": 4,
+    "test_count": 32,
+    "channels": 16,
+    "blocks": 4,
+    "epochs": 60,
+    "batch_size": 16,
+    "lr0": 2e-3,
+    "halve_every": 150,
+    "seeds": [0, 1, 2],
+    "variants": ["baseline", "ifw", "cfw", "adwm"],
+}
+
+# the settings that every run of one `train_runs` call shares
+RUN_SETTINGS = ("channels", "blocks", "epochs", "lr0", "halve_every", "batch_size")
 
 
 @dataclass
@@ -191,3 +220,28 @@ def train(model, train_pairs, val_pairs, cfg, out_dir):
         log_path=log_path, best_path=best_path, final_path=final_path,
         best_val_psnr=float(best), history=history,
     )
+
+
+def train_runs(data_dir, test_count, runs, settings):
+    """Train each run on one read of the dataset at `data_dir`.
+
+    `runs` maps each run's directory to (its ModelConfig fields besides
+    bands, channels and blocks, its seed); `settings` maps each name in
+    RUN_SETTINGS to the value all runs share. Every run's configs are
+    built, and so checked, before any sample is read: the band count
+    comes from manifest.txt. The dataset is then read and split once,
+    holding out `test_count` samples, and the runs train in order.
+    Yields (ModelConfig, TrainResult) as each run ends.
+    """
+    shared = dict(settings)
+    model_shared = {"channels": shared.pop("channels"), "blocks": shared.pop("blocks")}
+    train_cfgs = [TrainConfig(seed=seed, **shared) for _, seed in runs.values()]
+    rows = read_manifest(data_dir)
+    model_cfgs = [ModelConfig(bands=rows[0]["c"], **model_shared, **fields)
+                  for fields, _ in runs.values()]
+    train_ids, val_ids = split_ids([r["id"] for r in rows], test_count)
+    pairs = {r["id"]: load_sample(data_dir, r["id"]) for r in rows}
+    train_pairs, val_pairs = ([pairs[i] for i in ids] for ids in (train_ids, val_ids))
+    for out_dir, cfg, tcfg in zip(runs, model_cfgs, train_cfgs):
+        yield cfg, train(PansharpenModel(cfg, seed=tcfg.seed), train_pairs,
+                         val_pairs, tcfg, out_dir)

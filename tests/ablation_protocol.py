@@ -1,10 +1,10 @@
-"""Fixed four-variant ablation protocol shared by the acceptance test.
+"""The ablation protocol behind acceptance criterion 8, trained and cached.
 
-Training is byte-deterministic (seeded permutations, seeded init, no
-threading in the update path), so the protocol's numbers are a pure
-function of PROTOCOL. The first execution caches them as JSON; the
-acceptance test asserts on the cached numbers and records the original
-runtime. Delete tests/_ablation/ to recompute from scratch.
+`PROTOCOL` and `train_runs`, the route that trains it, live in
+`adwm.trainer`. Training is byte-deterministic within one numerics
+environment, so the numbers are a pure function of PROTOCOL there. The
+first execution caches them as JSON, and the acceptance test asserts on
+the cached numbers. Delete tests/_ablation/ to recompute from scratch.
 
 Run standalone:  python3 tests/ablation_protocol.py
 """
@@ -17,75 +17,45 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 CACHE_PATH = os.path.join(HERE, "_ablation", "result.json")
 
-PROTOCOL = {
-    "data_seed": 11,
-    "count": 544,
-    "H": 64,
-    "W": 64,
-    "bands": 4,
-    "test_count": 32,
-    "channels": 16,
-    "blocks": 4,
-    "epochs": 60,
-    "batch_size": 16,
-    "lr0": 2e-3,
-    "halve_every": 150,
-    "seeds": [0, 1, 2],
-    "variants": ["baseline", "ifw", "cfw", "adwm"],
-}
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
-
-def _run(scratch_dir, log=print):
-    from adwm.backbone import ModelConfig, PansharpenModel
-    from adwm.data import build_dataset, load_sample, read_manifest, split_ids
-    from adwm.trainer import TrainConfig, train
-
-    p = PROTOCOL
-    data_dir = os.path.join(scratch_dir, "data")
-    if not os.path.isfile(os.path.join(data_dir, "manifest.txt")):
-        build_dataset(p["data_seed"], p["count"], p["H"], p["W"], p["bands"],
-                      data_dir)
-    rows = read_manifest(data_dir)
-    pairs = {r["id"]: load_sample(data_dir, r["id"]) for r in rows}
-    train_ids, test_ids = split_ids(sorted(pairs), p["test_count"])
-    train_pairs = [pairs[i] for i in train_ids]
-    test_pairs = [pairs[i] for i in test_ids]
-
-    psnr = {v: [] for v in p["variants"]}
-    runtimes = {}
-    for variant in p["variants"]:
-        for seed in p["seeds"]:
-            cfg = ModelConfig(bands=p["bands"], channels=p["channels"],
-                              blocks=p["blocks"], variant=variant)
-            model = PansharpenModel(cfg, seed=seed)
-            tcfg = TrainConfig(epochs=p["epochs"], lr0=p["lr0"],
-                               halve_every=p["halve_every"],
-                               batch_size=p["batch_size"], seed=seed)
-            out = os.path.join(scratch_dir, f"{variant}_s{seed}")
-            t0 = time.time()
-            result = train(model, train_pairs, test_pairs, tcfg, out)
-            dt = time.time() - t0
-            runtimes[f"{variant}_s{seed}"] = dt
-            psnr[variant].append(result.best_val_psnr)
-            log(f"  {variant} seed {seed}: psnr {result.best_val_psnr:.4f} "
-                f"({dt:.0f} s)")
-    return psnr, runtimes
+from adwm.data import build_dataset  # noqa: E402
+from adwm.trainer import PROTOCOL, RUN_SETTINGS, train_runs  # noqa: E402
 
 
 def run_protocol(cache_path=CACHE_PATH, log=print):
     """Return the cached protocol result, computing it on first use."""
+    p = PROTOCOL
     if os.path.isfile(cache_path):
         with open(cache_path) as f:
             cached = json.load(f)
-        if cached.get("protocol") == PROTOCOL:
+        if cached.get("protocol") == p:
             return cached
         log("protocol changed; recomputing ablation")
-    scratch = os.path.join(os.path.dirname(cache_path), "scratch")
-    os.makedirs(scratch, exist_ok=True)
     t0 = time.time()
-    psnr, runtimes = _run(scratch, log=log)
+    scratch = os.path.join(os.path.dirname(cache_path), "scratch")
+    data_dir = os.path.join(scratch, "data")
+    if not os.path.isfile(os.path.join(data_dir, "manifest.txt")):
+        build_dataset(p["data_seed"], p["count"], p["H"], p["W"], p["bands"],
+                      data_dir)
+    order = [(variant, seed) for variant in p["variants"] for seed in p["seeds"]]
+    runs = {os.path.join(scratch, f"{variant}_s{seed}"): ({"variant": variant}, seed)
+            for variant, seed in order}
+    psnr = {v: [] for v in p["variants"]}
+    runtimes = {}
+    run_start = time.time()  # the first run's seconds also span the dataset read
+    trained = train_runs(data_dir, p["test_count"], runs,
+                         {name: p[name] for name in RUN_SETTINGS})
+    for (variant, seed), (_, result) in zip(order, trained):
+        dt = time.time() - run_start
+        runtimes[f"{variant}_s{seed}"] = dt
+        psnr[variant].append(result.best_val_psnr)
+        log(f"  {variant} seed {seed}: psnr {result.best_val_psnr:.4f} "
+            f"({dt:.0f} s)")
+        run_start = time.time()  # the first run's seconds also span the dataset read
     result = {
-        "protocol": PROTOCOL,
+        "protocol": p,
         "psnr": psnr,
         "per_run_seconds": runtimes,
         "total_seconds": time.time() - t0,
@@ -100,6 +70,5 @@ def run_protocol(cache_path=CACHE_PATH, log=print):
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, os.path.join(HERE, "..", "src"))
     out = run_protocol()
     print(json.dumps({k: out[k] for k in ("psnr", "total_seconds")}, indent=1))

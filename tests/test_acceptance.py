@@ -106,7 +106,7 @@ def test_criterion_03_pca_residuals():
             n = int(rng.integers(2, 13))
             A = rng.standard_normal((n + 4, n))
             C = np.cov(A, rowvar=False)
-            res = pca_eigendecompose(Tensor(C))
+            res = pca_eigendecompose(C)
             lam, V = res.eigenvalues, res.eigenvectors
             top = max(1.0, lam[0])
             for i in range(n):

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from adwm import numerics
+from adwm import numerics, trainer
 from golden_bytes import load_golden
 
 
@@ -53,11 +53,12 @@ def test_one_ulp_in_one_conv_tap_moves_the_fingerprint(hashes, tmp_path, monkeyp
     ckpt = "baseline_cacw/checkpoint_final.ckpt"
     assert numerics.fingerprint(tmp_path / "rerun", arms=(arm,))[ckpt] == hashes[ckpt]
 
-    class Nudged(numerics.PansharpenModel):
+    class Nudged(trainer.PansharpenModel):
         def __init__(self, config, seed=0):
             super().__init__(config, seed)
             tap = self.blocks[0]["w1"].data
             tap[0, 0, 1, 1] = np.nextafter(tap[0, 0, 1, 1], np.inf)
 
-    monkeypatch.setattr(numerics, "PansharpenModel", Nudged)
+    # train_runs builds every run's model
+    monkeypatch.setattr(trainer, "PansharpenModel", Nudged)
     assert numerics.fingerprint(tmp_path / "nudged", arms=(arm,))[ckpt] != hashes[ckpt]

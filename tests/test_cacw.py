@@ -293,6 +293,12 @@ def test_eigendecompose_diagonal_input():
     assert np.allclose(np.abs(res.eigenvectors), np.eye(2), atol=1e-12)
 
 
+def test_eigendecompose_takes_arrays_only():
+    # as in the data layer, a stray Tensor is not read as a 0-d object array
+    with pytest.raises(TypeError):
+        pca_eigendecompose(Tensor(np.eye(2)))
+
+
 def test_eigendecompose_closed_form_2x2():
     res = pca_eigendecompose(np.array([[4.0, 4.0], [4.0, 4.0]]))
     assert np.allclose(res.eigenvalues, [8.0, 0.0], atol=1e-12)

@@ -346,6 +346,11 @@ def test_bad_d_frac_exits_2(tmp_path, data_dir, capsys, command, frac):
     ("train", ["--blocks", "0"]),
     ("train", ["--d-frac", "3"]),
     ("compare", ["--d-frac", "3"]),
+    ("compare", ["--d-frac", "0.5,3"]),  # the first run is fine
+    # the layer weighting needs two channels as samples
+    ("train", ["--channels", "1"]),
+    ("train", ["--variant", "cfw", "--channels", "1"]),
+    ("compare", ["--channels", "1"]),
 ])
 def test_bad_model_setting_exits_2_before_reading_data(tmp_path, data_dir, capsys,
                                                        monkeypatch, command, flags):
@@ -357,6 +362,14 @@ def test_bad_model_setting_exits_2_before_reading_data(tmp_path, data_dir, capsy
     assert "error:" in capsys.readouterr().err
     assert reads == []
     assert not out.exists()
+
+
+def test_ifw_trains_with_one_channel(tmp_path, data_dir):
+    out = tmp_path / "ifw"
+    rc = main(["train", "--data", data_dir, "--variant", "ifw", "--out", str(out),
+               *TRAIN_FLAGS, "--channels", "1"])
+    assert rc == 0
+    assert (out / "checkpoint_final.ckpt").is_file()
 
 
 def test_train_mixed_sample_shapes_exits_2(tmp_path, capsys):
@@ -400,6 +413,7 @@ def test_train_missing_sample_file_exits_2(tmp_path, capsys):
     (b"sample_00000\tx\t16\t16\t2\n", "must be integers"),
     (b"sample_\xff\t5\t16\t16\t2\n", "not UTF-8"),
     (b"../d/sample_00000\t5\t16\t16\t2\n", "not a plain file name"),
+    (b"sample_00000\t5\t16\t16\t2\n", "repeats line 1"),
 ])
 def test_train_bad_manifest_exits_2(tmp_path, capsys, line, needle):
     d = str(tmp_path / "d")

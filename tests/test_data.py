@@ -357,6 +357,7 @@ def test_missing_manifest(tmp_path):
     ("..\t1\t16\t16\t4\n", "plain file name"),
     ("\t1\t16\t16\t4\n", "plain file name"),
     ("a\\b\t1\t16\t16\t4\n", "plain file name"),
+    ("sample_00001\t3\t16\t16\t4\n", "'sample_00001' repeats line 1"),
 ])
 def test_manifest_bad_rows_are_format_errors(tmp_path, line, needle):
     (tmp_path / "manifest.txt").write_text("sample_00001\t2\t16\t16\t4\n" + line)
