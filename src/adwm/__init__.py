@@ -1,10 +1,11 @@
 """Covariance-driven dual-level feature weighting for pansharpening.
 
-The package bundles a small float64 autodiff engine, the covariance /
-correlation weight generator with its comparison baselines, intra- and
-cross-feature weighting, a minimal residual pansharpening backbone, a
-synthetic reduced-resolution data pipeline, fusion quality metrics,
-redundancy diagnostics, and a CLI tying them together.
+The package bundles a small autodiff engine (float64 where it records a
+tape, float32 for inference), the covariance / correlation weight
+generator with its comparison baselines, intra- and cross-feature
+weighting, a minimal residual pansharpening backbone, a synthetic
+reduced-resolution data pipeline, fusion quality metrics, redundancy
+diagnostics, and a CLI tying them together.
 """
 
 from .errors import (

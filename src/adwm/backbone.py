@@ -3,8 +3,8 @@
 The network predicts the residual between an upsampled low-resolution
 input and the target: H_hat = upsample(L) + decode(aggregate(F_1..F_N)).
 The decoder starts at zero, so a freshly constructed model reproduces
-plain bilinear upsampling bit for bit and training only has to learn the
-injected detail.
+plain bilinear upsampling bit for bit in its compute dtype, and training
+only has to learn the injected detail.
 
 Aggregation is the variant knob:
   baseline  last feature map, no extra parameters
@@ -15,6 +15,11 @@ Every weighted variant runs through `weighting.aggregate`, the one entry
 point of the weighting stack: one channel-gate generator per block,
 built for n = channels, and one layer-score generator built for
 n = blocks.
+
+`forward` is the one place that picks the compute dtype, after
+Micikevicius et al. 2018, "Mixed precision training": the parameters
+stay float64 masters, and a forward that records no tape computes in
+float32 on float32 copies of them (see `PansharpenModel.forward`).
 
 `forward` drops each map as soon as its last reader has run: the input
 grid after the encoder conv, each block's inner map after the block's
@@ -115,8 +120,8 @@ def _interp_axis(length, factor):
 
 
 def _gather(arr, axis, i0, i1, frac):
-    """Linear interpolation along `axis`, counted from the end."""
-    frac = frac.reshape((-1,) + (1,) * (-axis - 1))
+    """Linear interpolation along `axis`, counted from the end, in arr's dtype."""
+    frac = frac.astype(arr.dtype, copy=False).reshape((-1,) + (1,) * (-axis - 1))
     return arr.take(i0, axis) * (1.0 - frac) + arr.take(i1, axis) * frac
 
 
@@ -124,8 +129,8 @@ def _scatter(grad, axis, length, i0, i1, frac):
     """Adjoint of `_gather`: spread `grad` back onto `length` positions."""
     shape = list(grad.shape)
     shape[axis] = length
-    out = np.zeros(shape)
-    frac = frac.reshape((-1,) + (1,) * (-axis - 1))
+    out = np.zeros(shape, grad.dtype)
+    frac = frac.astype(grad.dtype, copy=False).reshape((-1,) + (1,) * (-axis - 1))
     trail = (slice(None),) * (-axis - 1)
     np.add.at(out, (Ellipsis, i0) + trail, grad * (1.0 - frac))
     np.add.at(out, (Ellipsis, i1) + trail, grad * frac)
@@ -160,6 +165,11 @@ def upsample_bilinear(x, factor):
 # ----------------------------------------------------------------------
 # model
 
+def _float32(x):
+    """A constant float32 Tensor over x's values."""
+    return Tensor(np.asarray(as_tensor(x).data, dtype=np.float32))
+
+
 def _he_kernel(rng, c_out, c_in, k=3):
     std = np.sqrt(2.0 / (c_in * k * k))
     return Tensor(rng.standard_normal((c_out, c_in, k, k)) * std)
@@ -169,7 +179,8 @@ class PansharpenModel:
     """Residual fusion network over a pan / low-res-bands pair.
 
     All parameters are float64 Tensors exposed by params() in a fixed
-    declaration order; checkpoints rely on that order.
+    declaration order; checkpoints rely on that order. `forward` reads
+    them in float32 when it records no tape.
     """
 
     def __init__(self, config, seed=0):
@@ -226,9 +237,27 @@ class PansharpenModel:
         (per-block channel gates) and "beta" (pre-softmax layer scores),
         None where the variant has none, plus "features", the detached
         per-block (H, W, C) or (B, H, W, C) feature maps.
+
+        The one place that picks the compute dtype. When a parameter, pan
+        or lrms requires grad, the forward records a tape and computes in
+        float64: training steps and gradient checks. Otherwise it computes
+        in float32, on float32 copies of pan, lrms and the parameters, and
+        every result is float32. The float64 parameters are never written,
+        also when the forward raises.
         """
-        pan = as_tensor(pan)
-        lrms = as_tensor(lrms)
+        params = self.params()
+        if any(t.requires_grad for t in params + [pan, lrms] if isinstance(t, Tensor)):
+            return self._forward(as_tensor(pan), as_tensor(lrms), return_weights)
+        masters = [p.data for p in params]
+        try:
+            for p in params:
+                p.data = p.data.astype(np.float32)
+            return self._forward(_float32(pan), _float32(lrms), return_weights)
+        finally:
+            for p, data in zip(params, masters):
+                p.data = data
+
+    def _forward(self, pan, lrms, return_weights):
         if pan.ndim not in (2, 3):
             raise DimensionError(f"pan must be (H,W) or (B,H,W), got {pan.shape}")
         batched = pan.ndim == 3

@@ -73,9 +73,9 @@ def centered_gram(X):
         # one (m, n) item at a time, each GEMM the one the batched product
         # makes for that item: xc rebuilt, dc = xc @ g, ga = g @ xc^T, and
         # dc += ga^T, so only dc is X-sized
-        dc = _empty(X.shape)
-        xc = _empty((m, n))
-        ga = _empty((n, m))
+        dc = _empty(X.shape, X.dtype)
+        xc = _empty((m, n), X.dtype)
+        ga = _empty((n, m), X.dtype)
         for i in np.ndindex(X.shape[:-2]):
             np.add(X.data[i], neg[i], out=xc)
             np.matmul(xc, g[i], out=dc[i])
@@ -277,7 +277,7 @@ class AttentionWeights(_MlpHead):
 
     def forward(self, X):
         X = self._observations(X)
-        scores = centered_gram(X) * (1.0 / np.sqrt(X.shape[-2]))
+        scores = centered_gram(X) * (1.0 / math.sqrt(X.shape[-2]))
         return self._mlp_rows(softmax(scores))
 
 
@@ -286,8 +286,9 @@ class PcaWeights(_MlpHead):
 
     Takes the top ceil(n/2) eigenvectors of the covariance; feature i's
     coordinate row goes through the shared head to a scalar weight. The
-    eigenbasis is computed outside the tape: gradients reach the head
-    only, the decomposition itself is treated as a constant per input.
+    eigenbasis is computed outside the tape, in float64, and enters the
+    head in the covariance's dtype: gradients reach the head only, the
+    decomposition itself is treated as a constant per input.
     """
 
     @property
@@ -299,7 +300,8 @@ class PcaWeights(_MlpHead):
 
     def forward(self, X):
         cov = compute_covariance(self._observations(X)).data
-        return self._mlp_rows(Tensor(pca_eigendecompose(cov).basis(self.k)))
+        basis = pca_eigendecompose(cov).basis(self.k)
+        return self._mlp_rows(Tensor(basis.astype(cov.dtype, copy=False)))
 
 
 WEIGHT_GENERATORS = {

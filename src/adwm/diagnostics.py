@@ -50,8 +50,10 @@ def spectrum_entropy(scree):
 
 
 def feature_covariance(F):
-    """Channel covariance of one (H, W, C) feature map as plain numpy."""
-    F = as_tensor(F)
+    """Channel covariance of one (H, W, C) feature map as plain float64
+    numpy, computed in float64 whatever the map's dtype, as the metrics
+    compute."""
+    F = np.asarray(as_tensor(F).data, dtype=np.float64)
     if F.ndim != 3:
         raise DimensionError(f"need an (H, W, C) feature map, got {F.shape}")
     return compute_covariance(_channel_observations(F)).data
@@ -94,7 +96,8 @@ def weight_trace(weights, epoch=0):
             for idx, w in enumerate(np.asarray(a.data).reshape(-1)):
                 rows.append((epoch, layer, idx, float(w)))
     if beta is not None:
-        probs = softmax(beta.detach()).data
+        # in float64 whatever beta's dtype, so the layer weights sum to 1
+        probs = softmax(np.asarray(beta.data, dtype=np.float64)).data
         for layer, w in enumerate(probs):
             rows.append((epoch, layer, -1, float(w)))
     return rows

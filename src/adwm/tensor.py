@@ -1,11 +1,20 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 and float64 tensors with reverse-mode automatic differentiation.
 
 Small define-by-run engine in the micrograd tradition. Every op builds
 its result through `_node(data, parents, backward)`, the one route onto
 the tape: when some parent requires grad, the result records its parents
 and a closure that pushes its gradient back through `backward`; other
 results keep neither. `as_tensor` is the one coercion of raw arrays.
-Everything is float64, which keeps finite-difference checks tight.
+
+A tensor keeps its array's dtype: a float32 or float64 array stays as it
+is, and anything else becomes float64. Every op computes in the dtype of
+its inputs, and every buffer it makes takes that dtype. A scalar operand,
+a Python or a numpy one, takes the other operand's dtype, so no constant
+upcasts a float32 op under either of numpy's scalar rules (NEP 50 from
+numpy 2, value-based casting before it). A forward that records a tape
+runs in float64, which keeps finite-difference checks tight and training
+bytes fixed; `backbone.PansharpenModel.forward` runs every other forward
+in float32.
 
 The sweep releases each intermediate's gradient as its node runs, so an
 op can hand that array to a parent as the parent's own gradient rather
@@ -60,11 +69,14 @@ import numpy as np
 
 from .errors import DimensionError, UsageError
 
+# the dtypes a Tensor keeps; any other array becomes float64
+_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-def _empty(shape):
-    """An uninitialised float64 array of `shape`, for a buffer that its
-    caller fills piecewise or reuses."""
-    return np.empty(shape)
+
+def _empty(shape, dtype):
+    """An uninitialised array of `shape` and `dtype`, for a buffer that
+    its caller fills piecewise or reuses."""
+    return np.empty(shape, dtype)
 
 
 def _unbroadcast(grad, shape):
@@ -144,7 +156,8 @@ class Tensor:
                  "_grad_factors", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _DTYPES else data.astype(np.float64)
         self._off_tape(requires_grad)
 
     def _off_tape(self, requires_grad=False):
@@ -169,6 +182,10 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def dtype(self):
+        return self.data.dtype
+
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -183,8 +200,8 @@ class Tensor:
 
     def _formed(self, buf, item=(), rows=slice(None)):
         """This tensor's data, or its part ``data[item][rows]``. A tensor
-        that keeps its data as factors forms that part into `buf`, a
-        float64 array of the part's shape, and returns `buf`; any other
+        that keeps its data as factors forms that part into `buf`, an
+        array of the part's shape, and returns `buf`; any other
         returns a view of ``data`` and leaves `buf` as it was. Of a map
         (B, H, W, C), item (b,) and a slice of rows name image rows of
         one map; a gated map takes no other parts."""
@@ -200,7 +217,7 @@ class Tensor:
         instead of the zeros-then-add two, and never aliases the source.
         """
         if self._held_grad() is None:
-            self.grad = g if owned else np.array(g, dtype=np.float64, order="C")
+            self.grad = g if owned else np.array(g, order="C")
         else:
             self.grad += g
 
@@ -282,6 +299,13 @@ class Tensor:
     # ------------------------------------------------------------------
     # elementwise arithmetic
 
+    def _operand(self, other):
+        """`other` as the second operand of an elementwise op: a Tensor or
+        an array as it is, and a scalar in this tensor's dtype."""
+        if isinstance(other, (Tensor, np.ndarray)):
+            return as_tensor(other)
+        return Tensor(np.asarray(other, dtype=self.dtype))
+
     @staticmethod
     def _check_broadcast(a, b):
         try:
@@ -292,7 +316,7 @@ class Tensor:
             ) from None
 
     def __add__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         self._check_broadcast(self, other)
 
         def backward(g):
@@ -311,7 +335,7 @@ class Tensor:
         return _node(self.data + other.data, (self, other), backward)
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         self._check_broadcast(self, other)
 
         def backward(g):
@@ -324,7 +348,7 @@ class Tensor:
         return _node(self.data * other.data, (self, other), backward)
 
     def __truediv__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         self._check_broadcast(self, other)
 
         def backward(g):
@@ -341,7 +365,7 @@ class Tensor:
         return self * -1.0
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + (-self._operand(other))
 
     # ------------------------------------------------------------------
     # nonlinearities
@@ -623,7 +647,7 @@ class _GatedMap(Tensor):
 
     @property
     def data(self):
-        return self._formed(np.empty(self._src.shape))
+        return self._formed(np.empty(self._src.shape, self.dtype))
 
     @property
     def shape(self):
@@ -636,6 +660,10 @@ class _GatedMap(Tensor):
     @property
     def size(self):
         return self._src.size
+
+    @property
+    def dtype(self):
+        return np.result_type(self._src, self._gate)
 
     def _formed(self, buf, item=(), rows=slice(None)):
         return np.multiply(self._src[item][rows], self._gate[item], out=buf)
@@ -673,8 +701,8 @@ def channel_scale(f, alpha):
         if alpha.requires_grad:
             # each map's (1, 1, C) sum on its own: the rows a batched sum
             # adds, in its order, through one map-sized scratch
-            ga = _empty(alpha.shape)
-            prod = _empty((h, w, c))
+            ga = _empty(alpha.shape, g.dtype)
+            prod = _empty((h, w, c), g.dtype)
             for i in np.ndindex(lead):
                 np.multiply(g[i], fd[i], out=prod)
                 prod.sum(axis=(0, 1), out=ga[i])
@@ -710,14 +738,14 @@ def _grid_rows(a, lead, p, hp, wp):
     runs of contiguous rows.
     """
     b, h, w, c = a.shape
-    buf = _empty((0, wp, c))
+    buf = _empty((0, wp, c), a.dtype)
 
     def rows(s0, s1):
         nonlocal buf
         # the grid rows that hold s0:s1; those before row 0 are the lead
         g0, g1 = (s0 - lead) // wp, -(-(s1 - lead) // wp)
         if g1 - g0 > len(buf):
-            buf = _empty((g1 - g0, wp, c))
+            buf = _empty((g1 - g0, wp, c), a.dtype)
         cells = buf[:g1 - g0]
         done = g0  # grid rows before this one are written
         for img in range(max(g0, 0) // hp, min(-(-g1 // hp), b)):
@@ -769,8 +797,8 @@ def _shifted_gemm(taps, offsets, rows, wp, n, store):
     in a buffer that the next block reuses. Each row of Y is the same sum
     whatever the blocks, so the result does not depend on them."""
     step = max(1, _BLOCK // wp) * wp
-    part_buf = _empty((min(n, step), taps.shape[2]))
-    block_buf = _empty(part_buf.shape)
+    part_buf = _empty((min(n, step), taps.shape[2]), taps.dtype)
+    block_buf = _empty(part_buf.shape, taps.dtype)
     for q0 in range(0, n, step):
         q1 = min(q0 + step, n)
         src = rows(q0, q1 + offsets[-1])
@@ -783,13 +811,14 @@ def _shifted_gemm(taps, offsets, rows, wp, n, store):
         store(q0 // wp, acc)
 
 
-def _tap_products(a_rows, x_rows, n, offsets, shape):
+def _tap_products(a_rows, x_rows, n, offsets, shape, dtype):
     """g[t] = A[:n].T @ X[offsets[t]:offsets[t] + n], of shape (taps,) +
-    `shape`, where a_rows(s0, s1) gives A[s0:s1] and x_rows X[s0:s1].
+    `shape` and `dtype`, where a_rows(s0, s1) gives A[s0:s1] and x_rows
+    X[s0:s1].
     Each product sums over rows, so its blocks are fixed `_BLOCK` runs of
     rows: other blocks would round the sums differently."""
-    g = np.zeros((len(offsets),) + shape)
-    part = _empty(shape)
+    g = np.zeros((len(offsets),) + shape, dtype)
+    part = _empty(shape, dtype)
     for q0 in range(0, n, _BLOCK):
         q1 = min(q0 + _BLOCK, n)
         at = a_rows(q0, q1).T
@@ -867,9 +896,10 @@ def conv2d(x, k, padding=1):
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     span = offsets[-1]  # L - M
 
-    taps = np.ascontiguousarray(k.data.transpose(2, 3, 1, 0))
+    dtype = np.result_type(xd, k.data)
+    taps = np.ascontiguousarray(k.data.transpose(2, 3, 1, 0), dtype)
     taps = taps.reshape(kh * kw, cin, cout)
-    y = _empty(x.shape[:-1] + (cout,))
+    y = _empty(x.shape[:-1] + (cout,), dtype)
     _shifted_gemm(taps, offsets, _grid_rows(xd, 0, p, hp, wp), wp, n,
                   _grid_store(y if batched else y[None], 0, hp, wp))
 
@@ -877,15 +907,15 @@ def conv2d(x, k, padding=1):
         gd = g if batched else g[None]
         if k.requires_grad:
             gk = _tap_products(_grid_rows(gd, 0, 0, hp, wp), _grid_rows(xd, 0, p, hp, wp),
-                               n - span, offsets, (cout, cin))
+                               n - span, offsets, (cout, cin), dtype)
             k._accumulate(gk.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
         if x.requires_grad:
             flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
-            flipped = np.ascontiguousarray(flipped).reshape(kh * kw, cout, cin)
+            flipped = np.ascontiguousarray(flipped, dtype).reshape(kh * kw, cout, cin)
             # a gradient x already holds takes each block's dX as it comes,
             # the elementwise add that `_accumulate` would make of a whole dX
             held = x._held_grad()
-            gx = _empty(x.shape) if held is None else held
+            gx = _empty(x.shape, dtype) if held is None else held
             _shifted_gemm(flipped, offsets, _grid_rows(gd, span, 0, hp, wp), wp, n,
                           _grid_store(gx if batched else gx[None], p, hp, wp,
                                       add=held is not None))

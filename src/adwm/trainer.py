@@ -3,7 +3,10 @@
 Everything downstream of (seed, config, data) is deterministic: the same
 run produces byte-identical logs and checkpoints. Loss must stay finite;
 a NaN aborts with the offending epoch/batch identified rather than
-silently poisoning the parameters.
+silently poisoning the parameters. Each step records a tape, so it
+computes in float64; the per-epoch validation records none, so its
+forwards compute in float32 and only the logged PSNR depends on that,
+never a parameter byte.
 
 `train_runs` is the one route from a dataset directory to trained runs,
 for the CLI, the byte guard and the ablation protocol (`PROTOCOL`).
@@ -143,7 +146,8 @@ def _grad_flags(params, flag):
 
 
 def evaluate_psnr(model, pairs):
-    """Mean PSNR over pairs with gradient tracking switched off."""
+    """Mean PSNR over pairs with gradient tracking switched off, so each
+    forward records no tape and computes in float32."""
     with _grad_flags(model.params(), False):
         vals = [psnr(s.gt, model.forward(s.pan, s.lrms).data) for s in pairs]
     return float(np.mean(vals))

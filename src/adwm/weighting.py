@@ -136,8 +136,9 @@ def weighted_sum(maps, w=None):
     if len(shape) < 3:
         raise DimensionError(f"weighted sum needs maps of shape (..., H, W, C), got {shape}")
     lead, h = shape[:-3], shape[-3]
+    dtype = np.result_type(*(m.dtype for m in maps))
     if w is None:
-        factors = [np.full(lead + (1, 1, 1), 1.0 / n)] * n
+        factors = [np.full(lead + (1, 1, 1), 1.0 / n, dtype)] * n
         parents = tuple(maps)
     else:
         if w.shape != shape[:-3] + (n,):
@@ -151,8 +152,8 @@ def weighted_sum(maps, w=None):
 
     # image rows per block: about _BLOCK pixels, so a block stays in cache
     step = max(1, _BLOCK // shape[-2])
-    data = _empty(shape)
-    scratch = _empty((min(step, h),) + shape[-2:])
+    data = _empty(shape, dtype)
+    scratch = _empty((min(step, h),) + shape[-2:], dtype)
     for i in np.ndindex(lead):
         for h0 in range(0, h, step):
             rows = slice(h0, h0 + step)
@@ -166,8 +167,8 @@ def weighted_sum(maps, w=None):
         if w is not None and w.requires_grad:
             # one map's (H, W, C) product at a time, summed whole as the
             # batched sum sums each map
-            gw = _empty(w.shape)
-            prod = _empty(shape[-3:])
+            gw = _empty(w.shape, w.dtype)
+            prod = _empty(shape[-3:], dtype)
             for i in np.ndindex(lead):
                 for k, m in enumerate(maps):
                     gw[i + (k,)] = np.multiply(g[i], m._formed(prod, i), out=prod).sum()

@@ -32,8 +32,8 @@ def poisoned_empty(monkeypatch):
     its result."""
     empty = tensor._empty
 
-    def nan_empty(shape):
-        out = empty(shape)
+    def nan_empty(shape, dtype):
+        out = empty(shape, dtype)
         out.fill(np.nan)
         return out
 

@@ -4,9 +4,11 @@
 
 Runs `adwm.numerics.fingerprint()` in a temporary directory, prints the
 entry as JSON and stores it in tests/golden_bytes.json under this
-environment's key, keeping every other environment's entry. An entry
-records the bytes of the code that wrote it: regenerate it only when a
-change moves output bytes on purpose, and say so with the change.
+environment's key, keeping every other environment's entry. When it
+replaces an entry, it first prints each path whose hash moved against
+that entry. An entry records the bytes of the code that wrote it:
+regenerate it only when a change moves output bytes on purpose, and say
+with the change which paths moved.
 """
 
 import json
@@ -34,9 +36,19 @@ def current_entry():
     return env_key(env), {"env": env, "hashes": hashes}
 
 
+def moved_paths(old, new):
+    """The paths whose hashes differ between two entries' hash maps,
+    including paths that only one of them has, sorted."""
+    return sorted(p for p in set(old) | set(new) if old.get(p) != new.get(p))
+
+
 def main():
     key, entry = current_entry()
     golden = load_golden()
+    if key in golden:
+        moved = moved_paths(golden[key]["hashes"], entry["hashes"])
+        print(f"{len(moved)} path(s) moved against the previous entry"
+              + "".join(f"\n  {p}" for p in moved))
     golden[key] = entry
     with open(GOLDEN_PATH, "w") as f:
         json.dump(golden, f, indent=1, sort_keys=True)

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from adwm import backbone
 from adwm.backbone import (
     CKPT_VERSION,
+    VARIANTS,
     ModelConfig,
     PansharpenModel,
     load_checkpoint,
@@ -25,6 +27,7 @@ from adwm.errors import (
     DimensionError,
     FormatError,
 )
+from adwm.cacw import WEIGHT_GENERATORS
 from adwm.data import SCALE
 from adwm.tensor import Tensor, concat, conv2d, gradcheck
 from adwm.weighting import _channel_observations, cfw_apply, weighted_sum
@@ -42,6 +45,14 @@ def randomized(model, seed=0, scale=0.1):
     rng = np.random.default_rng(seed)
     for p in model.params():
         p.data[...] = rng.standard_normal(p.data.shape) * scale
+    return model
+
+
+def recording(model, records=True):
+    """Switch gradients on for every parameter, or off, so that forward
+    records a tape in float64, or computes in float32 without one."""
+    for p in model.params():
+        p.requires_grad = records
     return model
 
 
@@ -183,15 +194,63 @@ def test_param_count_single_level_variants():
 
 
 def test_fresh_model_is_bilinear_upsampling():
-    # zero decoder: the network contributes nothing until trained
+    # zero decoder: the network contributes nothing until trained, bit for
+    # bit in either compute dtype: float32 without a tape, float64 with one
     rng = np.random.default_rng(5)
     lrms = rng.random((4, 4, 2))
     pan = rng.random((16, 16))
     expected = upsample_bilinear(Tensor(lrms), 4).data
+    expected32 = upsample_bilinear(Tensor(lrms.astype(np.float32)), 4).data
     for variant in ("baseline", "ifw", "cfw", "adwm"):
         model = PansharpenModel(tiny_config(variant), seed=1)
         out = model.forward(pan, lrms)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, expected32)
+        out = recording(model).forward(pan, lrms)
+        assert out.dtype == np.float64
         np.testing.assert_array_equal(out.data, expected)
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_no_grad_forward_leaves_the_float64_parameters_as_they_were(raises, monkeypatch):
+    # the float32 forward reads float32 copies of the parameters; the
+    # float64 masters come back as they were, also from a forward that
+    # raises partway
+    model = randomized(PansharpenModel(tiny_config("adwm")), seed=3)
+    params = model.params()
+    before = [(p.data, p.data.tobytes(), p.requires_grad) for p in params]
+    seen = []
+    if raises:
+        def failing_aggregate(features, ifw, cfw):
+            seen.append(model.enc_w.dtype)
+            raise RuntimeError("aggregation failed")
+        # the model reaches weighting.aggregate through this name
+        monkeypatch.setattr(backbone, "aggregate", failing_aggregate)
+    rng = np.random.default_rng(31)
+    with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+        model.forward(rng.random((16, 16)), rng.random((4, 4, 2)))
+    assert seen == ([np.float32] if raises else [])
+    for p, (data, raw, flag) in zip(params, before):
+        assert p.data is data and p.data.dtype == np.float64
+        assert p.data.tobytes() == raw and p.requires_grad is flag
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_float32_forward_agrees_with_the_float64_recording_forward(variant):
+    # 256x256, 8-band tiles through a model near a fresh one, as eval
+    # reads them: the float32 forward stays within 1e-5 of the float64
+    # one for every weight generator
+    rng = np.random.default_rng(32)
+    pan, lrms = rng.random((256, 256)), rng.random((64, 64, 8))
+    for generator in sorted(WEIGHT_GENERATORS):
+        model = PansharpenModel(ModelConfig(bands=8, channels=8, blocks=2,
+                                            variant=variant, generator=generator))
+        for p in model.params():
+            p.data += 0.002 * rng.standard_normal(p.shape)
+        out32 = model.forward(pan, lrms).data
+        out64 = recording(model).forward(pan, lrms).data
+        assert out32.dtype == np.float32 and out64.dtype == np.float64
+        assert np.abs(out32 - out64).max() <= 1e-5, generator
 
 
 def test_output_shapes():
@@ -203,9 +262,10 @@ def test_output_shapes():
     assert out_b.data.shape == (3, 16, 16, 2)
 
 
-def test_batched_matches_per_sample():
+@pytest.mark.parametrize("records", [False, True])
+def test_batched_matches_per_sample(records):
     rng = np.random.default_rng(7)
-    model = randomized(PansharpenModel(tiny_config("adwm")))
+    model = recording(randomized(PansharpenModel(tiny_config("adwm"))), records)
     pan = rng.random((3, 16, 16))
     lrms = rng.random((3, 4, 4, 2))
     full = model.forward(pan, lrms).data
@@ -269,13 +329,19 @@ def test_variants_differ_once_trained_weights_exist():
     assert not np.array_equal(outs["ifw"], outs["cfw"])
 
 
-def test_forced_identity_equals_mean_aggregation_bitwise():
+@pytest.mark.parametrize("records", [False, True])
+def test_forced_identity_equals_mean_aggregation_bitwise(records):
     rng = np.random.default_rng(10)
     pan, lrms = rng.random((16, 16)), rng.random((4, 4, 2))
     source = randomized(PansharpenModel(tiny_config("adwm")), seed=3)
-    forced = identity_heads(sharing_weights(source, "adwm")).forward(pan, lrms).data
+
+    def identity_model(variant):
+        return recording(identity_heads(sharing_weights(source, variant)), records)
+
+    forced = identity_model("adwm").forward(pan, lrms).data
     for variant in ("ifw", "cfw"):
-        mean = identity_heads(sharing_weights(source, variant)).forward(pan, lrms).data
+        mean = identity_model(variant).forward(pan, lrms).data
+        assert forced.dtype == mean.dtype == (np.float64 if records else np.float32)
         assert np.array_equal(forced, mean)
 
 
@@ -309,7 +375,7 @@ def test_features_stay_channels_last(batched):
     for f in weights["features"]:
         assert f.data.flags.c_contiguous
         obs = _channel_observations(f).data
-        assert np.shares_memory(obs, f.data) and obs.strides[-1] == 8
+        assert np.shares_memory(obs, f.data) and obs.strides[-1] == f.data.itemsize
 
 
 def _tape(loss):

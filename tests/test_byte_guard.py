@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from adwm import numerics, trainer
-from golden_bytes import load_golden
+from golden_bytes import load_golden, moved_paths
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +43,7 @@ def test_bytes_match_the_golden_entry(hashes):
                          indent=1, sort_keys=True))
         pytest.skip(f"no golden bytes for numerics environment {key!r}; "
                     "`python3 tests/golden_bytes.py` writes its entry")
-    moved = sorted(p for p in set(entry["hashes"]) | set(hashes)
-                   if entry["hashes"].get(p) != hashes.get(p))
+    moved = moved_paths(entry["hashes"], hashes)
     assert not moved, f"output bytes moved in {moved}"
 
 

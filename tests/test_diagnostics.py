@@ -120,6 +120,16 @@ def test_feature_covariance_loop_oracle():
                                atol=1e-12)
 
 
+def test_feature_covariance_of_a_float32_map_is_computed_in_float64():
+    # a forward that records no tape returns float32 feature maps; their
+    # covariance is the float64 covariance of the same values
+    rng = np.random.default_rng(4)
+    F = rng.standard_normal((6, 5, 3)).astype(np.float32)
+    cov = feature_covariance(Tensor(F))
+    assert cov.dtype == np.float64
+    assert np.array_equal(cov, feature_covariance(F.astype(np.float64)))
+
+
 def probe_weights(model, pair):
     return model.forward(pair.pan, pair.lrms, return_weights=True)[1]
 

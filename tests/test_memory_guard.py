@@ -98,8 +98,23 @@ def test_no_grad_forward_holds_the_stack_and_one_map_more():
                                         variant="adwm"), seed=0)
     pan = rng.random((b, size, size))
     lrms = rng.random((b, size // 4, size // 4, bands))
-    fmap = b * size * size * c * 8
     out = []
     before, peak, _ = _traced(lambda: out.append(model.forward(pan, lrms)))
     assert out[0].shape == (b, size, size, bands)
+    # in units of the maps the forward makes, whatever its compute dtype
+    fmap = b * size * size * c * out[0].data.itemsize
     assert peak - before < (n + 2) * fmap + fmap * bands // c
+
+
+def test_no_grad_forward_at_tile_size_peaks_in_float32():
+    # one adwm forward over a 256x256, 8-band tile at C=16, N=4, as
+    # `adwm eval --full-res` runs it: float32 maps of 4 MiB each. The
+    # float64 forward peaked at 44.8 MiB above its start, and the float32
+    # one at 22.9 MiB
+    rng = np.random.default_rng(75)
+    model = PansharpenModel(ModelConfig(bands=8, channels=16, blocks=4,
+                                        variant="adwm"), seed=0)
+    pan = rng.random((256, 256))
+    lrms = rng.random((64, 64, 8))
+    before, peak, _ = _traced(lambda: model.forward(pan, lrms))
+    assert peak - before <= 26 * 2**20

@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -1114,6 +1115,71 @@ def test_seeded_graph_bit_identical():
     a, b = run(), run()
     for u, v in zip(a, b):
         assert np.array_equal(u, v)
+
+
+# ----------------------------------------------------------------------
+# compute dtype
+
+@pytest.mark.parametrize("case", [c[0] for c in _node_cases()])
+def test_every_op_keeps_its_inputs_dtype(case):
+    # float32 inputs give a float32 result and float32 gradients, within
+    # float32 rounding of the float64 ones
+    name, op, arrays, _ = next(c for c in _node_cases() if c[0] == case)
+
+    def run(dtype):
+        leaves, inputs = _case_inputs(name, [x.astype(dtype) for x in arrays],
+                                      [True] * len(arrays))
+        out = op(*inputs)
+        weight = np.random.default_rng(41).standard_normal(out.shape).astype(dtype)
+        (out * Tensor(weight)).sum().backward()
+        return out, leaves
+
+    out64, leaves64 = run(np.float64)
+    out32, leaves32 = run(np.float32)
+    assert out64.dtype == np.float64 and out32.dtype == np.float32, name
+    np.testing.assert_allclose(out32.data, out64.data, rtol=1e-5, atol=1e-6)
+    for t64, t32 in zip(leaves64, leaves32):
+        assert t64.grad.dtype == np.float64 and t32.grad.dtype == np.float32, name
+        np.testing.assert_allclose(t32.grad, t64.grad, rtol=1e-5, atol=1e-6)
+
+
+def recorded_node_dtypes(monkeypatch):
+    """Record the dtype of every result built through `tensor._node`, in
+    `tensor` and in every adwm module that imports it, from here on."""
+    dtypes = []
+    node = tensor._node
+
+    def recorded(data, parents, backward):
+        out = node(data, parents, backward)
+        dtypes.append(out.dtype)
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "adwm" and getattr(module, "_node", None) is node:
+            monkeypatch.setattr(module, "_node", recorded)
+    return dtypes
+
+
+@pytest.mark.parametrize("variant", ["baseline", "ifw", "cfw", "adwm"])
+@pytest.mark.parametrize("generator", ["cacw", "pool", "attention", "pca"])
+def test_a_forward_computes_in_float32_unless_it_records_a_tape(variant, generator,
+                                                                 monkeypatch):
+    # no scalar or constant array may upcast a float32 op, under NEP 50's
+    # promotion (numpy 2) and under value-based casting (numpy 1.24) alike
+    dtypes = recorded_node_dtypes(monkeypatch)
+    rng = np.random.default_rng(18)
+    model = PansharpenModel(ModelConfig(bands=2, channels=4, blocks=2,
+                                        variant=variant, generator=generator))
+    for p in model.params():
+        p.data[...] = 0.1 * rng.standard_normal(p.shape)
+    pan, lrms = rng.random((3, 8, 8)), rng.random((3, 2, 2, 2))
+    model.forward(pan, lrms, return_weights=True)
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    dtypes.clear()
+    for p in model.params():
+        p.requires_grad = True
+    model.forward(pan, lrms).abs().mean().backward()
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
 # ----------------------------------------------------------------------
