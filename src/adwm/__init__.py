@@ -1,7 +1,7 @@
 """Covariance-driven dual-level feature weighting for pansharpening.
 
-The package bundles a small autodiff engine (float64 where it records a
-tape, float32 for inference), the covariance / correlation weight
+The package bundles a small autodiff engine (float32 compute, training
+included, on float64 master weights), the covariance / correlation weight
 generator with its comparison baselines, intra- and cross-feature
 weighting, a minimal residual pansharpening backbone, a synthetic
 reduced-resolution data pipeline, fusion quality metrics, redundancy

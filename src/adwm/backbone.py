@@ -18,8 +18,10 @@ n = blocks.
 
 `forward` is the one place that picks the compute dtype, after
 Micikevicius et al. 2018, "Mixed precision training": the parameters
-stay float64 masters, and a forward that records no tape computes in
-float32 on float32 copies of them (see `PansharpenModel.forward`).
+stay float64 masters, and every forward, a training step's included,
+computes in float32 on float32 copies of them; only a finite-difference
+check through pan or lrms computes in float64 (see
+`PansharpenModel.forward`).
 
 `forward` drops each map as soon as its last reader has run: the input
 grid after the encoder conv, each block's inner map after the block's
@@ -180,7 +182,7 @@ class PansharpenModel:
 
     All parameters are float64 Tensors exposed by params() in a fixed
     declaration order; checkpoints rely on that order. `forward` reads
-    them in float32 when it records no tape.
+    them in float32 unless pan or lrms requires grad.
     """
 
     def __init__(self, config, seed=0):
@@ -238,16 +240,20 @@ class PansharpenModel:
         None where the variant has none, plus "features", the detached
         per-block (H, W, C) or (B, H, W, C) feature maps.
 
-        The one place that picks the compute dtype. When a parameter, pan
-        or lrms requires grad, the forward records a tape and computes in
-        float64: training steps and gradient checks. Otherwise it computes
-        in float32, on float32 copies of pan, lrms and the parameters, and
-        every result is float32. The float64 parameters are never written,
+        The one place that picks the compute dtype. When pan or lrms
+        requires grad, as in a finite-difference check through the
+        inputs, the forward computes in float64 on the float64
+        parameters. Every other forward computes in float32, on float32
+        copies of pan, lrms and the parameters, and every result is
+        float32. A parameter that requires grad still records a tape: a
+        training step's forward, whose backward reads the float32 copies
+        that each op captured, and gives float32 gradients. The float64
+        parameters are put back before this returns, and never written,
         also when the forward raises.
         """
-        params = self.params()
-        if any(t.requires_grad for t in params + [pan, lrms] if isinstance(t, Tensor)):
+        if any(isinstance(t, Tensor) and t.requires_grad for t in (pan, lrms)):
             return self._forward(as_tensor(pan), as_tensor(lrms), return_weights)
+        params = self.params()
         masters = [p.data for p in params]
         try:
             for p in params:

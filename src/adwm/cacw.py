@@ -17,10 +17,10 @@ All ops accept an optional leading batch axis; the documented contracts
 are the unbatched shapes.
 
 `centered_gram` is one tape node that keeps no centered copy of X: its
-backward rebuilds that copy from X's data, one (m, n) item at a time
-into one reused buffer, so X must not be written between the forward
-and the backward, as with every op, and the only X-sized array the
-backward makes is the gradient it hands to X.
+analytic backward rebuilds that copy from X's data, one (m, n) item at
+a time into one reused buffer, so X must not be written between the
+forward and the backward, as with every op, and the only X-sized array
+the backward makes is the gradient it hands to X.
 """
 
 import math
@@ -53,37 +53,32 @@ def centered_gram(X):
     attention scores differ only in how they scale it.
 
     One tape node with the bytes of `Xc.T @ Xc`, Xc = `X - X.mean(axis=-2,
-    keepdims=True)`, forward and backward. The node keeps only the
-    (.., 1, n) negated mean: the backward rebuilds the centered copy from
-    X's data, which therefore must not be written between the forward
-    and the backward, as with every op. The backward then replays the
-    composition's own arithmetic in its order, one (m, n) item at a time
-    and each GEMM the one the batched product makes for that item, and
-    accumulates into X twice, as the composition's add and sum nodes did,
-    so that a gradient X already holds rounds as it would there.
+    keepdims=True)`, in its forward. The node keeps X's data, as the
+    forward read it, and the (.., 1, n) negated mean. Its backward is the
+    analytic one, after Ionescu et al. 2015, "Matrix backpropagation for
+    deep networks with structured layers": dX_i = Xc_i (G_i + G_i^T) for
+    each (m, n) item, with the centered copy rebuilt one item at a time
+    into one reused buffer. The centering's own term, the column sums of
+    that product spread back over the samples, is dropped: Xc's columns
+    sum to zero, so those sums vanish up to rounding. So the only X-sized
+    array the backward makes is the gradient it hands to X.
     """
     X = as_tensor(X)
     m, n = X.shape[-2:]
     swap = _swap_last(X.ndim)
-    neg = (X.data.sum(axis=-2, keepdims=True) * (1.0 / m)) * -1.0
-    xc = X.data + neg
+    xd = X.data
+    neg = (xd.sum(axis=-2, keepdims=True) * (1.0 / m)) * -1.0
+    xc = xd + neg
     gram = np.matmul(xc.transpose(swap), xc)
+    del xc
 
     def backward(g):
-        # one (m, n) item at a time, each GEMM the one the batched product
-        # makes for that item: xc rebuilt, dc = xc @ g, ga = g @ xc^T, and
-        # dc += ga^T, so only dc is X-sized
-        dc = _empty(X.shape, X.dtype)
-        xc = _empty((m, n), X.dtype)
-        ga = _empty((n, m), X.dtype)
+        dx = _empty(X.shape, g.dtype)
+        xc = _empty((m, n), g.dtype)
         for i in np.ndindex(X.shape[:-2]):
-            np.add(X.data[i], neg[i], out=xc)
-            np.matmul(xc, g[i], out=dc[i])
-            np.matmul(g[i], xc.T, out=ga)
-            dc[i] += ga.T
-        gsum = (dc.sum(axis=(X.ndim - 2,), keepdims=True) * -1.0) * (1.0 / m)
-        X._accumulate(dc, owned=True)
-        X._accumulate(np.broadcast_to(gsum, X.shape))
+            np.add(xd[i], neg[i], out=xc)
+            np.matmul(xc, g[i] + g[i].T, out=dx[i])
+        X._accumulate(dx, owned=True)
 
     return _node(gram, (X,), backward)
 

@@ -11,13 +11,17 @@ and returns the SHA-256 of every file it writes: each training arm's
 final checkpoint and log, an `eval --full-res` report and the
 `diagnose` output of the adwm arm. The tier-1 byte guard compares it
 with the entry that `tests/golden_bytes.json` holds for this
-environment; `tests/golden_bytes.py` writes that entry.
+environment; `tests/golden_bytes.py` writes that entry. The ablation
+cache behind criterion 8 records `numerics_env()` and the
+`fingerprint_digest` of the code that computed it, and is current only
+where both match.
 """
 
 import contextlib
 import ctypes
 import hashlib
 import io
+import json
 import os
 import platform
 
@@ -83,6 +87,11 @@ def numerics_env():
         "blas_kernel": _blas_kernel(),
         "machine": platform.machine(),
     }
+
+
+def fingerprint_digest(hashes):
+    """One SHA-256 hex over a `fingerprint()` result: its paths and hashes."""
+    return hashlib.sha256(json.dumps(hashes, sort_keys=True).encode()).hexdigest()
 
 
 def env_key(env):

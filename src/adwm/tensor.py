@@ -11,10 +11,13 @@ is, and anything else becomes float64. Every op computes in the dtype of
 its inputs, and every buffer it makes takes that dtype. A scalar operand,
 a Python or a numpy one, takes the other operand's dtype, so no constant
 upcasts a float32 op under either of numpy's scalar rules (NEP 50 from
-numpy 2, value-based casting before it). A forward that records a tape
-runs in float64, which keeps finite-difference checks tight and training
-bytes fixed; `backbone.PansharpenModel.forward` runs every other forward
-in float32.
+numpy 2, value-based casting before it). `backbone.PansharpenModel.forward`
+picks the dtype: float32 for every forward, training steps included, and
+float64 only for a finite-difference check through the model's inputs.
+A training forward runs on float32 copies of float64 parameters, which
+are restored before the sweep, so every backward reads the arrays its
+forward read, captured when the forward ran, never a parent's current
+``data``.
 
 The sweep releases each intermediate's gradient as its node runs, so an
 op can hand that array to a parent as the parent's own gradient rather
@@ -23,7 +26,11 @@ intermediates have None. An op may also hand a parent a gradient as two
 factors, a shared array and a scale (`_accumulate_product`): a node the
 sweep has yet to reach keeps them, and forms their product when the
 sweep reaches it or when a second gradient arrives for it, so the bytes
-are those of handing over the product at once.
+are those of handing over the product at once. A node whose backward
+only reads its gradient (a reshape) may also keep a read-only view, such
+as a sum's broadcast gradient, as it was handed (`_accumulate_view`), so
+the view reaches a parent that adds it into a gradient it holds, and no
+whole copy of it is made on the way.
 
 Shapes follow numpy. Image tensors are channels-last, (H, W, C), with an
 optional leading batch axis (B, H, W, C) accepted by the image ops. The
@@ -155,6 +162,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
                  "_grad_factors", "__weakref__")
 
+    # whether this node's backward only reads the gradient it releases, so
+    # that it may hold a read-only view as that gradient (`_accumulate_view`)
+    _reads_grad_only = False
+
     def __init__(self, data, requires_grad=False):
         data = np.asarray(data)
         self.data = data if data.dtype in _DTYPES else data.astype(np.float64)
@@ -226,7 +237,10 @@ class Tensor:
         or None: an array of its shape that an op may add into in place,
         with the bytes of `_accumulate`'s `grad += g`."""
         if self._grad_factors is not None:
-            self.grad = self._release_grad()
+            g, factor = self._grad_factors
+            self._grad_factors = None
+            # a view held as it was handed is copied, as `_accumulate` copies it
+            self.grad = np.array(g, order="C") if factor is None else g * factor
         return self.grad
 
     def _accumulate_product(self, g, factor):
@@ -246,12 +260,28 @@ class Tensor:
         else:
             self._accumulate(g * factor, owned=True)
 
+    def _accumulate_view(self, g):
+        """Add `g`, a read-only view of exactly this tensor's shape, into
+        ``grad``, with the bytes of `_accumulate(g)`.
+
+        A node whose backward only reads its gradient, that the sweep has
+        yet to reach and that holds no gradient yet, keeps the view as it
+        is and releases it so (a factor of None), so its backward passes
+        the view on rather than a whole copy of it. A second contribution
+        copies it first, as `_accumulate` would have.
+        """
+        if (self._reads_grad_only and self.grad is None and self._grad_factors is None
+                and self._backward_fn is not None):
+            self._grad_factors = (g, None)
+        else:
+            self._accumulate(g)
+
     def _release_grad(self):
         """Take this node's gradient from it, formed if it is held as factors."""
         if self._grad_factors is not None:
             g, factor = self._grad_factors
             self._grad_factors = None
-            return g * factor
+            return g if factor is None else g * factor
         g, self.grad = self.grad, None
         return g
 
@@ -337,29 +367,29 @@ class Tensor:
     def __mul__(self, other):
         other = self._operand(other)
         self._check_broadcast(self, other)
+        a, b = self.data, other.data
 
         def backward(g):
             # each product is fresh, and so is its sum when it is summed down
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape), owned=True)
+                self._accumulate(_unbroadcast(g * b, self.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape), owned=True)
+                other._accumulate(_unbroadcast(g * a, other.shape), owned=True)
 
-        return _node(self.data * other.data, (self, other), backward)
+        return _node(a * b, (self, other), backward)
 
     def __truediv__(self, other):
         other = self._operand(other)
         self._check_broadcast(self, other)
+        a, b = self.data, other.data
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.shape), owned=True)
+                self._accumulate(_unbroadcast(g / b, self.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-g * self.data / other.data**2, other.shape), owned=True
-                )
+                other._accumulate(_unbroadcast(-g * a / b**2, other.shape), owned=True)
 
-        return _node(self.data / other.data, (self, other), backward)
+        return _node(a / b, (self, other), backward)
 
     def __neg__(self):
         return self * -1.0
@@ -399,11 +429,13 @@ class Tensor:
         return _node(root, (self,), backward)
 
     def abs(self):
+        x = self.data
+
         def backward(g):
             # subgradient 0 at exact ties
-            self._accumulate(g * np.sign(self.data), owned=True)
+            self._accumulate(g * np.sign(x), owned=True)
 
-        return _node(np.abs(self.data), (self,), backward)
+        return _node(np.abs(x), (self,), backward)
 
     # ------------------------------------------------------------------
     # reductions and shape ops
@@ -412,8 +444,9 @@ class Tensor:
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            # a view: a first write copies it, a later one adds it in place
-            self._accumulate(np.broadcast_to(g, self.shape))
+            # a view: a reshape keeps it as it is, any other first write
+            # copies it, and a later one adds it in place
+            self._accumulate_view(np.broadcast_to(g, self.shape))
 
         return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
@@ -434,7 +467,7 @@ class Tensor:
         def backward(g):
             self._accumulate(g.reshape(self.shape))
 
-        return _node(self.data.reshape(shape), (self,), backward)
+        return _node(_Reshaped(self.data.reshape(shape)), (self,), backward)
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -460,7 +493,7 @@ class Tensor:
         idx = np.arange(n)
 
         def backward(g):
-            full = np.zeros_like(self.data)
+            full = np.zeros(self.shape, g.dtype)
             full[..., idx, idx] = g
             self._accumulate(full, owned=True)
 
@@ -482,8 +515,9 @@ class Tensor:
             raise DimensionError(
                 f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
             )
+        ad, bd = a.data, b.data
         try:
-            out_data = np.matmul(a.data, b.data)
+            out_data = np.matmul(ad, bd)
         except ValueError:
             raise DimensionError(
                 f"matmul batch dimensions do not broadcast: {a.shape} x {b.shape}"
@@ -492,13 +526,21 @@ class Tensor:
         def backward(g):
             # each product is fresh, and so is its sum when it is summed down
             if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                ga = np.matmul(g, np.swapaxes(bd, -1, -2))
                 a._accumulate(_unbroadcast(ga, a.shape), owned=True)
             if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                gb = np.matmul(np.swapaxes(ad, -1, -2), g)
                 b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
         return _node(out_data, (a, b), backward)
+
+
+class _Reshaped(Tensor):
+    """A reshape's result, whose backward only reads the gradient it
+    releases: a sum's broadcast gradient passes through it as a view."""
+
+    __slots__ = ()
+    _reads_grad_only = True
 
 
 # ----------------------------------------------------------------------
@@ -664,6 +706,10 @@ class _GatedMap(Tensor):
     @property
     def dtype(self):
         return np.result_type(self._src, self._gate)
+
+    def detach(self):
+        """The same two factors, cut off from the tape; nothing is formed."""
+        return _GatedMap(self._src, self._gate)
 
     def _formed(self, buf, item=(), rows=slice(None)):
         return np.multiply(self._src[item][rows], self._gate[item], out=buf)
@@ -896,8 +942,9 @@ def conv2d(x, k, padding=1):
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     span = offsets[-1]  # L - M
 
-    dtype = np.result_type(xd, k.data)
-    taps = np.ascontiguousarray(k.data.transpose(2, 3, 1, 0), dtype)
+    kd = k.data
+    dtype = np.result_type(xd, kd)
+    taps = np.ascontiguousarray(kd.transpose(2, 3, 1, 0), dtype)
     taps = taps.reshape(kh * kw, cin, cout)
     y = _empty(x.shape[:-1] + (cout,), dtype)
     _shifted_gemm(taps, offsets, _grid_rows(xd, 0, p, hp, wp), wp, n,
@@ -910,7 +957,7 @@ def conv2d(x, k, padding=1):
                                n - span, offsets, (cout, cin), dtype)
             k._accumulate(gk.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
         if x.requires_grad:
-            flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+            flipped = kd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
             flipped = np.ascontiguousarray(flipped, dtype).reshape(kh * kw, cout, cin)
             # a gradient x already holds takes each block's dX as it comes,
             # the elementwise add that `_accumulate` would make of a whole dX

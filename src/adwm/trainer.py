@@ -3,10 +3,12 @@
 Everything downstream of (seed, config, data) is deterministic: the same
 run produces byte-identical logs and checkpoints. Loss must stay finite;
 a NaN aborts with the offending epoch/batch identified rather than
-silently poisoning the parameters. Each step records a tape, so it
-computes in float64; the per-epoch validation records none, so its
-forwards compute in float32 and only the logged PSNR depends on that,
-never a parameter byte.
+silently poisoning the parameters. Every forward computes in float32,
+after Micikevicius et al. 2018, "Mixed precision training": each step
+records its tape in float32 on float32 copies of the float64 master
+parameters, and Adam casts each float32 gradient to float64 before it
+updates the float64 moments and masters. Checkpoints and logged
+metrics stay float64.
 
 `train_runs` is the one route from a dataset directory to trained runs,
 for the CLI, the byte guard and the ablation protocol (`PROTOCOL`).
@@ -99,7 +101,10 @@ def init_adam(params):
 
 
 def adam_step(params, grads, state, lr):
-    """One bias-corrected update in place; returns the advanced state."""
+    """One bias-corrected update in place; returns the advanced state.
+
+    Each gradient is cast to float64 first, so a float32 gradient updates
+    the float64 moments and parameters as its float64 value would."""
     if len(params) != len(grads):
         raise ConfigurationError(
             f"{len(params)} parameters but {len(grads)} gradients"
@@ -108,6 +113,7 @@ def adam_step(params, grads, state, lr):
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        g = np.asarray(g, dtype=np.float64)
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -125,9 +131,10 @@ def _assemble(pairs):
         listing = "; ".join(f"{s.id} {s.pan.shape} {s.lrms.shape} {s.gt.shape}"
                             for s in pairs)
         raise DimensionError(f"batch mixes sample shapes (pan, lrms, gt): {listing}")
-    pan = Tensor(np.stack([s.pan for s in pairs]))
-    lrms = Tensor(np.stack([s.lrms for s in pairs]))
-    gt = Tensor(np.stack([s.gt for s in pairs]))
+    # float32, the dtype a step computes in: a float64 gt would upcast
+    # the loss and with it the whole backward
+    pan, lrms, gt = (Tensor(np.stack([getattr(s, name) for s in pairs], dtype=np.float32))
+                     for name in ("pan", "lrms", "gt"))
     return pan, lrms, gt
 
 

@@ -163,6 +163,9 @@ def weighted_sum(maps, w=None):
             for m, f in zip(maps[1:], factors[1:]):
                 out += np.multiply(m._formed(buf, i, rows), f[i], out=buf)
 
+    # the maps as the forward read them, for the layer weights' gradient
+    read = [m.detach() for m in maps]
+
     def backward(g):
         if w is not None and w.requires_grad:
             # one map's (H, W, C) product at a time, summed whole as the
@@ -170,7 +173,7 @@ def weighted_sum(maps, w=None):
             gw = _empty(w.shape, w.dtype)
             prod = _empty(shape[-3:], dtype)
             for i in np.ndindex(lead):
-                for k, m in enumerate(maps):
+                for k, m in enumerate(read):
                     gw[i + (k,)] = np.multiply(g[i], m._formed(prod, i), out=prod).sum()
             w._accumulate(gw, owned=True)
         # each map forms its g * f when the sweep reaches it, so the N

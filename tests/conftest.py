@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from adwm import tensor
+from adwm import numerics, tensor
 
 _HYPOTHESIS_HOME = pytest.StashKey[str]()
 
@@ -43,3 +43,11 @@ def poisoned_empty(monkeypatch):
                 monkeypatch.setattr(module, "_empty", nan_empty)
 
     return poison
+
+
+@pytest.fixture(scope="session")
+def fingerprint_hashes(tmp_path_factory):
+    """`numerics.fingerprint()` of this code on this host, run once per
+    session: the byte guard compares it with its golden entry, and the
+    ablation cache must record its digest."""
+    return numerics.fingerprint(tmp_path_factory.mktemp("fingerprint") / "run")

@@ -4,19 +4,23 @@ One test per numbered guarantee, each printing a single pass/fail line
 (visible with -s, or in the captured output on failure). Tolerances are
 stated inline; none of them may be loosened without a decision record.
 
-Criterion 8 trains the four-variant ablation at full protocol scale. The
-run is byte-deterministic (criterion 11), so its numbers are cached in
-tests/_ablation/result.json after the first execution; delete that
-directory to recompute from scratch (hours on a laptop core).
+Criterion 8 reads the four-variant ablation at full protocol scale. The
+run is byte-deterministic within one numerics environment (criterion
+11), so its numbers are cached in tests/_ablation/result.json together
+with the environment and the fingerprint digest of the code that
+computed them. Criterion 8 asserts only on a cache that matches this
+host and code; elsewhere it prints the environment and skips, naming
+`python3 tests/ablation_protocol.py`, which recomputes the cache (hours
+on a laptop core).
 """
 
 import contextlib
-import statistics
 import time
 
 import numpy as np
 import pytest
 
+from adwm import numerics
 from adwm.backbone import ModelConfig, PansharpenModel, load_checkpoint
 from adwm.cacw import (
     CacwModule,
@@ -36,7 +40,7 @@ from adwm.weighting import (
     make_adwm_modules,
 )
 
-from ablation_protocol import run_protocol
+import ablation_protocol
 from test_diagnostics import instrumented_weighting
 
 
@@ -209,9 +213,18 @@ def test_criterion_07_metric_fixed_points():
         assert hqnr(1.0, 0.7) == 0.0
 
 
-def test_criterion_08_ablation_direction():
-    res = run_protocol()
-    med = {v: statistics.median(res["psnr"][v]) for v in res["psnr"]}
+def test_criterion_08_ablation_direction(fingerprint_hashes):
+    key = ablation_protocol.cache_key(fingerprint_hashes)
+    res = ablation_protocol.read_cache(key, ablation_protocol.CACHE_PATH)
+    if res is None:
+        # a cache from other code or another numerics environment holds
+        # numbers this code never produced here: no assertion on them
+        env = numerics.env_key(key["numerics_env"])
+        print(f"  no ablation cache for numerics environment {env!r} and "
+              f"fingerprint {key['fingerprint']}")
+        pytest.skip(f"no current ablation cache for {env!r}; "
+                    "`python3 tests/ablation_protocol.py` writes it (hours on one core)")
+    med = ablation_protocol.medians(res)
     minutes = res["total_seconds"] / 60.0
     cores = res["cpu_count"]
     print("  medians: " + "  ".join(f"{v}={med[v]:.3f}" for v in

@@ -50,10 +50,16 @@ def randomized(model, seed=0, scale=0.1):
 
 def recording(model, records=True):
     """Switch gradients on for every parameter, or off, so that forward
-    records a tape in float64, or computes in float32 without one."""
+    records a tape or not; either way it computes in float32."""
     for p in model.params():
         p.requires_grad = records
     return model
+
+
+def float64_forward(model, pan, lrms):
+    """The model's float64 forward: lrms requires grad, as in a
+    finite-difference check through the inputs."""
+    return model.forward(pan, Tensor(lrms, requires_grad=True))
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +201,8 @@ def test_param_count_single_level_variants():
 
 def test_fresh_model_is_bilinear_upsampling():
     # zero decoder: the network contributes nothing until trained, bit for
-    # bit in either compute dtype: float32 without a tape, float64 with one
+    # bit in either compute dtype: float32 with a tape or without one, and
+    # float64 when an input requires grad
     rng = np.random.default_rng(5)
     lrms = rng.random((4, 4, 2))
     pan = rng.random((16, 16))
@@ -207,6 +214,9 @@ def test_fresh_model_is_bilinear_upsampling():
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out.data, expected32)
         out = recording(model).forward(pan, lrms)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, expected32)
+        out = float64_forward(model, pan, lrms)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out.data, expected)
 
@@ -248,7 +258,7 @@ def test_float32_forward_agrees_with_the_float64_recording_forward(variant):
         for p in model.params():
             p.data += 0.002 * rng.standard_normal(p.shape)
         out32 = model.forward(pan, lrms).data
-        out64 = recording(model).forward(pan, lrms).data
+        out64 = float64_forward(model, pan, lrms).data
         assert out32.dtype == np.float32 and out64.dtype == np.float64
         assert np.abs(out32 - out64).max() <= 1e-5, generator
 
@@ -341,7 +351,7 @@ def test_forced_identity_equals_mean_aggregation_bitwise(records):
     forced = identity_model("adwm").forward(pan, lrms).data
     for variant in ("ifw", "cfw"):
         mean = identity_model(variant).forward(pan, lrms).data
-        assert forced.dtype == mean.dtype == (np.float64 if records else np.float32)
+        assert forced.dtype == mean.dtype == np.float32
         assert np.array_equal(forced, mean)
 
 

@@ -15,9 +15,9 @@ from adwm import numerics, trainer
 from golden_bytes import load_golden, moved_paths
 
 
-@pytest.fixture(scope="module")
-def hashes(tmp_path_factory):
-    return numerics.fingerprint(tmp_path_factory.mktemp("fingerprint") / "run")
+@pytest.fixture
+def hashes(fingerprint_hashes):
+    return fingerprint_hashes
 
 
 def test_numerics_env_names_every_setting():

@@ -114,11 +114,24 @@ def test_covariance_batched_matches_per_sample():
 GRAM_SHAPES = [(7, 3), (2, 6, 4), (2, 3), (3, 2, 1), (64, 4), (3, 50, 16), (2, 2, 9, 3)]
 
 
+def centered_gram_backward_oracle(x, g):
+    """dX_i = Xc_i (G_i + G_i^T), one numpy item at a time, with Xc
+    centred as `centered_gram` centres it: the analytic backward."""
+    m = x.shape[-2]
+    xc = x + (x.sum(axis=-2, keepdims=True) * (1.0 / m)) * -1.0
+    dx = np.empty_like(x)
+    for i in np.ndindex(x.shape[:-2]):
+        dx[i] = xc[i] @ (g[i] + g[i].T)
+    return dx
+
+
 @pytest.mark.parametrize("poisoned", [False, True])
 @pytest.mark.parametrize("second_consumer", [False, True])
 @pytest.mark.parametrize("shape", GRAM_SHAPES)
-def test_centered_gram_matches_composition_bitwise(shape, second_consumer, poisoned,
-                                                   poisoned_empty):
+def test_centered_gram_matches_composition(shape, second_consumer, poisoned,
+                                           poisoned_empty):
+    # the forward has the composition's bytes; the analytic backward drops
+    # the centering's own term, whose column sums vanish up to rounding
     if poisoned:
         poisoned_empty()
     rng = np.random.default_rng(52)
@@ -137,8 +150,25 @@ def test_centered_gram_matches_composition_bitwise(shape, second_consumer, poiso
             loss = loss + (X * w).sum()
         loss.backward()
         results.append((out.data, X.grad))
-    for got, want in zip(*results):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), shape
+    (out, grad), (want_out, want_grad) = results
+    assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes(), shape
+    assert grad.shape == want_grad.shape
+    np.testing.assert_allclose(grad, want_grad, rtol=0,
+                               atol=1e-13 * shape[-2] * np.abs(want_grad).max())
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+@pytest.mark.parametrize("shape", GRAM_SHAPES)
+def test_centered_gram_backward_is_the_analytic_one_bitwise(shape, poisoned, poisoned_empty):
+    if poisoned:
+        poisoned_empty()
+    rng = np.random.default_rng(54)
+    x = rng.standard_normal(shape) * 3.0 + 1.0
+    g = rng.standard_normal(shape[:-2] + (shape[-1], shape[-1]))
+    X = Tensor(x.copy(), requires_grad=True)
+    (centered_gram(X) * Tensor(g)).sum().backward()
+    # (out * g).sum() hands the Gram g * 1.0, which is g
+    assert X.grad.tobytes() == centered_gram_backward_oracle(x, g).tobytes(), shape
 
 
 def test_centered_gram_keeps_no_centered_copy_on_the_tape(monkeypatch):
@@ -164,10 +194,9 @@ def test_centered_gram_keeps_no_centered_copy_on_the_tape(monkeypatch):
     finally:
         if enabled:
             gc.enable()
-    # the backward's rebuilt copy gives the composition's gradient
-    want = Tensor(X.data.copy(), requires_grad=True)
-    centered_gram_oracle(want).sum().backward()
-    assert X.grad.tobytes() == want.grad.tobytes()
+    # the backward's rebuilt copy gives the analytic gradient
+    ones = np.ones((4, 4))
+    assert X.grad.tobytes() == centered_gram_backward_oracle(X.data, ones).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -489,3 +518,47 @@ def test_generator_param_counts():
 def test_default_hidden_width_is_ceil_080_n():
     assert CacwModule(n=16).d == 13  # ceil(0.8 * 16)
     assert CacwModule(n=4).d == 4    # ceil(3.2)
+
+
+@pytest.mark.parametrize("order", ["map_first", "map_after", "second_reader"])
+def test_pool_mean_gradient_reaches_the_map_as_a_view(order, monkeypatch):
+    # the pool generator's column mean hands its broadcast gradient through
+    # the observations' reshape as a view, which the feature map adds into
+    # the gradient it holds: the bytes of copying it whole first
+    from adwm.tensor import _Reshaped
+    from adwm.weighting import _channel_observations
+
+    rng = np.random.default_rng(55)
+    f0 = rng.standard_normal((2, 6, 5, 4))
+    v, u = rng.standard_normal(f0.shape), rng.standard_normal((2, 30, 4))
+    gen = PoolWeights(4, seed=5)
+    for p in gen.params():
+        p.data[...] = 0.3 * rng.standard_normal(p.shape)
+    released = []
+    release = _Reshaped._release_grad
+
+    def spy(self):
+        g = release(self)
+        released.append((self, 0 in g.strides))
+        return g
+
+    def run():
+        F = Tensor(f0.copy(), requires_grad=True)
+        G = F * 1.0  # an intermediate map, as a block's output is
+        X = _channel_observations(G)
+        loss = gen.forward(X).sum()
+        if order == "map_first":
+            loss = (G * Tensor(v)).sum() + loss
+        elif order == "map_after":
+            loss = loss + (G * Tensor(v)).sum()
+        else:
+            loss = loss + (X * Tensor(u)).sum()
+        loss.backward()
+        return F.grad, X
+
+    monkeypatch.setattr(_Reshaped, "_release_grad", spy)
+    got, X = run()
+    # a second reader of the observations gets the broadcast copied, as before
+    assert [view for node, view in released if node is X] == [order != "second_reader"]
+    monkeypatch.setattr(_Reshaped, "_reads_grad_only", False)
+    assert got.tobytes() == run()[0].tobytes()

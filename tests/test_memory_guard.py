@@ -42,8 +42,8 @@ def test_centered_gram_backward_holds_one_item_beside_its_gradient():
     X = Tensor(rng.standard_normal((8, 512, 4)), requires_grad=True)
     node = centered_gram(X)
     before, peak, after = _run_backward(node, rng.standard_normal((8, 4, 4)))
-    # what stays is X's gradient; beside it only an item's centered copy
-    # and its g @ xc^T, never a whole one
+    # what stays is X's gradient; beside it only an item's centered copy,
+    # never a whole one
     assert after - before >= X.data.nbytes
     assert peak - after < X.data.nbytes
 

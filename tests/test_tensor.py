@@ -1162,10 +1162,11 @@ def recorded_node_dtypes(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["baseline", "ifw", "cfw", "adwm"])
 @pytest.mark.parametrize("generator", ["cacw", "pool", "attention", "pca"])
-def test_a_forward_computes_in_float32_unless_it_records_a_tape(variant, generator,
-                                                                 monkeypatch):
+def test_a_forward_computes_in_float32_unless_an_input_requires_grad(variant, generator,
+                                                                      monkeypatch):
     # no scalar or constant array may upcast a float32 op, under NEP 50's
-    # promotion (numpy 2) and under value-based casting (numpy 1.24) alike
+    # promotion (numpy 2) and under value-based casting (numpy 1.24) alike;
+    # a forward that records a tape for the parameters is float32 too
     dtypes = recorded_node_dtypes(monkeypatch)
     rng = np.random.default_rng(18)
     model = PansharpenModel(ModelConfig(bands=2, channels=4, blocks=2,
@@ -1179,6 +1180,9 @@ def test_a_forward_computes_in_float32_unless_it_records_a_tape(variant, generat
     for p in model.params():
         p.requires_grad = True
     model.forward(pan, lrms).abs().mean().backward()
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    dtypes.clear()
+    model.forward(pan, Tensor(lrms, requires_grad=True)).abs().mean().backward()
     assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 

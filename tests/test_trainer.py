@@ -322,3 +322,50 @@ def test_steps_in_a_poisoned_workspace_are_bitwise_those_outside(
     want = seeded_steps(variant, generator)
     poisoned_empty()
     assert seeded_steps(variant, generator) == want
+
+
+# ----------------------------------------------------------------------
+# mixed precision
+
+
+@pytest.mark.parametrize("variant,generator", ARMS)
+def test_a_training_step_records_a_float32_tape_end_to_end(variant, generator, monkeypatch):
+    # every tape node and every gradient is float32; the master parameters
+    # and Adam's moments stay float64, also after the update
+    from test_tensor import recorded_node_dtypes
+
+    pan, lrms, gt = trainer._assemble(make_pairs(2, c=2))
+    assert {pan.dtype, lrms.dtype, gt.dtype} == {np.dtype(np.float32)}
+    model = PansharpenModel(ModelConfig(bands=2, channels=4, blocks=2, variant=variant,
+                                        generator=generator), seed=5)
+    rng = np.random.default_rng(5)
+    for p in model.params():
+        p.data[...] = 0.1 * rng.standard_normal(p.shape)
+    params = model.params()
+    state = init_adam(params)
+    dtypes = recorded_node_dtypes(monkeypatch)
+    with trainer._grad_flags(params, True):
+        loss = l1_loss(model.forward(pan, lrms), gt)
+        loss.backward()
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    assert loss.dtype == np.float32
+    grads = [p.grad for p in params]
+    assert all(g is not None and g.dtype == np.float32 for g in grads)
+    assert all(p.dtype == np.float64 for p in params)
+    adam_step(params, grads, state, lr=2e-3)
+    assert all(p.dtype == np.float64 for p in params)
+    assert all(a.dtype == np.float64 for a in state["m"] + state["v"])
+
+
+def test_adam_reads_a_float32_gradient_as_its_float64_value():
+    rng = np.random.default_rng(6)
+    start = rng.standard_normal((3, 4))
+    g32 = rng.standard_normal((3, 4)).astype(np.float32)
+    results = []
+    for g in (g32, g32.astype(np.float64)):
+        p = Tensor(start.copy())
+        state = init_adam([p])
+        for _ in range(3):
+            adam_step([p], [g], state, lr=2e-3)
+        results.append([p.data.tobytes(), state["m"][0].tobytes(), state["v"][0].tobytes()])
+    assert results[0] == results[1]
