@@ -37,7 +37,9 @@ record per parameter in declaration order. Other versions, formats 1
 and 2 among them, are rejected.
 """
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from numbers import Real
@@ -320,7 +322,12 @@ class PansharpenModel:
 # checkpoints
 
 def save_checkpoint(path, model):
-    """Serialize config + parameters; byte-identical for identical state."""
+    """Serialize config + parameters; byte-identical for identical state.
+
+    The bytes go to a temporary file beside `path` that then replaces it,
+    so a write that fails or is cut off part-way leaves any previous
+    checkpoint at `path` whole. A failed write removes its temporary file.
+    """
     cfg = asdict(model.config)
     cfg["seed"] = model.seed
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
@@ -333,8 +340,15 @@ def save_checkpoint(path, model):
     buf += struct.pack("<I", len(params))
     for p in params:
         buf += tensor_to_bytes(p.data)
-    with open(path, "wb") as f:
-        f.write(bytes(buf))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(bytes(buf))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

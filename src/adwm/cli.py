@@ -213,7 +213,9 @@ def cmd_diagnose(args):
     probe = load_sample(args.data, args.sample or rows[0]["id"])
     os.makedirs(args.out, exist_ok=True)
 
-    _, weights = model.forward(probe.pan, probe.lrms, return_weights=True)
+    # only the weights dict is kept: the fused image is freed before the
+    # spectra start
+    weights = model.forward(probe.pan, probe.lrms, return_weights=True)[1]
     entries = diagnostics.layer_spectra(weights)
     scree_rows = []
     entropy_rows = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cacw import D_FRACTION, compute_covariance, pca_eigendecompose, reduced_width
+from .cacw import D_FRACTION, pca_eigendecompose, reduced_width
 from .errors import ConfigurationError, DegenerateSampleError, DimensionError
 from .tensor import as_tensor, softmax
 from .weighting import _channel_observations
@@ -52,11 +52,24 @@ def spectrum_entropy(scree):
 def feature_covariance(F):
     """Channel covariance of one (H, W, C) feature map as plain float64
     numpy, computed in float64 whatever the map's dtype, as the metrics
-    compute."""
-    F = np.asarray(as_tensor(F).data, dtype=np.float64)
-    if F.ndim != 3:
-        raise DimensionError(f"need an (H, W, C) feature map, got {F.shape}")
-    return compute_covariance(_channel_observations(F)).data
+    compute.
+
+    The map is copied to float64 once and centred in place in that
+    private copy, so the only map-sized buffer is the copy; the result
+    has the bytes of `cacw.compute_covariance` of the same observations.
+    """
+    X = np.array(as_tensor(F).data, dtype=np.float64)
+    if X.ndim != 3:
+        raise DimensionError(f"need an (H, W, C) feature map, got {X.shape}")
+    X = _channel_observations(X)
+    m = X.shape[0]
+    if m < 2:
+        raise DegenerateSampleError(f"covariance needs at least 2 samples, got m={m}")
+    # compute_covariance's steps: the negated mean added, the Gram matrix
+    # scaled by 1/(m-1), then symmetrized
+    X += (X.sum(axis=-2, keepdims=True) * (1.0 / m)) * -1.0
+    cov = np.matmul(X.T, X) * (1.0 / (m - 1))
+    return (cov + cov.T) * 0.5
 
 
 def layer_spectra(weights):

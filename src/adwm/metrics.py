@@ -4,11 +4,17 @@ no-reference (spectral / spatial distortion and their product).
 Array layout is channel-last throughout: multiband images are (H, W, c),
 single-band images (H, W). All functions are pure and deterministic.
 
-The Q family works on window stacks: one reshape turns an (H, W, ...)
-image into (n_windows, window*window, ...) non-overlapping windows
-(trailing partial tiles dropped), and every window's means, variances
-and covariances come out of axis reductions, einsum or one batched
-matmul, with no loop over windows or band pairs. Q2n uses that the
+Each metric holds at most one image-sized scratch array beside its
+float64 inputs. PSNR and ERGAS square their difference in place, and
+SAM walks blocks of SAM_BLOCK pixels. The Q family walks strips: one
+window-row of the image at a time becomes a stack of (n_cols,
+window*window, ...) non-overlapping windows (trailing partial tiles
+dropped), whose means, variances and covariances come out of axis
+reductions, einsum or one batched matmul, with no loop over windows or
+band pairs. Only these per-window moments are kept for the whole image,
+in row-major tile order, and the Q values and their means are formed
+from them at once. A per-pixel or per-window value does not depend on
+the blocking, so neither does any result. Q2n uses that the
 Cayley-Dickson product is bilinear: E[z1 conj(z2)] per window is the
 second-moment matrix E[z1_i conj(z2)_j] contracted with the
 structure-constant table T[i, j, :] = e_i e_j, and the variance is
@@ -27,6 +33,7 @@ from .errors import ConfigurationError, DimensionError, UsageError
 _EPS = 1e-12
 PSNR_CAP = 100.0  # dB, the value of a perfect prediction
 WINDOW = 32  # Q-family window side, clamped to smaller images by the evaluators
+SAM_BLOCK = 4096  # pixels per block of the spectral angle
 
 
 def _check_same_shape(a, b, what):
@@ -43,7 +50,7 @@ def psnr(gt, pred):
     gt = np.asarray(gt, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     _check_same_shape(gt, pred, "psnr")
-    mse = float(np.mean((gt - pred) ** 2))
+    mse = float(np.mean(_squared_error(gt, pred)))
     if mse == 0.0:
         return PSNR_CAP
     # np.minimum, unlike min, keeps a NaN
@@ -63,24 +70,36 @@ def sam(gt, pred):
     _check_same_shape(gt, pred, "sam")
     if gt.ndim != 3 or gt.shape[2] < 2:
         raise DimensionError(f"sam needs (H, W, c) with c >= 2, got {gt.shape}")
-    g = gt.reshape(-1, gt.shape[2])
-    p = pred.reshape(-1, gt.shape[2])
-    gn = _row_norms(g)
-    pn = _row_norms(p)
-    # a NaN norm is kept: only an exact zero has no direction
-    keep = (gn != 0) & (pn != 0)
-    if not keep.all():
-        if not keep.any():
-            return 0.0
-        g, p, gn, pn = g[keep], p[keep], gn[keep], pn[keep]
-    u = g / gn[:, None]
-    v = p / pn[:, None]
-    ang = 2.0 * np.arctan2(_row_norms(u - v), _row_norms(u + v))
-    return float(np.degrees(ang).mean())
+    gt_px = gt.reshape(-1, gt.shape[2])
+    pred_px = pred.reshape(-1, gt.shape[2])
+    ang = np.empty(len(gt_px))
+    n = 0  # angles so far, of the pixels kept
+    for start in range(0, len(gt_px), SAM_BLOCK):
+        g = gt_px[start:start + SAM_BLOCK]
+        p = pred_px[start:start + SAM_BLOCK]
+        gn = _row_norms(g)
+        pn = _row_norms(p)
+        # a NaN norm is kept: only an exact zero has no direction
+        keep = (gn != 0) & (pn != 0)
+        if not keep.all():
+            g, p, gn, pn = g[keep], p[keep], gn[keep], pn[keep]
+        u = g / gn[:, None]
+        v = p / pn[:, None]
+        ang[n:n + len(u)] = 2.0 * np.arctan2(_row_norms(u - v), _row_norms(u + v))
+        n += len(u)
+    if n == 0:
+        return 0.0
+    return float(np.degrees(ang[:n]).mean())
 
 
 def _row_norms(a):
     return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+def _squared_error(gt, pred):
+    """(gt - pred) ** 2 in one new array, squared in place."""
+    d = gt - pred
+    return np.square(d, out=d)
 
 
 def ergas(gt, pred):
@@ -91,7 +110,7 @@ def ergas(gt, pred):
     if gt.ndim != 3:
         raise DimensionError(f"ergas needs (H, W, c), got {gt.shape}")
     mu = gt.mean(axis=(0, 1))
-    rmse2 = np.mean((gt - pred) ** 2, axis=(0, 1))
+    rmse2 = np.mean(_squared_error(gt, pred), axis=(0, 1))
     denom = np.maximum(mu * mu, _EPS)
     return float(100.0 / SCALE * np.sqrt(np.mean(rmse2 / denom)))
 
@@ -99,18 +118,33 @@ def ergas(gt, pred):
 # ----------------------------------------------------------------------
 # Q-index family
 
-def _window_stack(img, window):
-    """(H, W, ...) -> (n_windows, window*window, ...): non-overlapping
-    windows in row-major tile order, trailing partial tiles dropped."""
+def _window_rows(img, window):
+    """(H, W, ...) -> each window-row in turn, top to bottom, as an
+    (n_cols, window*window, ...) stack of non-overlapping windows;
+    trailing partial tiles dropped. Together the stacks hold the
+    image's windows in row-major tile order."""
     H, W = img.shape[0], img.shape[1]
     if H < window or W < window:
         raise DimensionError(
             f"image {H}x{W} is smaller than the {window}-pixel window"
         )
-    nh, nw = H // window, W // window
+    nw = W // window
     rest = img.shape[2:]
-    tiles = img[:nh * window, :nw * window].reshape(nh, window, nw, window, *rest)
-    return tiles.swapaxes(1, 2).reshape(nh * nw, window * window, *rest)
+    for top in range(0, H // window * window, window):
+        strip = img[top:top + window, :nw * window].reshape(window, nw, window, *rest)
+        yield strip.swapaxes(0, 1).reshape(nw, window * window, *rest)
+
+
+def _window_moments(moments, window, *imgs):
+    """Per-window moments of same-size images, one window-row at a time.
+
+    `moments` maps the window stacks of one row, one stack per image, to
+    a tuple of per-window arrays; each is joined over the rows, so only
+    one row's windows are held at once.
+    """
+    rows = [moments(*stacks) for stacks in
+            zip(*(_window_rows(img, window) for img in imgs))]
+    return [np.concatenate(parts) for parts in zip(*rows)]
 
 
 def _q_map(ma, mb, va, vb, cov):
@@ -140,14 +174,16 @@ def q_index(a, b, window=WINDOW, with_flags=False):
     _check_same_shape(a, b, "q_index")
     if a.ndim != 2:
         raise DimensionError(f"q_index works on single bands, got {a.shape}")
-    wa = _window_stack(a, window)
-    wb = _window_stack(b, window)
-    ma = wa.mean(axis=1)
-    mb = wb.mean(axis=1)
-    da = wa - ma[:, None]
-    db = wb - mb[:, None]
-    vals, flat = _q_map(ma, mb, np.mean(da * da, axis=1),
-                        np.mean(db * db, axis=1), np.mean(da * db, axis=1))
+
+    def moments(wa, wb):
+        ma = wa.mean(axis=1)
+        mb = wb.mean(axis=1)
+        da = wa - ma[:, None]
+        db = wb - mb[:, None]
+        return (ma, mb, np.mean(da * da, axis=1), np.mean(db * db, axis=1),
+                np.mean(da * db, axis=1))
+
+    vals, flat = _q_map(*_window_moments(moments, window, a, b))
     q = float(np.mean(vals))
     if with_flags:
         return q, {"degenerate_windows": int(np.count_nonzero(flat))}
@@ -208,26 +244,28 @@ def q2n(gt, pred, window=WINDOW, with_flags=False):
         raise UsageError("q2n is undefined for a single band; use q_index")
     cp = _next_pow2(c)
     padded = cp != c
-    if padded:
-        pad = [(0, 0), (0, 0), (0, cp - c)]
-        gt = np.pad(gt, pad)
-        pred = np.pad(pred, pad)
+    pad = [(0, 0), (0, 0), (0, cp - c)]
 
-    z1 = _window_stack(gt, window)
-    z2 = _window_stack(pred, window)
-    n_pix = z1.shape[1]
-    mu1 = z1.mean(axis=1)
-    mu2 = z2.mean(axis=1)
-    # the product is bilinear, so E[z1 conj(z2)] is the per-window second
-    # moment matrix E[z1_i conj(z2)_j] contracted with the structure table
-    second = np.matmul(z1.swapaxes(1, 2), _cd_conj(z2)) / n_pix
+    def moments(z1, z2):
+        if padded:
+            z1 = np.pad(z1, pad)
+            z2 = np.pad(z2, pad)
+        n_pix = z1.shape[1]
+        # the product is bilinear, so E[z1 conj(z2)] is the per-window
+        # second moment matrix E[z1_i conj(z2)_j] contracted with the
+        # structure table; the real part of z conj(z) is |z|^2
+        return (z1.mean(axis=1), z2.mean(axis=1),
+                np.matmul(z1.swapaxes(1, 2), _cd_conj(z2)) / n_pix,
+                np.mean(np.sum(z1 * z1, axis=2), axis=1),
+                np.mean(np.sum(z2 * z2, axis=2), axis=1))
+
+    mu1, mu2, second, sq1, sq2 = _window_moments(moments, window, gt, pred)
     e12 = second.reshape(len(second), cp * cp) @ _cd_table(cp).reshape(cp * cp, cp)
     cov12 = e12 - _cd_mul(mu1, _cd_conj(mu2))
-    # the real part of z conj(z) is |z|^2
     m1sq = np.sum(mu1 * mu1, axis=1)
     m2sq = np.sum(mu2 * mu2, axis=1)
-    var1 = np.mean(np.sum(z1 * z1, axis=2), axis=1) - m1sq
-    var2 = np.mean(np.sum(z2 * z2, axis=2), axis=1) - m2sq
+    var1 = sq1 - m1sq
+    var2 = sq2 - m2sq
     vals, flat = _q_map(np.sqrt(m1sq), np.sqrt(m2sq), var1, var2,
                         np.linalg.norm(cov12, axis=1))
     q = float(np.mean(vals))
@@ -247,10 +285,13 @@ def _clamped_window(img, window):
 def _band_pair_q(img, window):
     """(c, c) matrix of window-mean Q between every pair of bands, from
     one per-window band covariance."""
-    x = _window_stack(img, window)
-    m = x.mean(axis=1)
-    d = x - m[:, None, :]
-    cov = np.matmul(d.swapaxes(1, 2), d) / x.shape[1]
+
+    def moments(x):
+        m = x.mean(axis=1)
+        d = x - m[:, None, :]
+        return m, np.matmul(d.swapaxes(1, 2), d) / x.shape[1]
+
+    m, cov = _window_moments(moments, window, img)
     v = np.diagonal(cov, axis1=1, axis2=2)
     vals, _ = _q_map(m[:, :, None], m[:, None, :], v[:, :, None],
                      v[:, None, :], cov)
@@ -259,16 +300,18 @@ def _band_pair_q(img, window):
 
 def _band_pan_q(img, pan, window):
     """(c,) window-mean Q of every band against the panchromatic image."""
-    x = _window_stack(img, window)
-    y = _window_stack(pan, window)
-    n_pix = x.shape[1]
-    m = x.mean(axis=1)
-    mp = y.mean(axis=1)
-    d = x - m[:, None, :]
-    dp = y - mp[:, None]
-    vals, _ = _q_map(m, mp[:, None], np.einsum("npc,npc->nc", d, d) / n_pix,
-                     np.mean(dp * dp, axis=1)[:, None],
-                     np.einsum("npc,np->nc", d, dp) / n_pix)
+
+    def moments(x, y):
+        n_pix = x.shape[1]
+        m = x.mean(axis=1)
+        mp = y.mean(axis=1)
+        d = x - m[:, None, :]
+        dp = y - mp[:, None]
+        return (m, mp, np.einsum("npc,npc->nc", d, d) / n_pix,
+                np.mean(dp * dp, axis=1), np.einsum("npc,np->nc", d, dp) / n_pix)
+
+    m, mp, v, vp, cov = _window_moments(moments, window, img, pan)
+    vals, _ = _q_map(m, mp[:, None], v, vp[:, None], cov)
     return vals.mean(axis=0)
 
 
@@ -327,15 +370,24 @@ def hqnr(dl, ds):
 # batch evaluation and reporting
 
 def evaluate_reference(gt, pred):
+    """PSNR, SAM, ERGAS and Q2n, each reading one float64 copy of each
+    image."""
+    gt = np.asarray(gt, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
     return {
         "psnr": psnr(gt, pred),
         "sam": sam(gt, pred),
         "ergas": ergas(gt, pred),
-        "q2n": q2n(gt, pred, window=_clamped_window(np.asarray(gt), WINDOW)),
+        "q2n": q2n(gt, pred, window=_clamped_window(gt, WINDOW)),
     }
 
 
 def evaluate_noreference(fused, lrms, pan, pan_degraded):
+    """D_lambda, D_s and HQNR, each reading one float64 copy of each
+    image."""
+    fused, lrms, pan, pan_degraded = (
+        np.asarray(a, dtype=np.float64) for a in (fused, lrms, pan, pan_degraded)
+    )
     dl = d_lambda(fused, lrms)
     ds = d_s(fused, lrms, pan, pan_degraded)
     return {"d_lambda": dl, "d_s": ds, "hqnr": hqnr(dl, ds)}

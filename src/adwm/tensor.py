@@ -115,12 +115,20 @@ def _leaky(pre, out=None):
 
 
 def _leaky_grad(out, g):
-    """The gradient through `_leaky`, from its output: out > 0 exactly where
-    pre > 0, and g * 1.0 == g, so this is `g * np.where(pre > 0, 1.0, slope)`
-    byte for byte."""
-    grad = g * LEAKY_SLOPE
-    np.putmask(grad, out > 0, g)
-    return grad
+    """The gradient through `_leaky`, from its output: g times a factor
+    that is 1.0 where out > 0, which is exactly where pre > 0, and slope
+    elsewhere.
+
+    The factor is formed without a branch, in the one array the result
+    then takes: the comparison out > 0 written in g's dtype, times
+    1 - slope, plus slope, which is slope at 0 and rounds to 1.0 at 1 in
+    float32 and float64. As g * 1.0 == g, this is
+    `g * np.where(pre > 0, 1.0, slope)` byte for byte.
+    """
+    f = np.greater(out, 0, out=_empty(g.shape, g.dtype))
+    f *= 1 - LEAKY_SLOPE
+    f += LEAKY_SLOPE
+    return np.multiply(g, f, out=f)
 
 
 def as_tensor(x):

@@ -570,6 +570,38 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_checkpoint_write_cut_off_part_way_keeps_the_previous_file(tmp_path, monkeypatch):
+    p = tmp_path / "checkpoint_best.ckpt"
+    save_checkpoint(p, randomized(PansharpenModel(tiny_config("adwm"), seed=6), seed=7))
+    previous = p.read_bytes()
+
+    class CutOff:
+        """A file whose one write lands half its bytes, then fails."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+    real_open = open
+    monkeypatch.setattr(backbone, "open", lambda *a, **k: CutOff(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(p, randomized(PansharpenModel(tiny_config("adwm"), seed=8), seed=9))
+    monkeypatch.undo()
+    assert p.read_bytes() == previous
+    assert sorted(f.name for f in tmp_path.iterdir()) == [p.name]
+    load_checkpoint(p)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     model = PansharpenModel(tiny_config())
     p = tmp_path / "m.ckpt"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adwm.backbone import ModelConfig, PansharpenModel
+from adwm.cacw import compute_covariance
 from adwm.data import SamplePair, generate_scene, wald_degrade
 from adwm.diagnostics import (
     alpha_spread,
@@ -19,7 +20,7 @@ from adwm.diagnostics import (
 )
 from adwm.errors import ConfigurationError, DegenerateSampleError, DimensionError
 from adwm.tensor import Tensor
-from adwm.weighting import AdwmConfig, aggregate, make_adwm_modules
+from adwm.weighting import AdwmConfig, _channel_observations, aggregate, make_adwm_modules
 
 
 def make_pair(seed=0, H=16, W=16, c=2):
@@ -128,6 +129,19 @@ def test_feature_covariance_of_a_float32_map_is_computed_in_float64():
     cov = feature_covariance(Tensor(F))
     assert cov.dtype == np.float64
     assert np.array_equal(cov, feature_covariance(F.astype(np.float64)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_feature_covariance_has_the_bytes_of_compute_covariance(dtype):
+    # centring in place in a private float64 copy keeps compute_covariance's
+    # steps, and leaves the caller's map as it was
+    rng = np.random.default_rng(5)
+    F = (3.0 * rng.standard_normal((33, 17, 9)) + 1.0).astype(dtype)
+    before = F.copy()
+    want = compute_covariance(_channel_observations(F.astype(np.float64))).data
+    got = feature_covariance(F)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert F.tobytes() == before.tobytes()
 
 
 def probe_weights(model, pair):

@@ -1,20 +1,29 @@
-"""Memory guards: the backwards that run over whole feature maps, and the
-no-grad forward, measured with tracemalloc (numpy reports its buffers to it).
+"""Memory guards: the backwards that run over whole feature maps, the
+no-grad forward, and the full-resolution metrics and spectra, measured
+with tracemalloc (numpy reports its buffers to it).
 
 A map-sized op's backward may allocate the gradient it produces, and
 otherwise only per-item or per-block scratch. Each test states its bound
 in units of X, the op's map-sized input, at a batched shape where one
-item is a small part of X.
+item is a small part of X. The evaluate and diagnose guards run at
+`adwm eval --full-res`'s tile size: 256x256, 8 bands, C=16, N=4.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 
-from adwm.backbone import ModelConfig, PansharpenModel
+from adwm import diagnostics
+from adwm.backbone import ModelConfig, PansharpenModel, save_checkpoint
 from adwm.cacw import centered_gram
+from adwm.cli import main
+from adwm.data import build_dataset
+from adwm.metrics import evaluate_noreference, evaluate_reference
 from adwm.tensor import Tensor, channel_scale, conv2d
 from adwm.weighting import weighted_sum
+
+MIB = 2**20
 
 
 def _traced(fn):
@@ -118,3 +127,61 @@ def test_no_grad_forward_at_tile_size_peaks_in_float32():
     lrms = rng.random((64, 64, 8))
     before, peak, _ = _traced(lambda: model.forward(pan, lrms))
     assert peak - before <= 26 * 2**20
+
+
+def _tile_model():
+    return PansharpenModel(ModelConfig(bands=8, channels=16, blocks=4,
+                                       variant="adwm"), seed=0)
+
+
+def test_layer_spectra_at_tile_size_holds_one_float64_map():
+    # each block's float32 map is copied to float64 once and centred in
+    # place; the copy that centring used to make peaked at 16.1 MB
+    rng = np.random.default_rng(76)
+    weights = _tile_model().forward(rng.random((256, 256)), rng.random((64, 64, 8)),
+                                    return_weights=True)[1]
+    fmap64 = 256 * 256 * 16 * 8
+    before, peak, _ = _traced(lambda: diagnostics.layer_spectra(weights))
+    assert peak - before <= fmap64 + MIB
+
+
+def test_evaluators_at_tile_size_hold_two_float64_images():
+    # the float64 copy of a float32 prediction, made once per call, and one
+    # metric's image-sized scratch beside it; each metric used to convert
+    # pred again, and sam, q2n and d_s peaked at 18.6, 16.6 and 13.5 MB
+    rng = np.random.default_rng(77)
+    gt = rng.random((256, 256, 8))
+    pred = (gt + 0.05 * rng.standard_normal(gt.shape)).astype(np.float32)
+    lrms, pan = rng.random((64, 64, 8)), rng.random((256, 256))
+    pan_low = rng.random((64, 64))
+    image64 = gt.nbytes
+    for call in (lambda: evaluate_reference(gt, pred),
+                 lambda: evaluate_noreference(pred, lrms, pan, pan_low)):
+        before, peak, _ = _traced(call)
+        assert peak - before <= 2 * image64 + MIB
+
+
+def test_diagnose_frees_the_fused_image_before_the_spectra(tmp_path, monkeypatch):
+    data_dir, ckpt = tmp_path / "data", tmp_path / "model.ckpt"
+    build_dataset(0, 1, 256, 256, 8, str(data_dir))
+    save_checkpoint(ckpt, _tile_model())
+    fused = []
+    forward = PansharpenModel.forward
+
+    def recorded(self, *args, **kwargs):
+        out = forward(self, *args, **kwargs)
+        fused.append(weakref.ref(out[0].data))
+        return out
+
+    spectra = diagnostics.layer_spectra
+    freed = []
+
+    def checked(weights):
+        freed.append(fused[0]() is None)
+        return spectra(weights)
+
+    monkeypatch.setattr(PansharpenModel, "forward", recorded)
+    monkeypatch.setattr(diagnostics, "layer_spectra", checked)
+    assert main(["diagnose", "--model", str(ckpt), "--data", str(data_dir),
+                 "--out", str(tmp_path / "diag")]) == 0
+    assert freed == [True]

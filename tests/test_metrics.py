@@ -4,11 +4,17 @@ import pytest
 from adwm.errors import ConfigurationError, DimensionError, UsageError
 from adwm.metrics import (
     _EPS,
+    SAM_BLOCK,
+    _band_pair_q,
+    _band_pan_q,
     _cd_conj,
     _cd_mul,
+    _cd_table,
     _check_same_shape,
     _clamped_window,
     _next_pow2,
+    _q_map,
+    _row_norms,
     d_lambda,
     d_s,
     ergas,
@@ -624,6 +630,205 @@ def test_evaluate_reference_matches_loop_oracle_on_small_tiles(c):
     gt, pred = _random_pair(rng, (24, 20, c))
     _assert_matches_oracle(evaluate_reference(gt, pred)["q2n"],
                            loop_q2n(gt, pred, window=20))
+
+
+# ----------------------------------------------------------------------
+# whole-image oracles: the window-stack and whole-array expressions that
+# the strips and blocks replaced, kept verbatim. Per-window and per-pixel
+# values do not depend on the blocking, so the results match byte for byte
+
+
+def _window_stack(img, window):
+    """(H, W, ...) -> (n_windows, window*window, ...): non-overlapping
+    windows in row-major tile order, trailing partial tiles dropped."""
+    H, W = img.shape[0], img.shape[1]
+    nh, nw = H // window, W // window
+    rest = img.shape[2:]
+    tiles = img[:nh * window, :nw * window].reshape(nh, window, nw, window, *rest)
+    return tiles.swapaxes(1, 2).reshape(nh * nw, window * window, *rest)
+
+
+def whole_q_index(a, b, window):
+    wa = _window_stack(a, window)
+    wb = _window_stack(b, window)
+    ma = wa.mean(axis=1)
+    mb = wb.mean(axis=1)
+    da = wa - ma[:, None]
+    db = wb - mb[:, None]
+    vals, flat = _q_map(ma, mb, np.mean(da * da, axis=1),
+                        np.mean(db * db, axis=1), np.mean(da * db, axis=1))
+    return float(np.mean(vals)), int(np.count_nonzero(flat))
+
+
+def whole_q2n(gt, pred, window):
+    c = gt.shape[2]
+    cp = _next_pow2(c)
+    if cp != c:
+        pad = [(0, 0), (0, 0), (0, cp - c)]
+        gt = np.pad(gt, pad)
+        pred = np.pad(pred, pad)
+    z1 = _window_stack(gt, window)
+    z2 = _window_stack(pred, window)
+    n_pix = z1.shape[1]
+    mu1 = z1.mean(axis=1)
+    mu2 = z2.mean(axis=1)
+    second = np.matmul(z1.swapaxes(1, 2), _cd_conj(z2)) / n_pix
+    e12 = second.reshape(len(second), cp * cp) @ _cd_table(cp).reshape(cp * cp, cp)
+    cov12 = e12 - _cd_mul(mu1, _cd_conj(mu2))
+    m1sq = np.sum(mu1 * mu1, axis=1)
+    m2sq = np.sum(mu2 * mu2, axis=1)
+    var1 = np.mean(np.sum(z1 * z1, axis=2), axis=1) - m1sq
+    var2 = np.mean(np.sum(z2 * z2, axis=2), axis=1) - m2sq
+    vals, flat = _q_map(np.sqrt(m1sq), np.sqrt(m2sq), var1, var2,
+                        np.linalg.norm(cov12, axis=1))
+    return float(np.mean(vals)), int(np.count_nonzero(flat))
+
+
+def whole_band_pair_q(img, window):
+    x = _window_stack(img, window)
+    m = x.mean(axis=1)
+    d = x - m[:, None, :]
+    cov = np.matmul(d.swapaxes(1, 2), d) / x.shape[1]
+    v = np.diagonal(cov, axis1=1, axis2=2)
+    vals, _ = _q_map(m[:, :, None], m[:, None, :], v[:, :, None],
+                     v[:, None, :], cov)
+    return vals.mean(axis=0)
+
+
+def whole_band_pan_q(img, pan, window):
+    x = _window_stack(img, window)
+    y = _window_stack(pan, window)
+    n_pix = x.shape[1]
+    m = x.mean(axis=1)
+    mp = y.mean(axis=1)
+    d = x - m[:, None, :]
+    dp = y - mp[:, None]
+    vals, _ = _q_map(m, mp[:, None], np.einsum("npc,npc->nc", d, d) / n_pix,
+                     np.mean(dp * dp, axis=1)[:, None],
+                     np.einsum("npc,np->nc", d, dp) / n_pix)
+    return vals.mean(axis=0)
+
+
+def whole_sam(gt, pred):
+    g = gt.reshape(-1, gt.shape[2])
+    p = pred.reshape(-1, gt.shape[2])
+    gn = _row_norms(g)
+    pn = _row_norms(p)
+    keep = (gn != 0) & (pn != 0)
+    if not keep.all():
+        if not keep.any():
+            return 0.0
+        g, p, gn, pn = g[keep], p[keep], gn[keep], pn[keep]
+    u = g / gn[:, None]
+    v = p / pn[:, None]
+    ang = 2.0 * np.arctan2(_row_norms(u - v), _row_norms(u + v))
+    return float(np.degrees(ang).mean())
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (got, want)
+
+
+def _oracle_cases(rng, shape, window):
+    """A random pair; the pair with a flat and an all-zero window; and the
+    pair with a NaN in the prediction's last window."""
+    gt, pred = _random_pair(rng, shape)
+    yield gt, pred
+    yield _with_flat_windows(gt, window), _with_flat_windows(pred, window)
+    pred = pred.copy()
+    pred[shape[0] // window * window - 1, shape[1] // window * window - 1] = np.nan
+    yield gt, pred
+
+
+# (45, 70): 2 window-rows of 4; (96, 40): 3 rows of 1; (40, 96): 1 row of 3;
+# (33, 40) at 8: 4 rows of 5
+_STRIP_SHAPES = [((45, 70), 16), ((96, 40), 32), ((40, 96), 32), ((33, 40), 8)]
+
+
+@pytest.mark.parametrize("shape,window", _STRIP_SHAPES)
+def test_q_index_strips_match_the_whole_stack_bitwise(shape, window):
+    rng = np.random.default_rng([45, shape[0]])
+    for a, b in _oracle_cases(rng, shape, window):
+        got, flags = q_index(a, b, window=window, with_flags=True)
+        want, degenerate = whole_q_index(a, b, window)
+        _assert_same_bytes(got, want)
+        assert flags == {"degenerate_windows": degenerate}
+
+
+# 3, 5 and 6 bands are zero-padded to 4 and 8
+@pytest.mark.parametrize("c", [2, 3, 5, 6, 8])
+@pytest.mark.parametrize("shape,window", _STRIP_SHAPES)
+def test_q2n_strips_match_the_whole_stack_bitwise(c, shape, window):
+    rng = np.random.default_rng([46, c, shape[0]])
+    for gt, pred in _oracle_cases(rng, shape + (c,), window):
+        got, flags = q2n(gt, pred, window=window, with_flags=True)
+        want, degenerate = whole_q2n(gt, pred, window)
+        _assert_same_bytes(got, want)
+        assert flags == {"padded": c not in (2, 8), "degenerate_windows": degenerate}
+
+
+@pytest.mark.parametrize("c", [2, 3, 8])
+@pytest.mark.parametrize("shape,window", _STRIP_SHAPES)
+def test_band_q_strips_match_the_whole_stack_bitwise(c, shape, window):
+    rng = np.random.default_rng([47, c, shape[0]])
+    for img, pan in _oracle_cases(rng, shape + (c,), window):
+        pan = pan.mean(axis=2)
+        _assert_same_bytes(_band_pair_q(img, window), whole_band_pair_q(img, window))
+        _assert_same_bytes(_band_pan_q(img, pan, window),
+                           whole_band_pan_q(img, pan, window))
+
+
+# one block, exactly two blocks, two blocks and a part, under one block
+@pytest.mark.parametrize("shape", [(64, 64), (128, 64), (90, 100), (7, 5)])
+def test_sam_blocks_match_the_whole_array_bitwise(shape):
+    assert shape[0] * shape[1] in (SAM_BLOCK, 2 * SAM_BLOCK, 9000, 35)
+    rng = np.random.default_rng([48, shape[0]])
+    gt, pred = _random_pair(rng, shape + (4,), noise=0.3)
+    _assert_same_bytes(sam(gt, pred), whole_sam(gt, pred))
+    # zero-norm spectra in either image, among them the whole first
+    # block of gt, and a NaN pixel in the last block
+    gt, pred = gt.copy(), pred.copy()
+    gt.reshape(-1, 4)[:min(SAM_BLOCK, gt.size // 8)] = 0.0
+    gt.reshape(-1, 4)[::3] = 0.0
+    pred.reshape(-1, 4)[1::4] = 0.0
+    _assert_same_bytes(sam(gt, pred), whole_sam(gt, pred))
+    gt[-1, -1] = 0.5
+    pred[-1, -1] = (0.5, np.nan, 0.5, 0.5)
+    _assert_same_bytes(sam(gt, pred), whole_sam(gt, pred))
+    assert np.isnan(sam(gt, pred))
+    assert sam(np.zeros_like(gt), pred) == whole_sam(np.zeros_like(gt), pred) == 0.0
+
+
+def test_psnr_and_ergas_square_in_place_bitwise():
+    rng = np.random.default_rng(49)
+    gt, pred = _random_pair(rng, (40, 36, 5))
+    pred[3, 4, 2] = np.nan
+    for p in (pred, np.where(np.isnan(pred), 0.5, pred)):
+        mse = float(np.mean((gt - p) ** 2))
+        _assert_same_bytes(psnr(gt, p),
+                           float(np.minimum(100.0, 10.0 * np.log10(1.0 / mse))))
+        rmse2 = np.mean((gt - p) ** 2, axis=(0, 1))
+        denom = np.maximum(gt.mean(axis=(0, 1)) ** 2, _EPS)
+        _assert_same_bytes(ergas(gt, p), float(100.0 / 4 * np.sqrt(np.mean(rmse2 / denom))))
+
+
+def test_evaluators_read_float32_images_as_their_float64_values():
+    # one conversion per evaluate call gives each metric the bytes it
+    # would get from converting on its own
+    rng = np.random.default_rng(50)
+    gt, pred = _random_pair(rng, (64, 64, 5))
+    pred32 = pred.astype(np.float32)
+    pred64 = pred32.astype(np.float64)
+    want = {"psnr": psnr(gt, pred64), "sam": sam(gt, pred64),
+            "ergas": ergas(gt, pred64), "q2n": q2n(gt, pred64)}
+    assert evaluate_reference(gt, pred32) == want
+    lrms = rng.random((16, 16, 5)).astype(np.float32)
+    pan, pan_low = rng.random((64, 64)), rng.random((16, 16))
+    dl = d_lambda(pred64, lrms.astype(np.float64))
+    ds = d_s(pred64, lrms.astype(np.float64), pan, pan_low)
+    assert evaluate_noreference(pred32, lrms, pan, pan_low) == {
+        "d_lambda": dl, "d_s": ds, "hqnr": hqnr(dl, ds)}
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from adwm import (
 from adwm import tensor, weighting
 from adwm.backbone import ModelConfig, PansharpenModel, upsample_bilinear
 from adwm.cacw import centered_gram
-from adwm.tensor import _node, bias_act, channel_scale
+from adwm.tensor import LEAKY_SLOPE, _leaky_grad, _node, bias_act, channel_scale
 from adwm.weighting import weighted_sum
 
 
@@ -821,6 +821,40 @@ def test_leaky_relu_matches_where_kernel_bitwise():
     (got, [gg]), (want, [wg]) = _run_both(lambda t: t.leaky_relu(), where_leaky, [x], g)
     assert_bitwise(got, want)
     assert_bitwise(gg, wg)
+
+
+def putmask_leaky_grad(out, g):
+    """`_leaky_grad` before its factor lost the branch, verbatim."""
+    grad = g * LEAKY_SLOPE
+    np.putmask(grad, out > 0, g)
+    return grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_grad_factor_is_exactly_slope_or_one(dtype):
+    # (out > 0) * (1 - slope) + slope, as `_leaky_grad` forms it: its two
+    # values must come out as slope and 1.0, not a rounding away
+    out = np.array([-1.0, 0.0, 1.0], dtype=dtype)
+    factor = _leaky_grad(out, np.ones(3, dtype=dtype))
+    assert factor.dtype == dtype
+    assert_bitwise(factor, np.array([LEAKY_SLOPE, LEAKY_SLOPE, 1.0], dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_grad_matches_the_putmask_kernel_bitwise(dtype):
+    # every pairing of NaN (both signs), signed zeros, signed infinities,
+    # a subnormal and plain values in the output and in the gradient
+    special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45,
+                        -2.5, 3.0], dtype=dtype)
+    out = np.repeat(special, len(special))
+    g = np.tile(special, len(special))
+    got, want = _leaky_grad(out, g), putmask_leaky_grad(out, g)
+    # the bytes, NaN payloads and signs included (array_equal fails on NaN)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    rng = np.random.default_rng(35)
+    out = _signed_zeros(rng, (2, 8, 8, 3)).astype(dtype)
+    g = _signed_zeros(rng, out.shape).astype(dtype)
+    assert_bitwise(_leaky_grad(out, g), putmask_leaky_grad(out, g))
 
 
 @pytest.mark.parametrize("x_shape, b_shape", [
