@@ -48,7 +48,8 @@ from typing import ClassVar
 import numpy as np
 
 from .cacw import D_FRACTION
-from .data import SCALE, TNSR_MAGIC, _read_u32, tensor_from_bytes, tensor_to_bytes
+from .data import (SCALE, TNSR_MAGIC, TNSR_MIN_BYTES, _read_u32, tensor_from_bytes,
+                   tensor_to_bytes)
 from .errors import ConfigurationError, DimensionError, FormatError
 from .tensor import Tensor, _node, as_tensor, bias_act, concat, conv2d
 # ifw_apply and cfw_apply stay importable from here because the
@@ -377,10 +378,25 @@ def load_checkpoint(path):
         config = ModelConfig(**cfg)
     except TypeError as e:
         raise FormatError(f"config block does not match the schema: {e}", offset=12)
-    model = PansharpenModel(config, seed=seed)
-    params = model.params()
     count = _read_u32(buf, off, "tensor count field")
     off += 4
+    # a count or a config that the bytes cannot hold fails before the
+    # model, whose size the config alone sets, is built: a model has at
+    # least 4 parameters per block and 4 more, each in its own record
+    if count > (len(buf) - off) // TNSR_MIN_BYTES:
+        raise FormatError(
+            f"checkpoint declares {count} tensors, but its {len(buf) - off} "
+            f"remaining bytes hold at most {(len(buf) - off) // TNSR_MIN_BYTES}",
+            offset=off - 4,
+        )
+    if 4 * config.blocks + 4 > count:
+        raise FormatError(
+            f"checkpoint holds {count} tensors, a model of {config.blocks} "
+            f"blocks needs at least {4 * config.blocks + 4}",
+            offset=off - 4,
+        )
+    model = PansharpenModel(config, seed=seed)
+    params = model.params()
     if count != len(params):
         raise FormatError(
             f"checkpoint holds {count} tensors, model needs {len(params)}",

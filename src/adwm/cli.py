@@ -9,6 +9,7 @@ can stand in for any flag set; explicit flags win over file values.
 
 import argparse
 import errno
+import io
 import os
 import shutil
 import sys
@@ -47,16 +48,23 @@ VARIANT_CHOICES = VARIANTS + ("all",)
 def _read_config_file(path):
     if not os.path.isfile(path):
         raise UsageError(f"config file {path} does not exist")
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"config file {path} is not UTF-8: {e.reason} "
+                         f"(at byte offset {e.start})") from None
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{ln}: expected key = value, got {line!r}")
-            k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
+    # newline=None splits lines as reading the file in text mode does
+    for ln, line in enumerate(io.StringIO(text, newline=None), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{ln}: expected key = value, got {line!r}")
+        k, v = line.split("=", 1)
+        out[k.strip().replace("-", "_")] = v.strip()
     return out
 
 
@@ -310,9 +318,9 @@ def cmd_compare(args):
 
 def _gradcheck_suite(seed, corrupt=False):
     """Per-op finite-difference verification; returns [(name, err)]."""
-    from .cacw import (AttentionWeights, CacwModule, cacw_forward, centered_gram,
-                       compute_covariance, normalize_covariance)
-    from .weighting import AdwmConfig, aggregate, make_adwm_modules
+    from .cacw import (AttentionWeights, CacwModule, PcaWeights, PoolWeights, cacw_forward,
+                       centered_gram, compute_covariance, normalize_covariance)
+    from .weighting import AdwmConfig, _channel_observations, aggregate, make_adwm_modules
     from .backbone import upsample_bilinear
 
     rng = np.random.default_rng(seed)
@@ -395,6 +403,28 @@ def _gradcheck_suite(seed, corrupt=False):
     results.append((
         "attention_weights",
         float(gradcheck(lambda x, *_: att.forward(x).sum(), [X] + att.params())),
+    ))
+
+    # the pool generator's column means, through the observations' reshape
+    # of a batch of maps and through the head
+    pool = PoolWeights(4, seed=seed)
+    for p in pool.params():
+        p.data[...] = 0.3 * rng.standard_normal(p.data.shape)
+    F = t(2, 3, 3, 4)
+    results.append((
+        "pool_weights",
+        float(gradcheck(lambda f, *_: pool.forward(_channel_observations(f)).sum(),
+                        [F] + pool.params())),
+    ))
+
+    # the PCA generator's head only: its eigenbasis is a constant by design
+    pca = PcaWeights(4, seed=seed)
+    for p in pca.params():
+        p.data[...] = 0.3 * rng.standard_normal(p.data.shape)
+    X = t(10, 4)
+    results.append((
+        "pca_weights",
+        float(gradcheck(lambda *_: pca.forward(X).sum(), pca.params())),
     ))
 
     wcfg = AdwmConfig(n_layers=2, channels=3)

@@ -35,6 +35,9 @@ from .errors import ConfigurationError, DimensionError, FormatError
 
 TNSR_MAGIC = b"TNSR"
 TNSR_VERSION = 1
+# the smallest TNSR record: magic, version, rank and one dim of 4 bytes
+# each, the dtype byte and an empty payload
+TNSR_MIN_BYTES = 17
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _F8_CODE = 2
 

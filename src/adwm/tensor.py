@@ -26,11 +26,10 @@ intermediates have None. An op may also hand a parent a gradient as two
 factors, a shared array and a scale (`_accumulate_product`): a node the
 sweep has yet to reach keeps them, and forms their product when the
 sweep reaches it or when a second gradient arrives for it, so the bytes
-are those of handing over the product at once. A node whose backward
-only reads its gradient (a reshape) may also keep a read-only view, such
-as a sum's broadcast gradient, as it was handed (`_accumulate_view`), so
-the view reaches a parent that adds it into a gradient it holds, and no
-whole copy of it is made on the way.
+are those of handing over the product at once. A gradient handed over
+as a view, such as a sum's broadcast gradient, is copied on its first
+write and added in place after that, as is any array that is not the
+op's own (`_accumulate`).
 
 Shapes follow numpy. Image tensors are channels-last, (H, W, C), with an
 optional leading batch axis (B, H, W, C) accepted by the image ops. The
@@ -170,10 +169,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
                  "_grad_factors", "__weakref__")
 
-    # whether this node's backward only reads the gradient it releases, so
-    # that it may hold a read-only view as that gradient (`_accumulate_view`)
-    _reads_grad_only = False
-
     def __init__(self, data, requires_grad=False):
         data = np.asarray(data)
         self.data = data if data.dtype in _DTYPES else data.astype(np.float64)
@@ -247,8 +242,7 @@ class Tensor:
         if self._grad_factors is not None:
             g, factor = self._grad_factors
             self._grad_factors = None
-            # a view held as it was handed is copied, as `_accumulate` copies it
-            self.grad = np.array(g, order="C") if factor is None else g * factor
+            self.grad = g * factor
         return self.grad
 
     def _accumulate_product(self, g, factor):
@@ -268,29 +262,9 @@ class Tensor:
         else:
             self._accumulate(g * factor, owned=True)
 
-    def _accumulate_view(self, g):
-        """Add `g`, a read-only view of exactly this tensor's shape, into
-        ``grad``, with the bytes of `_accumulate(g)`.
-
-        A node whose backward only reads its gradient, that the sweep has
-        yet to reach and that holds no gradient yet, keeps the view as it
-        is and releases it so (a factor of None), so its backward passes
-        the view on rather than a whole copy of it. A second contribution
-        copies it first, as `_accumulate` would have.
-        """
-        if (self._reads_grad_only and self.grad is None and self._grad_factors is None
-                and self._backward_fn is not None):
-            self._grad_factors = (g, None)
-        else:
-            self._accumulate(g)
-
     def _release_grad(self):
         """Take this node's gradient from it, formed if it is held as factors."""
-        if self._grad_factors is not None:
-            g, factor = self._grad_factors
-            self._grad_factors = None
-            return g if factor is None else g * factor
-        g, self.grad = self.grad, None
+        g, self.grad = self._held_grad(), None
         return g
 
     def backward(self):
@@ -452,9 +426,8 @@ class Tensor:
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            # a view: a reshape keeps it as it is, any other first write
-            # copies it, and a later one adds it in place
-            self._accumulate_view(np.broadcast_to(g, self.shape))
+            # a view: the first write copies it, a later one adds it in place
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
@@ -475,7 +448,7 @@ class Tensor:
         def backward(g):
             self._accumulate(g.reshape(self.shape))
 
-        return _node(_Reshaped(self.data.reshape(shape)), (self,), backward)
+        return _node(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -541,14 +514,6 @@ class Tensor:
                 b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
         return _node(out_data, (a, b), backward)
-
-
-class _Reshaped(Tensor):
-    """A reshape's result, whose backward only reads the gradient it
-    releases: a sum's broadcast gradient passes through it as a view."""
-
-    __slots__ = ()
-    _reads_grad_only = True
 
 
 # ----------------------------------------------------------------------

@@ -711,6 +711,31 @@ def test_checkpoint_mutation_loads_or_adwm_error(small_checkpoint, data):
         pass
 
 
+@pytest.mark.parametrize("count, records, message", [
+    (400_004, 0, "remaining bytes hold at most 0"),  # the count the config needs
+    (4, 4, "needs at least 400004"),                 # a count the bytes hold
+])
+def test_checkpoint_larger_than_its_bytes_fails_before_the_model_is_built(
+        tmp_path, count, records, message):
+    # a config of 10^5 blocks in a file of well under a kilobyte: building
+    # and initialising that model before the count is checked peaks at
+    # about 165 MiB, so the loader must reject it from the header alone
+    blob = json.dumps({"bands": 1, "blocks": 100_000, "channels": 2}).encode()
+    p = tmp_path / "m.ckpt"
+    p.write_bytes(b"ADWM" + struct.pack("<II", CKPT_VERSION, len(blob)) + blob
+                  + struct.pack("<I", count) + b"\0" * (17 * records))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as e:
+            load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert message in str(e.value)
+    assert e.value.offset == 12 + len(blob)  # the tensor count field
+
+
 def test_checkpoint_trailing_bytes(tmp_path):
     model = PansharpenModel(tiny_config())
     p = tmp_path / "m.ckpt"

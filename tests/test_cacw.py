@@ -518,47 +518,3 @@ def test_generator_param_counts():
 def test_default_hidden_width_is_ceil_080_n():
     assert CacwModule(n=16).d == 13  # ceil(0.8 * 16)
     assert CacwModule(n=4).d == 4    # ceil(3.2)
-
-
-@pytest.mark.parametrize("order", ["map_first", "map_after", "second_reader"])
-def test_pool_mean_gradient_reaches_the_map_as_a_view(order, monkeypatch):
-    # the pool generator's column mean hands its broadcast gradient through
-    # the observations' reshape as a view, which the feature map adds into
-    # the gradient it holds: the bytes of copying it whole first
-    from adwm.tensor import _Reshaped
-    from adwm.weighting import _channel_observations
-
-    rng = np.random.default_rng(55)
-    f0 = rng.standard_normal((2, 6, 5, 4))
-    v, u = rng.standard_normal(f0.shape), rng.standard_normal((2, 30, 4))
-    gen = PoolWeights(4, seed=5)
-    for p in gen.params():
-        p.data[...] = 0.3 * rng.standard_normal(p.shape)
-    released = []
-    release = _Reshaped._release_grad
-
-    def spy(self):
-        g = release(self)
-        released.append((self, 0 in g.strides))
-        return g
-
-    def run():
-        F = Tensor(f0.copy(), requires_grad=True)
-        G = F * 1.0  # an intermediate map, as a block's output is
-        X = _channel_observations(G)
-        loss = gen.forward(X).sum()
-        if order == "map_first":
-            loss = (G * Tensor(v)).sum() + loss
-        elif order == "map_after":
-            loss = loss + (G * Tensor(v)).sum()
-        else:
-            loss = loss + (X * Tensor(u)).sum()
-        loss.backward()
-        return F.grad, X
-
-    monkeypatch.setattr(_Reshaped, "_release_grad", spy)
-    got, X = run()
-    # a second reader of the observations gets the broadcast copied, as before
-    assert [view for node, view in released if node is X] == [order != "second_reader"]
-    monkeypatch.setattr(_Reshaped, "_reads_grad_only", False)
-    assert got.tobytes() == run()[0].tobytes()

@@ -566,7 +566,8 @@ def test_gradcheck_passes(capsys):
     assert rc == 0
     for op in ("matmul:", "conv2d:", "bias_act:", "bias_act_linear:",
                "bias_act_residual:", "channel_scale:", "softmax:", "centered_gram:",
-               "attention_weights:", "dual_level_weighting:", "model_end_to_end:"):
+               "attention_weights:", "pool_weights:", "pca_weights:",
+               "dual_level_weighting:", "model_end_to_end:"):
         assert op in out
     assert "all gradients verified" in out
 
@@ -641,6 +642,17 @@ def test_config_unknown_key(tmp_path, capsys):
     rc = main(["gradcheck", "--config", str(cfg)])
     assert rc == 2
     assert "wibble" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, data_dir, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"epochs = 1\nvariant = \xffbaseline\n")
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--data", data_dir, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "not UTF-8" in err and "byte offset 21" in err
+    assert not out.exists()
 
 
 def test_missing_required_flag(capsys):

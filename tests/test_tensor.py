@@ -703,7 +703,9 @@ def test_conv2d_adds_dx_into_a_held_gradient_bitwise(shape, held, poisoned,
     held_grad = Tensor._held_grad
 
     def spy(self):
-        seen.append((self, self._grad_factors is not None, self.grad is not None))
+        # the asks of ops, not the sweep's release of x's own gradient
+        if sys._getframe(1).f_code.co_name != "_release_grad":
+            seen.append((self, self._grad_factors is not None, self.grad is not None))
         return held_grad(self)
 
     monkeypatch.setattr(Tensor, "_held_grad", spy)
