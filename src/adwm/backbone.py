@@ -395,6 +395,17 @@ def load_checkpoint(path):
             f"blocks needs at least {4 * config.blocks + 4}",
             offset=off - 4,
         )
+    # and so does a config whose 3x3 kernels, the encoder's, two per block
+    # and the decoder's, need more bytes than are left, at 4 bytes an
+    # element, since float32 records load too
+    bands, c = config.bands, config.channels
+    weights = 9 * c * (2 * bands + 1 + 2 * config.blocks * c)
+    if 4 * weights > len(buf) - off:
+        raise FormatError(
+            f"a model of {config.blocks} blocks of {c} channels has {weights} "
+            f"kernel weights, more than its {len(buf) - off} remaining bytes hold",
+            offset=12,
+        )
     model = PansharpenModel(config, seed=seed)
     params = model.params()
     if count != len(params):

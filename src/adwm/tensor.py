@@ -22,11 +22,8 @@ forward read, captured when the forward ran, never a parent's current
 The sweep releases each intermediate's gradient as its node runs, so an
 op can hand that array to a parent as the parent's own gradient rather
 than a copy: after `Tensor.backward()` leaves keep their ``grad`` and
-intermediates have None. An op may also hand a parent a gradient as two
-factors, a shared array and a scale (`_accumulate_product`): a node the
-sweep has yet to reach keeps them, and forms their product when the
-sweep reaches it or when a second gradient arrives for it, so the bytes
-are those of handing over the product at once. A gradient handed over
+intermediates have None. A tensor's gradient is one array, its
+``grad``, or None until the first one arrives. A gradient handed over
 as a view, such as a sum's broadcast gradient, is copied on its first
 write and added in place after that, as is any array that is not the
 op's own (`_accumulate`).
@@ -143,7 +140,7 @@ def _node(data, parents, backward):
     When some parent requires grad, the result links its parents and the
     sweep calls `backward(grad)` with its gradient, which accumulates into
     each parent that requires grad. The sweep first takes the result's
-    gradient from it (`_release_grad`), so `backward` holds the only
+    ``grad`` from it and leaves None, so `backward` holds the only
     reference to that array and may hand it to one parent as the parent's
     own (`_accumulate(grad, owned=True)`), as PyTorch's AccumulateGrad
     does. Otherwise the result keeps neither, so a forward with no tape
@@ -156,7 +153,8 @@ def _node(data, parents, backward):
             out._parents = tuple(parents)
 
             def release_and_push():
-                backward(out._release_grad())
+                g, out.grad = out.grad, None
+                backward(g)
 
             out._backward_fn = release_and_push
             break
@@ -167,7 +165,7 @@ class Tensor:
     """A numpy array plus optional participation in the gradient tape."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_grad_factors", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         data = np.asarray(data)
@@ -179,7 +177,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward_fn = None
-        self._grad_factors = None
 
     # ------------------------------------------------------------------
     # plumbing
@@ -210,7 +207,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-        self._grad_factors = None
 
     def _formed(self, buf, item=(), rows=slice(None)):
         """This tensor's data, or its part ``data[item][rows]``. A tensor
@@ -230,42 +226,10 @@ class Tensor:
         Any other first write takes a straight copy: one memory pass
         instead of the zeros-then-add two, and never aliases the source.
         """
-        if self._held_grad() is None:
+        if self.grad is None:
             self.grad = g if owned else np.array(g, order="C")
         else:
             self.grad += g
-
-    def _held_grad(self):
-        """The gradient this tensor holds, formed if it is held as factors,
-        or None: an array of its shape that an op may add into in place,
-        with the bytes of `_accumulate`'s `grad += g`."""
-        if self._grad_factors is not None:
-            g, factor = self._grad_factors
-            self._grad_factors = None
-            self.grad = g * factor
-        return self.grad
-
-    def _accumulate_product(self, g, factor):
-        """Add `g * factor` into ``grad``, with the bytes of
-        `_accumulate(g * factor, owned=True)`.
-
-        `g` may be shared with other tensors, so nothing writes to it. A
-        node that the sweep has yet to reach, and that holds no gradient
-        yet, keeps the two factors instead of their product. It forms the
-        product when the sweep reaches it (`_release_grad`), or when a
-        second contribution arrives (`_accumulate`), so contributions add
-        up in the order they arrive. So a sum that hands its gradient to N
-        maps this way never holds their N products at once.
-        """
-        if self.grad is None and self._grad_factors is None and self._backward_fn is not None:
-            self._grad_factors = (g, factor)
-        else:
-            self._accumulate(g * factor, owned=True)
-
-    def _release_grad(self):
-        """Take this node's gradient from it, formed if it is held as factors."""
-        g, self.grad = self._held_grad(), None
-        return g
 
     def backward(self):
         """Reverse-mode sweep from a scalar output.
@@ -934,13 +898,12 @@ def conv2d(x, k, padding=1):
             flipped = np.ascontiguousarray(flipped, dtype).reshape(kh * kw, cout, cin)
             # a gradient x already holds takes each block's dX as it comes,
             # the elementwise add that `_accumulate` would make of a whole dX
-            held = x._held_grad()
-            gx = _empty(x.shape, dtype) if held is None else held
+            held = x.grad is not None
+            if not held:
+                x.grad = _empty(x.shape, dtype)
+            gx = x.grad if batched else x.grad[None]
             _shifted_gemm(flipped, offsets, _grid_rows(gd, span, 0, hp, wp), wp, n,
-                          _grid_store(gx if batched else gx[None], p, hp, wp,
-                                      add=held is not None))
-            if held is None:
-                x._accumulate(gx, owned=True)
+                          _grid_store(gx, p, hp, wp, add=held))
 
     return _node(y, (x, k), backward)
 

@@ -19,13 +19,9 @@ blocks of image rows, about `tensor._BLOCK` pixels each, and forms each
 gated map's block into one block-sized buffer as it sums, so no
 map-sized scratch exists beside the result. Its backward first forms
 the maps again, one batch item of one map at a time, for the layer
-weights' gradient, then hands
-each map the sum's released gradient and that map's layer factor: the
-map's node multiplies them when the sweep reaches it, so the N
-per-layer gradients never exist at once. The handed gradient is shared
-and nothing writes to it; a map that gets a second gradient, from
-another consumer or a second place in the sum, forms its product then,
-so gradients add up in the order and with the bytes of stored maps.
+weights' gradient, then hands each map the sum's released gradient
+times that map's layer factor, a fresh product of its own, so
+gradients add up in the order and with the bytes of stored maps.
 """
 
 from dataclasses import dataclass
@@ -176,11 +172,9 @@ def weighted_sum(maps, w=None):
                 for k, m in enumerate(read):
                     gw[i + (k,)] = np.multiply(g[i], m._formed(prod, i), out=prod).sum()
             w._accumulate(gw, owned=True)
-        # each map forms its g * f when the sweep reaches it, so the N
-        # products never exist at once; g is shared and never written
         for m, f in zip(maps, factors):
             if m.requires_grad:
-                m._accumulate_product(g, f)
+                m._accumulate(g * f, owned=True)
 
     return _node(data, parents, backward)
 

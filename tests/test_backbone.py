@@ -28,7 +28,7 @@ from adwm.errors import (
     FormatError,
 )
 from adwm.cacw import WEIGHT_GENERATORS
-from adwm.data import SCALE
+from adwm.data import SCALE, tensor_to_bytes
 from adwm.tensor import Tensor, concat, conv2d, gradcheck
 from adwm.weighting import _channel_observations, cfw_apply, weighted_sum
 from test_tensor import assert_bitwise, channel_scale_oracle, where_leaky
@@ -734,6 +734,49 @@ def test_checkpoint_larger_than_its_bytes_fails_before_the_model_is_built(
     assert peak < 2**20
     assert message in str(e.value)
     assert e.value.offset == 12 + len(blob)  # the tensor count field
+
+
+def test_checkpoint_wider_than_its_bytes_fails_before_the_model_is_built(tmp_path):
+    # 600 channels in one block, 8 declared records of 17 zero bytes each:
+    # a 194-byte file that, with the model built first, peaked at 50 MiB,
+    # and with channels squared beyond that
+    blob = json.dumps({"bands": 1, "blocks": 1, "channels": 600}).encode()
+    p = tmp_path / "m.ckpt"
+    p.write_bytes(b"ADWM" + struct.pack("<II", CKPT_VERSION, len(blob)) + blob
+                  + struct.pack("<I", 8) + b"\0" * (17 * 8))
+    assert p.stat().st_size == 194
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as e:
+            load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "6496200 kernel weights" in str(e.value)
+    assert e.value.offset == 12  # the config block
+
+
+def test_checkpoint_of_float32_records_loads(tmp_path):
+    # the kernel bound counts 4 bytes an element, so a checkpoint whose
+    # records hold float32 still loads, at a shape where kernels make up
+    # most of the file and 8 bytes an element would reject it
+    model = PansharpenModel(tiny_config(bands=1, channels=8), seed=3)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model)
+    raw = p.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    records = []
+    for prm in model.params():
+        prm.data = prm.data.astype(np.float32).astype(np.float64)
+        rec = bytearray(tensor_to_bytes(prm.data))
+        head = len(rec) - prm.data.nbytes
+        rec[head - 1] = 1  # the dtype code: float32
+        records.append(bytes(rec[:head]) + prm.data.astype("<f4").tobytes())
+    p.write_bytes(raw[:16 + n] + b"".join(records))
+    loaded = load_checkpoint(p)
+    for got, want in zip(loaded.params(), model.params()):
+        assert_bitwise(got.data, want.data)
 
 
 def test_checkpoint_trailing_bytes(tmp_path):

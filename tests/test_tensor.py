@@ -591,9 +591,9 @@ HANDOVER_CASES = ["plain", "second_consumer_first", "second_consumer_after",
 @pytest.mark.parametrize("case", HANDOVER_CASES)
 @pytest.mark.parametrize("shape", [(5, 4, 3), (2, 5, 4, 3)])
 def test_weighted_sum_of_gated_maps_matches_stored_maps_bitwise(
-        shape, case, with_w, poisoned, poisoned_empty, monkeypatch):
-    # weighted_sum hands each gated map its released gradient and its
-    # layer factor, to be multiplied when the sweep reaches the gate; the
+        shape, case, with_w, poisoned, poisoned_empty):
+    # weighted_sum forms the gated maps in row blocks and hands each one
+    # its own product of the released gradient and its layer factor; the
     # oracle stores every gated map whole and builds every product at once
     if poisoned:
         poisoned_empty()
@@ -604,14 +604,6 @@ def test_weighted_sum_of_gated_maps_matches_stored_maps_bitwise(
     w0 = rng.random(shape[:-3] + (n,))
     g = _signed_zeros(rng, shape)
     v = _signed_zeros(rng, shape)
-    handed = []
-    product = Tensor._accumulate_product
-
-    def recorded(self, grad, factor):
-        handed.append((grad, grad.copy()))
-        product(self, grad, factor)
-
-    monkeypatch.setattr(Tensor, "_accumulate_product", recorded)
     results = []
     for scale, wsum in ((channel_scale, weighted_sum),
                         (channel_scale_oracle, stored_weighted_sum)):
@@ -629,7 +621,6 @@ def test_weighted_sum_of_gated_maps_matches_stored_maps_bitwise(
             loss = (gated[1] * Tensor(v)).sum() + loss
         loss.backward()
         results.append([out.data] + [t.grad for t in leaves])
-    assert handed and all(got.tobytes() == kept.tobytes() for got, kept in handed)
     # the repeated stack leaves the third map unread, and a sum without
     # w gives it no gradient
     unread = {n - 1, 2 * n - 1} if case == "repeated_map" else set()
@@ -683,12 +674,12 @@ def test_channel_scale_gates_its_released_gradient_in_place(layout):
 
 
 @pytest.mark.parametrize("poisoned", [False, True])
-@pytest.mark.parametrize("held", ["array", "factors"])
+@pytest.mark.parametrize("held", ["array", "weighted_sum"])
 @pytest.mark.parametrize("shape", [(6, 5, 3), (2, 6, 5, 3)])
 def test_conv2d_adds_dx_into_a_held_gradient_bitwise(shape, held, poisoned,
-                                                     poisoned_empty, monkeypatch):
-    # conv2d adds each block of dX into a gradient that x already holds,
-    # as an array or as the factors a weighted sum handed it. The oracle
+                                                     poisoned_empty):
+    # conv2d adds each block of dX into the gradient array that x already
+    # holds, handed by an elementwise op or by a weighted sum. The oracle
     # runs the conv over x * 1.0, whose own gradient is the whole dX, and
     # the product node adds dX * 1.0 (dX exactly) into x, as `_accumulate`
     # did with the whole dX that conv2d built before
@@ -699,33 +690,33 @@ def test_conv2d_adds_dx_into_a_held_gradient_bitwise(shape, held, poisoned,
     k0 = rng.standard_normal((4, shape[-1], 3, 3))
     g = _signed_zeros(rng, shape[:-1] + (4,))
     u, v = _signed_zeros(rng, shape), _signed_zeros(rng, shape)
-    seen = []
-    held_grad = Tensor._held_grad
-
-    def spy(self):
-        # the asks of ops, not the sweep's release of x's own gradient
-        if sys._getframe(1).f_code.co_name != "_release_grad":
-            seen.append((self, self._grad_factors is not None, self.grad is not None))
-        return held_grad(self)
-
-    monkeypatch.setattr(Tensor, "_held_grad", spy)
     results = []
     for conv_input in (lambda x: x, lambda x: x * 1.0):
-        seen.clear()
         t = Tensor(x0.copy(), requires_grad=True)
         k = Tensor(k0.copy(), requires_grad=True)
         x = t if held == "array" else t * 1.0
-        loss = (conv2d(conv_input(x), k, padding=1) * Tensor(g)).sum()
+        conv = conv2d(conv_input(x), k, padding=1)
+        loss = (conv * Tensor(g)).sum()
         if held == "array":
             # the sweep reaches x * v before the conv
             loss = loss + (x * Tensor(v)).sum()
         else:
-            # and the weighted sum, which hands x its gradient as factors
+            # and the weighted sum, which hands x its gradient first
             loss = loss + (weighted_sum([x, Tensor(u)]) * Tensor(v)).sum()
+        seen = []
+        push = conv._backward_fn
+
+        def spied():
+            before = x.grad
+            push()
+            seen.append((before, x.grad))
+
+        conv._backward_fn = spied
         loss.backward()
-        results.append((t.grad, k.grad, [(f, a) for s, f, a in seen if s is x]))
-    # the conv, the last to ask, found x's gradient held as the case says
-    assert results[0][2][-1] == ((True, False) if held == "factors" else (False, True))
+        results.append((t.grad, k.grad, seen))
+    # the conv found x's gradient held, and added into that array itself
+    (before, after), = results[0][2]
+    assert before is not None and after is before
     for got, want in zip(results[0][:2], results[1][:2]):
         assert_bitwise(got, want, (shape, held))
 
