@@ -19,9 +19,10 @@ n = blocks.
 `forward` is the one place that picks the compute dtype, after
 Micikevicius et al. 2018, "Mixed precision training": the parameters
 stay float64 masters, and every forward, a training step's included,
-computes in float32 on float32 copies of them; only a finite-difference
-check through pan or lrms computes in float64 (see
-`PansharpenModel.forward`).
+computes in float32, reading each master through `Tensor.astype`, a
+cast on the tape whose backward gives the master a float64 gradient;
+only a finite-difference check through pan or lrms computes in float64,
+where the cast is the master itself (see `PansharpenModel.forward`).
 
 `forward` drops each map as soon as its last reader has run: the input
 grid after the encoder conv, each block's inner map after the block's
@@ -170,11 +171,6 @@ def upsample_bilinear(x, factor):
 # ----------------------------------------------------------------------
 # model
 
-def _float32(x):
-    """A constant float32 Tensor over x's values."""
-    return Tensor(np.asarray(as_tensor(x).data, dtype=np.float32))
-
-
 def _he_kernel(rng, c_out, c_in, k=3):
     std = np.sqrt(2.0 / (c_in * k * k))
     return Tensor(rng.standard_normal((c_out, c_in, k, k)) * std)
@@ -185,7 +181,7 @@ class PansharpenModel:
 
     All parameters are float64 Tensors exposed by params() in a fixed
     declaration order; checkpoints rely on that order. `forward` reads
-    them in float32 unless pan or lrms requires grad.
+    each through a cast to its compute dtype and never writes one.
     """
 
     def __init__(self, config, seed=0):
@@ -245,28 +241,18 @@ class PansharpenModel:
 
         The one place that picks the compute dtype. When pan or lrms
         requires grad, as in a finite-difference check through the
-        inputs, the forward computes in float64 on the float64
-        parameters. Every other forward computes in float32, on float32
-        copies of pan, lrms and the parameters, and every result is
-        float32. A parameter that requires grad still records a tape: a
-        training step's forward, whose backward reads the float32 copies
-        that each op captured, and gives float32 gradients. The float64
-        parameters are put back before this returns, and never written,
-        also when the forward raises.
+        inputs, the forward computes in float64. Every other forward
+        casts pan and lrms to float32, and every result is float32. Each
+        parameter is read where it is used as `p.astype(dtype)`, a cast
+        on the tape: the float64 master itself in a float64 forward, a
+        float32 copy otherwise. A training step's forward records the
+        casts with the rest of its tape, so the backward hands each
+        parameter its gradient in float64. No forward writes a
+        parameter's ``data``.
         """
-        if any(isinstance(t, Tensor) and t.requires_grad for t in (pan, lrms)):
-            return self._forward(as_tensor(pan), as_tensor(lrms), return_weights)
-        params = self.params()
-        masters = [p.data for p in params]
-        try:
-            for p in params:
-                p.data = p.data.astype(np.float32)
-            return self._forward(_float32(pan), _float32(lrms), return_weights)
-        finally:
-            for p, data in zip(params, masters):
-                p.data = data
-
-    def _forward(self, pan, lrms, return_weights):
+        pan, lrms = as_tensor(pan), as_tensor(lrms)
+        if not (pan.requires_grad or lrms.requires_grad):
+            pan, lrms = pan.astype(np.float32), lrms.astype(np.float32)
         if pan.ndim not in (2, 3):
             raise DimensionError(f"pan must be (H,W) or (B,H,W), got {pan.shape}")
         batched = pan.ndim == 3
@@ -291,15 +277,18 @@ class PansharpenModel:
 
         up = upsample_bilinear(lrms, SCALE)
         x = concat([pan.reshape(pan.shape + (1,)), up], axis=-1)
+        dtype = x.dtype
 
         # each local goes as soon as its last reader has run: without a
         # tape nothing else holds a map, so it frees there
-        f = bias_act(conv2d(x, self.enc_w), self.enc_b, leaky=True)
+        f = bias_act(conv2d(x, self.enc_w.astype(dtype)), self.enc_b.astype(dtype),
+                     leaky=True)
         del x
         features = []
         for blk in self.blocks:
-            y = bias_act(conv2d(f, blk["w1"]), blk["b1"], leaky=True)
-            f = bias_act(conv2d(y, blk["w2"]), blk["b2"], residual=f)
+            w1, b1, w2, b2 = (blk[k].astype(dtype) for k in ("w1", "b1", "w2", "b2"))
+            y = bias_act(conv2d(f, w1), b1, leaky=True)
+            f = bias_act(conv2d(y, w2), b2, residual=f)
             del y
             features.append(f)
         del f
@@ -313,7 +302,8 @@ class PansharpenModel:
             weights = {"alpha": alphas, "beta": beta,
                        "features": [f.detach() for f in features]}
         del features
-        hhat = bias_act(up + conv2d(fused, self.dec_w), self.dec_b)
+        hhat = bias_act(up + conv2d(fused, self.dec_w.astype(dtype)),
+                        self.dec_b.astype(dtype))
         if return_weights:
             return hhat, weights
         return hhat

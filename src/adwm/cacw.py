@@ -166,9 +166,10 @@ class _MlpHead:
         return sum(p.size for p in self.params())
 
     def _mlp(self, x):
-        """The head over the last axis: (..., n_in) -> (..., n_out)."""
-        h = (x @ self.W1.T + self.b1).leaky_relu()
-        return h @ self.W2.T + self.b2
+        """The head over the last axis: (..., n_in) -> (..., n_out), in
+        x's dtype: each parameter is read through a cast to it."""
+        h = (x @ self.W1.astype(x.dtype).T + self.b1.astype(x.dtype)).leaky_relu()
+        return h @ self.W2.astype(h.dtype).T + self.b2.astype(h.dtype)
 
     def _activate(self, out):
         return out.sigmoid() if self.output_activation == "sigmoid" else out

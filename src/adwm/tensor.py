@@ -7,17 +7,20 @@ and a closure that pushes its gradient back through `backward`; other
 results keep neither. `as_tensor` is the one coercion of raw arrays.
 
 A tensor keeps its array's dtype: a float32 or float64 array stays as it
-is, and anything else becomes float64. Every op computes in the dtype of
-its inputs, and every buffer it makes takes that dtype. A scalar operand,
-a Python or a numpy one, takes the other operand's dtype, so no constant
-upcasts a float32 op under either of numpy's scalar rules (NEP 50 from
-numpy 2, value-based casting before it). `backbone.PansharpenModel.forward`
-picks the dtype: float32 for every forward, training steps included, and
-float64 only for a finite-difference check through the model's inputs.
-A training forward runs on float32 copies of float64 parameters, which
-are restored before the sweep, so every backward reads the arrays its
-forward read, captured when the forward ran, never a parent's current
-``data``.
+is, and anything else becomes float64. Every op but `Tensor.astype`
+computes in the dtype of its inputs, and every buffer it makes takes
+that dtype. A scalar operand, a Python or a numpy one, takes the other
+operand's dtype, so no constant upcasts a float32 op under either of
+numpy's scalar rules (NEP 50 from numpy 2, value-based casting before
+it). `astype` is the one op that changes dtype: a cast on the tape,
+whose backward hands its source the gradient in the source's dtype.
+`backbone.PansharpenModel.forward` picks the dtype: float32 for every
+forward, training steps included, and float64 only for a
+finite-difference check through the model's inputs. It reads each
+float64 parameter through `astype`, so a float32 forward computes on
+float32 copies and each parameter's gradient arrives in float64. Every
+backward reads the arrays its forward read, captured when the forward
+ran, never a parent's current ``data``.
 
 The sweep releases each intermediate's gradient as its node runs, so an
 op can hand that array to a parent as the parent's own gradient rather
@@ -204,6 +207,18 @@ class Tensor:
     def detach(self):
         """A view of the same data, cut off from the tape."""
         return Tensor(self.data)
+
+    def astype(self, dtype):
+        """This tensor in `dtype`: itself when it has that dtype, else a
+        copy, whose backward hands this tensor its gradient in this
+        tensor's own dtype. The one op that changes dtype."""
+        if self.dtype == dtype:
+            return self
+
+        def backward(g):
+            self._accumulate(g.astype(self.dtype), owned=True)
+
+        return _node(self.data.astype(dtype), (self,), backward)
 
     def zero_grad(self):
         self.grad = None

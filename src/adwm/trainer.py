@@ -5,10 +5,11 @@ run produces byte-identical logs and checkpoints. Loss must stay finite;
 a NaN aborts with the offending epoch/batch identified rather than
 silently poisoning the parameters. Every forward computes in float32,
 after Micikevicius et al. 2018, "Mixed precision training": each step
-records its tape in float32 on float32 copies of the float64 master
-parameters, and Adam casts each float32 gradient to float64 before it
-updates the float64 moments and masters. Checkpoints and logged
-metrics stay float64.
+records its tape in float32, reading each float64 master parameter
+through a cast on the tape, so the backward hands each master its
+gradient in float64, and Adam updates the float64 moments and masters
+from it. The masters are never reassigned, only updated in place by
+Adam. Checkpoints and logged metrics stay float64.
 
 `train_runs` is the one route from a dataset directory to trained runs,
 for the CLI, the byte guard and the ablation protocol (`PROTOCOL`).

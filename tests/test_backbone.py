@@ -223,23 +223,31 @@ def test_fresh_model_is_bilinear_upsampling():
 
 @pytest.mark.parametrize("raises", [False, True])
 def test_no_grad_forward_leaves_the_float64_parameters_as_they_were(raises, monkeypatch):
-    # the float32 forward reads float32 copies of the parameters; the
-    # float64 masters come back as they were, also from a forward that
-    # raises partway
+    # the float32 forward reads each parameter through a cast, so inside
+    # the forward every parameter's data is still its float64 master, and
+    # after it, also after a forward that raises partway, the masters are
+    # as they were
     model = randomized(PansharpenModel(tiny_config("adwm")), seed=3)
     params = model.params()
     before = [(p.data, p.data.tobytes(), p.requires_grad) for p in params]
     seen = []
-    if raises:
-        def failing_aggregate(features, ifw, cfw):
-            seen.append(model.enc_w.dtype)
+    aggregate = backbone.aggregate
+
+    def recording_aggregate(features, ifw, cfw):
+        seen.append([p.data for p in params])
+        if raises:
             raise RuntimeError("aggregation failed")
-        # the model reaches weighting.aggregate through this name
-        monkeypatch.setattr(backbone, "aggregate", failing_aggregate)
+        return aggregate(features, ifw, cfw)
+
+    # the model reaches weighting.aggregate through this name
+    monkeypatch.setattr(backbone, "aggregate", recording_aggregate)
     rng = np.random.default_rng(31)
     with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
-        model.forward(rng.random((16, 16)), rng.random((4, 4, 2)))
-    assert seen == ([np.float32] if raises else [])
+        out = model.forward(rng.random((16, 16)), rng.random((4, 4, 2)))
+    if not raises:
+        assert out.dtype == np.float32
+    assert len(seen) == 1
+    assert all(d is data for d, (data, _, _) in zip(seen[0], before))
     for p, (data, raw, flag) in zip(params, before):
         assert p.data is data and p.data.dtype == np.float64
         assert p.data.tobytes() == raw and p.requires_grad is flag

@@ -996,6 +996,7 @@ def _node_cases():
         # the tape reaches w right after the first map
         ("weighted_sum_w", lambda x, y, w: weighted_sum([x, y], w),
          [a(2, 2, 3), a(2, 2, 3), a(2)], (0, 2, 1)),
+        ("astype", lambda x: x.astype(np.float32), [a(2, 3)], None),
     ]
 
 
@@ -1163,11 +1164,38 @@ def test_every_op_keeps_its_inputs_dtype(case):
 
     out64, leaves64 = run(np.float64)
     out32, leaves32 = run(np.float32)
-    assert out64.dtype == np.float64 and out32.dtype == np.float32, name
+    if name == "astype":
+        # the one op that changes dtype: its result takes the dtype it
+        # names, float32 here, and its gradient its input's dtype
+        assert out64.dtype == out32.dtype == np.float32, name
+    else:
+        assert out64.dtype == np.float64 and out32.dtype == np.float32, name
     np.testing.assert_allclose(out32.data, out64.data, rtol=1e-5, atol=1e-6)
     for t64, t32 in zip(leaves64, leaves32):
         assert t64.grad.dtype == np.float64 and t32.grad.dtype == np.float32, name
         np.testing.assert_allclose(t32.grad, t64.grad, rtol=1e-5, atol=1e-6)
+
+
+def test_astype_to_its_own_dtype_is_the_tensor_itself(monkeypatch):
+    dtypes = recorded_node_dtypes(monkeypatch)
+    for dtype in (np.float32, np.float64):
+        for requires_grad in (False, True):
+            x = Tensor(np.arange(6.0, dtype=dtype).reshape(2, 3), requires_grad)
+            assert x.astype(dtype) is x
+            assert x.astype(np.dtype(dtype)) is x
+    assert dtypes == []
+
+
+def test_astype_hands_back_the_gradient_in_its_sources_dtype():
+    rng = np.random.default_rng(42)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    y = x.astype(np.float32)
+    assert y.dtype == np.float32 and y.data.base is None
+    np.testing.assert_array_equal(y.data, x.data.astype(np.float32))
+    g = rng.standard_normal((3, 4)).astype(np.float32)
+    (y * Tensor(g)).sum().backward()
+    assert x.grad.dtype == np.float64
+    assert x.grad.tobytes() == g.astype(np.float64).tobytes()
 
 
 def recorded_node_dtypes(monkeypatch):

@@ -330,8 +330,10 @@ def test_steps_in_a_poisoned_workspace_are_bitwise_those_outside(
 
 @pytest.mark.parametrize("variant,generator", ARMS)
 def test_a_training_step_records_a_float32_tape_end_to_end(variant, generator, monkeypatch):
-    # every tape node and every gradient is float32; the master parameters
-    # and Adam's moments stay float64, also after the update
+    # every tape node is float32, each parameter's cast among them; each
+    # parameter's gradient comes back through its cast in the parameter's
+    # dtype and shape, and the masters and Adam's moments stay float64,
+    # also after the update
     from test_tensor import recorded_node_dtypes
 
     pan, lrms, gt = trainer._assemble(make_pairs(2, c=2))
@@ -350,8 +352,9 @@ def test_a_training_step_records_a_float32_tape_end_to_end(variant, generator, m
     assert dtypes and set(dtypes) == {np.dtype(np.float32)}
     assert loss.dtype == np.float32
     grads = [p.grad for p in params]
-    assert all(g is not None and g.dtype == np.float32 for g in grads)
     assert all(p.dtype == np.float64 for p in params)
+    assert all(g is not None and g.dtype == p.dtype and g.shape == p.shape
+               for p, g in zip(params, grads))
     adam_step(params, grads, state, lr=2e-3)
     assert all(p.dtype == np.float64 for p in params)
     assert all(a.dtype == np.float64 for a in state["m"] + state["v"])
